@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 invalid input (bad pipeline, bad file
 contents), 2 environment problems (missing opt, missing files, empty
-dataset), 3 evaluation failure. Every command takes --json for
-machine-readable output; commands with randomness take --seed and are
+dataset), 3 evaluation failure. Every command but ``experiment`` takes
+--json for machine-readable output; ``experiment`` writes its JSON to
+--out-dir/results.json. Commands with randomness take --seed and are
 bit-reproducible on the mock evaluator.
 """
 
@@ -20,10 +21,17 @@ from .errors import (
     PassForestError,
 )
 from .evaluation import OptBackend, evaluate as evaluate_request, EvaluationRequest
+from .experiments import (
+    run_microstructure_study,
+    run_rq3_ablation,
+    run_rq4_ablation,
+    table_lines,
+    write_report,
+)
 from .forest import validate as validate_forest
 from .grammar import parse_pipeline, print_pipeline
 from .metrics import ProgramResult, aggregate
-from .mock import MockBackend
+from .mock import MockBackend, load_mock_program
 from .refine import RefineConfig, refine
 from .registry import default_registry, load_registry
 from .search import SearchConfig, run_search
@@ -323,6 +331,39 @@ def cmd_skeleton_experiment(args) -> int:
     return EXIT_OK
 
 
+def cmd_experiment(args) -> int:
+    registry = _load_registry_arg(args)
+    program = load_mock_program(args.program)
+    backend = MockBackend()
+    graph = load_graph(args.graph) if args.graph else SynergyGraph.empty()
+    config = SearchConfig(
+        population_size=args.population,
+        generations=args.generations,
+        max_sequence_length=args.max_len,
+        seed=args.seed,
+    )
+    if args.study == "microstructure":
+        if args.pairs:
+            pairs = [
+                (registry.lookup(a.strip()), registry.lookup(b.strip()))
+                for a, b in (pair.split(",") for pair in args.pairs.split(";"))
+            ]
+        else:
+            pairs = [
+                (registry.lookup(e.src), registry.lookup(e.dst))
+                for e in graph.edges
+            ]
+        result = run_microstructure_study(pairs, [program], backend)
+    elif args.study == "rq3":
+        result = run_rq3_ablation(program, graph, registry, backend, config)
+    else:
+        result = run_rq4_ablation(program, graph, registry, backend, config)
+    write_report(result, args.out_dir)
+    for line in table_lines(result):
+        print(line)
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="passforest",
@@ -411,6 +452,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_evaluator_flags(p)
     _add_json_flag(p)
     p.set_defaults(func=cmd_skeleton_experiment)
+
+    p = sub.add_parser(
+        "experiment",
+        help="run a desk-scale study on a mock program",
+    )
+    p.add_argument("study", choices=("microstructure", "rq3", "rq4"))
+    p.add_argument("--program", required=True, help="mock program JSON")
+    p.add_argument("--graph", help="synergy graph JSON (rq3/rq4)")
+    _add_registry_flag(p)
+    p.add_argument(
+        "--pairs",
+        help="semicolon-separated ordered pairs like gvn,adce;globalopt,gvn "
+        "(microstructure; default: every mined edge)",
+    )
+    p.add_argument("--population", type=int, default=16)
+    p.add_argument("--generations", type=int, default=8)
+    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--out-dir", required=True, help="writes results.json and table.txt"
+    )
+    p.set_defaults(func=cmd_experiment)
 
     return parser
 

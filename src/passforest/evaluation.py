@@ -8,12 +8,14 @@ invocation interleaving.
 
 import os
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .errors import BackendUnavailable, InvalidPipeline, MalformedIR
 from .forest import PipelineForest, validate
+from .grammar import print_pipeline
 from .registry import PassRegistry
 
 OPT_PATH_ENV_VAR = "PASSFOREST_OPT"
@@ -58,6 +60,47 @@ def evaluate(
     if violations:
         raise InvalidPipeline(violations)
     return backend.evaluate(request.program, request.pipeline)
+
+
+class Evaluator:
+    """Memoized, optionally threaded evaluation of forests on one program.
+
+    Results are memoized by canonical pipeline string, so a pipeline
+    reaches the backend at most once per evaluator, however often it is
+    submitted. ``results`` maps each evaluated string to its result and
+    ``forests`` to the first forest submitted under it.
+    """
+
+    def __init__(self, backend, program, parallel: int = 1):
+        self.backend = backend
+        self.program = program
+        self.parallel = parallel
+        self.results: Dict[str, EvaluationResult] = {}
+        self.forests: Dict[str, PipelineForest] = {}
+
+    def map(self, forests: Sequence[PipelineForest]) -> List[EvaluationResult]:
+        """Evaluate every forest not yet seen; results in input order.
+
+        With ``parallel > 1`` and more than one pending forest, backend
+        calls run on a thread pool; the results do not depend on it.
+        """
+        keys = [print_pipeline(forest) for forest in forests]
+        pending: Dict[str, PipelineForest] = {}
+        for key, forest in zip(keys, forests):
+            if key not in self.results and key not in pending:
+                pending[key] = forest
+        todo = list(pending.values())
+        if self.parallel > 1 and len(todo) > 1:
+            with ThreadPoolExecutor(max_workers=self.parallel) as pool:
+                fresh = list(pool.map(self._evaluate, todo))
+        else:
+            fresh = [self._evaluate(forest) for forest in todo]
+        self.results.update(zip(pending, fresh))
+        self.forests.update(pending)
+        return [self.results[key] for key in keys]
+
+    def _evaluate(self, forest: PipelineForest) -> EvaluationResult:
+        return self.backend.evaluate(self.program, forest)
 
 
 def count_ir_instructions(ir_text: str) -> int:
@@ -129,11 +172,13 @@ def opt_backend_evaluate(
             detail=f"timeout after {timeout:.0f}s: {' '.join(cmd)}",
         )
     if proc.returncode != 0:
-        tail = proc.stderr.strip().splitlines()[-5:]
+        # An abort prints its diagnostic first and stack frames after it.
+        lines = [line.strip() for line in proc.stderr.splitlines()]
+        first = next((line for line in lines if line), "")
         return EvaluationResult(
             instruction_count=None,
             status="failed",
-            detail=f"opt exited {proc.returncode}: " + " | ".join(tail),
+            detail=f"opt exited {proc.returncode}: {first}",
         )
     try:
         count = count_ir_instructions(proc.stdout)
@@ -157,8 +202,6 @@ class OptBackend:
     name: str = field(default="opt", init=False)
 
     def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
-        from .grammar import print_pipeline
-
         path = Path(program)
         if not path.exists():
             return EvaluationResult(

@@ -148,7 +148,8 @@ def run_rq4_ablation(
     }
 
 
-def _table_lines(result: dict) -> list:
+def table_lines(result: dict) -> list:
+    """The text table of a study result, as written to table.txt."""
     study = result.get("study", "study")
     lines = [study, "=" * len(study)]
     if study == "microstructure":
@@ -201,70 +202,5 @@ def write_report(result: dict, out_dir) -> None:
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out / "table.txt").write_text(
-        "\n".join(_table_lines(result)) + "\n", encoding="utf-8"
+        "\n".join(table_lines(result)) + "\n", encoding="utf-8"
     )
-
-
-def main(argv=None) -> int:
-    """Run one study from the command line: ``python -m passforest.experiments``."""
-    import argparse
-
-    from .mock import MockBackend
-    from .registry import default_registry, load_registry
-    from .synergy import load_graph
-
-    parser = argparse.ArgumentParser(prog="passforest.experiments")
-    parser.add_argument("study", choices=("microstructure", "rq3", "rq4"))
-    parser.add_argument("--program", required=True, help="mock program JSON")
-    parser.add_argument("--graph", help="synergy graph JSON (rq3/rq4)")
-    parser.add_argument("--registry", help="registry file; default built-in")
-    parser.add_argument(
-        "--pairs",
-        help="semicolon-separated ordered pairs like gvn,adce;globalopt,gvn "
-        "(microstructure; default: every mined edge)",
-    )
-    parser.add_argument("--population", type=int, default=16)
-    parser.add_argument("--generations", type=int, default=8)
-    parser.add_argument("--max-len", type=int, default=12)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out-dir", required=True)
-    args = parser.parse_args(argv)
-
-    registry = (
-        load_registry(Path(args.registry).read_text(encoding="utf-8"))
-        if args.registry
-        else default_registry()
-    )
-    backend = MockBackend()
-    graph = load_graph(args.graph) if args.graph else SynergyGraph.empty()
-    config = SearchConfig(
-        population_size=args.population,
-        generations=args.generations,
-        max_sequence_length=args.max_len,
-        seed=args.seed,
-    )
-
-    if args.study == "microstructure":
-        if args.pairs:
-            pairs = [
-                (registry.lookup(a.strip()), registry.lookup(b.strip()))
-                for a, b in (pair.split(",") for pair in args.pairs.split(";"))
-            ]
-        else:
-            pairs = [
-                (registry.lookup(e.src), registry.lookup(e.dst))
-                for e in graph.edges
-            ]
-        result = run_microstructure_study(pairs, [args.program], backend)
-    elif args.study == "rq3":
-        result = run_rq3_ablation(args.program, graph, registry, backend, config)
-    else:
-        result = run_rq4_ablation(args.program, graph, registry, backend, config)
-    write_report(result, args.out_dir)
-    for line in _table_lines(result):
-        print(line)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -306,15 +306,6 @@ def minimal_wrap(pass_name: str, level: PassLevel) -> PipelineNode:
     return wrap_in_chain(chain, (Leaf(pass_name, level),))
 
 
-def minimal_wrap_registered(pass_name: str, registry: PassRegistry) -> PipelineNode:
-    level = registry.level_of(pass_name)
-    if level is None:
-        raise UnknownPass(
-            f"{pass_name!r} is polymorphic; it has no standalone wrap level"
-        )
-    return minimal_wrap(pass_name, level)
-
-
 # ---------------------------------------------------------------------------
 # Functional tree edits (used by the search operators).
 # ---------------------------------------------------------------------------

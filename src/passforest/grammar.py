@@ -29,10 +29,15 @@ from .registry import PassLevel, PassRegistry
 _MANAGER_TOKENS = {level.token: level for level in PassLevel}
 _NAME_CHARS = re.compile(r"[a-z0-9<>-]+")
 
+# Real pipelines nest a handful of managers; the bound keeps the
+# recursive parser, printer and validator far from Python's stack limit.
+MAX_NESTING_DEPTH = 100
+
 
 def _tokenize(text: str) -> List[Tuple[str, object]]:
     tokens: List[Tuple[str, object]] = []
     i, n = 0, len(text)
+    depth = 0
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -44,6 +49,7 @@ def _tokenize(text: str) -> List[Tuple[str, object]]:
             continue
         if ch == ")":
             tokens.append(("close", None))
+            depth -= 1
             i += 1
             continue
         if ch == "(":
@@ -61,6 +67,11 @@ def _tokenize(text: str) -> List[Tuple[str, object]]:
             level = _MANAGER_TOKENS.get(name)
             if level is None:
                 raise PipelineSyntaxError(f"unknown manager {name!r}")
+            depth += 1
+            if depth > MAX_NESTING_DEPTH:
+                raise PipelineSyntaxError(
+                    f"managers nested more than {MAX_NESTING_DEPTH} deep"
+                )
             tokens.append(("open", level))
             i = j + 1
         else:

@@ -77,19 +77,23 @@ class MockProgram:
             out.setdefault(caller, []).append(callee)
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {f.name: WHITE for f in self.functions}
-
-        def visit(node):
-            color[node] = GRAY
-            for nxt in out.get(node, ()):
-                if color[nxt] == GRAY:
+        # Iterative depth-first search: call chains may be thousands deep.
+        for root in color:
+            if color[root] != WHITE:
+                continue
+            color[root] = GRAY
+            stack = [(root, iter(out.get(root, ())))]
+            while stack:
+                node, callees = stack[-1]
+                nxt = next(callees, None)
+                if nxt is None:
+                    color[node] = BLACK
+                    stack.pop()
+                elif color[nxt] == GRAY:
                     raise SchemaError("call graph has a cycle")
-                if color[nxt] == WHITE:
-                    visit(nxt)
-            color[node] = BLACK
-
-        for name in color:
-            if color[name] == WHITE:
-                visit(name)
+                elif color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(out.get(nxt, ()))))
 
     def callees_of(self, name: str) -> Tuple[str, ...]:
         return tuple(callee for caller, callee in self.call_edges if caller == name)

@@ -1,10 +1,15 @@
 """Structural refinement of a fixed pass sequence.
 
 The pass order found by the main search is kept fixed; what remains open
-is where the sequence is cut into manager blocks. Boundaries between
-passes of different levels always cut (the arrangements they could
-distinguish execute identically), so the only real choices sit between
-same-level neighbors: the decision points. A bit per decision point
+is where the sequence is cut into manager blocks. By design, boundaries
+between passes of different levels always cut, and only boundaries
+between same-level neighbors are choices: the decision points. The fixed
+cuts can change execution order. Take function pass a and loop pass b
+on a mock where f1 calls f2 and a couples with b:
+``module(function(a,loop(b)))`` leaves 80 instructions and
+``module(function(a),function(loop(b)))`` 73, yet neither has a decision
+point (ROADMAP.md open item 5 tracks widening the space to such
+boundaries). A bit per decision point
 (0 = join, 1 = split) spans the full space of partitions, which is
 searched exhaustively when small and by a small genetic algorithm
 otherwise. The refined pipeline is never worse than the seed.
@@ -12,11 +17,11 @@ otherwise. The refined pipeline is never worse than the seed.
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ChromosomeLengthMismatch
+from .evaluation import EvaluationResult, Evaluator
 from .forest import (
     Leaf,
     Manager,
@@ -176,44 +181,13 @@ class RefinementResult:
         }
 
 
-class _CountCache:
-    """Instruction counts per pipeline string; failures count as +inf."""
-
-    def __init__(self, backend, program, parallel: int):
-        self.backend = backend
-        self.program = program
-        self.parallel = parallel
-        self.counts: Dict[str, float] = {}
-
-    def fill(self, forests: Sequence[PipelineForest]) -> None:
-        todo: List[Tuple[str, PipelineForest]] = []
-        for forest in forests:
-            key = print_pipeline(forest)
-            if key not in self.counts and all(k != key for k, _ in todo):
-                todo.append((key, forest))
-        pending = [forest for _, forest in todo]
-        if self.parallel > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallel) as pool:
-                results = list(
-                    pool.map(
-                        lambda f: self.backend.evaluate(self.program, f), pending
-                    )
-                )
-        else:
-            results = [self.backend.evaluate(self.program, f) for f in pending]
-        for (key, _), res in zip(todo, results):
-            self.counts[key] = res.instruction_count if res.ok else float("inf")
-
-    def count_of(self, forest: PipelineForest) -> float:
-        key = print_pipeline(forest)
-        if key not in self.counts:
-            self.fill([forest])
-        return self.counts[key]
-
-
 def _all_chromosomes(k: int):
     for bits in itertools.product((0, 1), repeat=k):
         yield PartitionChromosome(bits)
+
+
+def _count(result: EvaluationResult) -> float:
+    return result.instruction_count if result.ok else float("inf")
 
 
 def refine(
@@ -232,50 +206,43 @@ def refine(
     result never regresses.
     """
     config = config or RefineConfig()
-    cache = _CountCache(backend, program, parallel)
-    seed_string = print_pipeline(seed_forest)
-    seed_count = cache.count_of(seed_forest)
+    evaluator = Evaluator(backend, program, parallel)
+    seed_count = _count(evaluator.map([seed_forest])[0])
     problem, seed_chromosome = encode(seed_forest)
     k = len(problem.decision_points)
 
-    best_forest, best_count = None, float("inf")
     if k > 0:
         if problem.space_size() <= config.exhaustive_budget:
-            candidates = [
-                decode(problem, chromosome)
-                for chromosome in _all_chromosomes(k)
-            ]
-            cache.fill(candidates)
-        else:
-            candidates = _genetic_partition_search(
-                problem, seed_chromosome, cache, config
+            evaluator.map(
+                [decode(problem, chromosome) for chromosome in _all_chromosomes(k)]
             )
-        best_forest = min(
-            candidates,
-            key=lambda f: (cache.count_of(f), print_pipeline(f)),
-        )
-        best_count = cache.count_of(best_forest)
-
-    if best_forest is None or not best_count < seed_count:
+        else:
+            _genetic_partition_search(problem, seed_chromosome, evaluator, config)
+    # Every candidate and the seed are in the memo; including the seed
+    # cannot change the outcome, since it wins every tie below.
+    counts = {key: _count(res) for key, res in evaluator.results.items()}
+    best_key = min(counts, key=lambda key: (counts[key], key))
+    best_forest, best_count = evaluator.forests[best_key], counts[best_key]
+    if not best_count < seed_count:
         best_forest, best_count = seed_forest, seed_count
     return RefinementResult(
         forest=best_forest,
-        seed_pipeline=seed_string,
+        seed_pipeline=print_pipeline(seed_forest),
         seed_ic=None if seed_count == float("inf") else int(seed_count),
         refined_pipeline=print_pipeline(best_forest),
         refined_ic=None if best_count == float("inf") else int(best_count),
         decision_point_count=k,
-        evaluations_used=len(cache.counts),
+        evaluations_used=len(evaluator.results),
     )
 
 
 def _genetic_partition_search(
     problem: PartitionProblem,
     seed_chromosome: PartitionChromosome,
-    cache: _CountCache,
+    evaluator: Evaluator,
     config: RefineConfig,
-) -> List[PipelineForest]:
-    """Bit-vector GA over decision points; returns every decoded forest."""
+) -> None:
+    """Bit-vector GA over decision points; every candidate lands in the memo."""
     rng = random.Random(config.seed)
     k = len(problem.decision_points)
     mutation_rate = (
@@ -287,28 +254,26 @@ def _genetic_partition_search(
         population.append(
             PartitionChromosome(tuple(rng.randint(0, 1) for _ in range(k)))
         )
-    evaluated: List[PipelineForest] = []
-
-    def fitness(chromosome):
-        return -cache.count_of(decode(problem, chromosome))
 
     for _ in range(config.generations + 1):
         forests = [decode(problem, ch) for ch in population]
-        cache.fill(forests)
-        evaluated.extend(forests)
-        ranked = sorted(
-            population,
-            key=lambda ch: (-fitness(ch), print_pipeline(decode(problem, ch))),
-        )
-        next_population = [ranked[0]]
+        results = evaluator.map(forests)
+        # (count, pipeline string) per member: lower is better.
+        scores = [
+            (_count(res), print_pipeline(forest))
+            for forest, res in zip(forests, results)
+        ]
+        elite = min(range(len(population)), key=scores.__getitem__)
+        next_population = [population[elite]]
         while len(next_population) < config.population_size:
             parents = []
             for _ in range(2):
                 contenders = [
-                    population[rng.randrange(len(population))]
+                    rng.randrange(len(population))
                     for _ in range(config.tournament_size)
                 ]
-                parents.append(max(contenders, key=fitness))
+                best = min(contenders, key=lambda i: scores[i][0])
+                parents.append(population[best])
             bits_a, bits_b = parents[0].bits, parents[1].bits
             if rng.random() < config.crossover_rate and k > 1:
                 point = rng.randrange(1, k)
@@ -324,4 +289,3 @@ def _genetic_partition_search(
                 )
                 next_population.append(PartitionChromosome(flipped))
         population = next_population
-    return evaluated

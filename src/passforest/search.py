@@ -13,10 +13,10 @@ evaluations may be parallel without changing the result.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from .evaluation import Evaluator
 from .forest import (
     Leaf,
     PipelineForest,
@@ -221,45 +221,6 @@ def _tournament(
     return max(contenders, key=lambda ind: ind.fitness)
 
 
-class _FitnessCache:
-    """Maps pipeline strings to fitness; one backend call per pipeline."""
-
-    def __init__(self, backend, program, ic_orig: int, parallel: int):
-        self.backend = backend
-        self.program = program
-        self.worst = -ic_orig - 1
-        self.ic_orig = ic_orig
-        self.parallel = parallel
-        self._cache: Dict[str, int] = {}
-
-    def fill(self, population: List[Individual]) -> List[Individual]:
-        todo: List[Tuple[str, PipelineForest]] = []
-        seen = set()
-        for ind in population:
-            key = print_pipeline(ind.forest)
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                todo.append((key, ind.forest))
-        forests = [forest for _, forest in todo]
-        if self.parallel > 1 and len(forests) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallel) as pool:
-                results = list(
-                    pool.map(
-                        lambda f: self.backend.evaluate(self.program, f), forests
-                    )
-                )
-        else:
-            results = [self.backend.evaluate(self.program, f) for f in forests]
-        for (key, _), res in zip(todo, results):
-            self._cache[key] = (
-                self.ic_orig - res.instruction_count if res.ok else self.worst
-            )
-        return [
-            replace(ind, fitness=self._cache[print_pipeline(ind.forest)])
-            for ind in population
-        ]
-
-
 def run_search(
     program,
     graph: SynergyGraph,
@@ -277,13 +238,23 @@ def run_search(
     """
     rng = random.Random(config.seed)
     ic_orig = backend.original_count(program)
-    cache = _FitnessCache(backend, program, ic_orig, parallel)
+    evaluator = Evaluator(backend, program, parallel)
+
+    def score(population: List[Individual]) -> List[Individual]:
+        results = evaluator.map([ind.forest for ind in population])
+        return [
+            replace(
+                ind,
+                fitness=ic_orig - res.instruction_count if res.ok else -ic_orig - 1,
+            )
+            for ind, res in zip(population, results)
+        ]
 
     population = [
         weighted_walk_init(graph, registry, config, rng)
         for _ in range(config.population_size)
     ]
-    population = cache.fill(population)
+    population = score(population)
     best = max(population, key=lambda ind: ind.fitness)
     log: List[dict] = [_log_record(0, best, population)]
 
@@ -309,7 +280,7 @@ def run_search(
                         trim_to_length(child.forest, config.max_sequence_length)
                     )
                 next_population.append(child)
-        population = cache.fill(next_population)
+        population = score(next_population)
         generation_best = max(population, key=lambda ind: ind.fitness)
         if generation_best.fitness > best.fitness:
             best = generation_best

@@ -14,12 +14,12 @@ produces the identical graph.
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import SchemaError
+from .evaluation import Evaluator
 from .forest import PipelineForest, minimal_wrap
 from .registry import PassInfo, PassRegistry
 from .skeletons import representative_skeleton
@@ -157,20 +157,13 @@ def single_pass_performance(
     forests = [
         PipelineForest((minimal_wrap(p.name, p.level),)) for p in passes
     ]
-    results = _map_evaluations(backend, program, forests, parallel)
+    results = Evaluator(backend, program, parallel).map(forests)
     perf: Dict[str, float] = {}
     for info, res in zip(passes, results):
         perf[info.name] = (
             ic_orig - res.instruction_count if res.ok else float("-inf")
         )
     return perf
-
-
-def _map_evaluations(backend, program, forests, parallel):
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(lambda f: backend.evaluate(program, f), forests))
-    return [backend.evaluate(program, f) for f in forests]
 
 
 def _program_id(ref, index: int) -> str:
@@ -195,7 +188,7 @@ def mine_program_pairs(
     ]
     pairs = [(p1, p2) for p1 in usable for p2 in usable]
     forests = [representative_skeleton(p1, p2) for p1, p2 in pairs]
-    results = _map_evaluations(backend, program, forests, parallel)
+    results = Evaluator(backend, program, parallel).map(forests)
     recorded: Dict[Tuple[str, str], int] = {}
     for (p1, p2), res in zip(pairs, results):
         if not res.ok:

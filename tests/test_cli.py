@@ -63,6 +63,12 @@ def test_fmt_bad_pipeline_exit_code(capsys):
     assert main(["fmt", "module("]) == 1
 
 
+def test_validate_hostile_nesting_is_invalid_input(capsys):
+    deep = "module(" * 3000 + "globalopt" + ")" * 3000
+    assert main(["validate", deep]) == 1
+    assert "nested more than" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -98,6 +104,21 @@ def test_evaluate_missing_opt_input_is_evaluation_failure(capsys, tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_evaluate_deep_call_cycle_is_invalid_input(capsys, tmp_path):
+    n = 3000
+    spec = {
+        "functions": [{"name": f"f{i}", "base_ic": 10} for i in range(n)],
+        "calls": [[f"f{i}", f"f{(i + 1) % n}"] for i in range(n)],
+    }
+    program = tmp_path / "chain.json"
+    program.write_text(json.dumps(spec))
+    code = main(
+        ["evaluate", "--program", str(program), "--pipeline", "module(globalopt)"]
+    )
+    assert code == 1
+    assert "call graph has a cycle" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

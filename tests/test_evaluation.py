@@ -1,4 +1,6 @@
 import stat
+import threading
+from collections import Counter
 
 import pytest
 
@@ -20,12 +22,16 @@ from passforest import (
     count_ir_instructions,
     evaluate,
     load_mock_program,
+    load_registry,
     mock_evaluate,
     opt_backend_evaluate,
     parse_pipeline,
+    print_pipeline,
+    refine,
     save_mock_program,
     schedule_of,
 )
+from passforest.evaluation import Evaluator, EvaluationResult
 
 SAMPLE_IR = """\
 ; ModuleID = 'demo'
@@ -311,12 +317,21 @@ def test_opt_backend_counts_output(tmp_path, ir_file):
 
 
 def test_opt_backend_nonzero_exit(tmp_path, ir_file):
-    fake = _write_script(
-        tmp_path / "opt", "echo 'unknown pass' >&2\nexit 1\n"
-    )
-    result = opt_backend_evaluate(ir_file, "module(nonsense)", opt_path=fake)
-    assert not result.ok
-    assert "unknown pass" in result.detail
+    cases = [
+        ("echo 'unknown pass' >&2\nexit 1\n", "opt exited 1: unknown pass"),
+        # an abort: the diagnostic line, then a stack dump
+        (
+            "echo 'LLVM ERROR: LICM requires MemorySSA (loop-mssa)' >&2\n"
+            + "".join(f"echo ' #{i} 0x0 llvm::frame{i}' >&2\n" for i in range(8))
+            + "exit 134\n",
+            "opt exited 134: LLVM ERROR: LICM requires MemorySSA (loop-mssa)",
+        ),
+    ]
+    for body, detail in cases:
+        fake = _write_script(tmp_path / "opt", body)
+        result = opt_backend_evaluate(ir_file, "module(nonsense)", opt_path=fake)
+        assert not result.ok
+        assert result.detail == detail
 
 
 def test_opt_backend_empty_pipeline_fails(tmp_path, ir_file):
@@ -362,3 +377,72 @@ def test_opt_path_env_var(tmp_path, ir_file, monkeypatch):
     monkeypatch.setenv("PASSFOREST_OPT", fake)
     result = opt_backend_evaluate(ir_file, "module(globalopt)")
     assert result.ok and result.instruction_count == 2
+
+
+# ---------------------------------------------------------------------------
+# Evaluator (memo plus fan-out shared by mining, search and refinement)
+# ---------------------------------------------------------------------------
+
+class CountingBackend:
+    """Scores a pipeline by its string length and counts calls per string."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def evaluate(self, program, forest):
+        key = print_pipeline(forest)
+        with self._lock:
+            self.calls[key] += 1
+        return EvaluationResult(len(key), "ok")
+
+    def original_count(self, program):
+        return 1000
+
+
+@pytest.fixture
+def ab_forests(ab_registry):
+    texts = ["module(function(a))", "module(function(b))", "module(function(a,b))"]
+    return [parse_pipeline(text, ab_registry) for text in texts]
+
+
+def test_evaluator_results_follow_input_order_with_duplicates(ab_forests):
+    a, b, ab = ab_forests
+    backend = CountingBackend()
+    results = Evaluator(backend, "prog").map([ab, a, ab, b, a])
+    expected = [len(print_pipeline(f)) for f in (ab, a, ab, b, a)]
+    assert [r.instruction_count for r in results] == expected
+    assert sorted(backend.calls.values()) == [1, 1, 1]
+
+
+def test_evaluator_calls_backend_once_per_pipeline_across_maps(ab_forests):
+    a, b, ab = ab_forests
+    backend = CountingBackend()
+    evaluator = Evaluator(backend, "prog")
+    evaluator.map([a, b])
+    evaluator.map([b, ab, a])
+    evaluator.map([ab])
+    assert set(backend.calls.values()) == {1}
+    assert len(backend.calls) == len(evaluator.results) == 3
+
+
+def test_evaluator_parallel_matches_serial(ab_forests):
+    forests = ab_forests * 3
+    serial = Evaluator(CountingBackend(), "prog", parallel=1).map(forests)
+    backend = CountingBackend()
+    threaded = Evaluator(backend, "prog", parallel=4).map(forests)
+    assert threaded == serial
+    assert set(backend.calls.values()) == {1}
+
+
+def test_refine_exhaustive_evaluates_each_partition_once():
+    names = [f"p{i}" for i in range(13)]
+    registry = load_registry("".join(f"{n}=function\n" for n in names))
+    seed = parse_pipeline(f"module(function({','.join(names)}))", registry)
+    backend = CountingBackend()
+    result = refine(seed, "prog", backend)
+    assert result.decision_point_count == 12
+    assert sum(backend.calls.values()) == len(backend.calls) == 4096
+    assert result.evaluations_used == 4096

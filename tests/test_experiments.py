@@ -10,8 +10,8 @@ from passforest import (
     mine_synergies,
     save_mock_program,
 )
+from passforest.cli import main as cli_main
 from passforest.experiments import (
-    main as experiments_main,
     run_microstructure_study,
     run_rq3_ablation,
     run_rq4_ablation,
@@ -152,8 +152,9 @@ def test_experiments_cli_rq4(tmp_path, m2, capsys):
     program_file = tmp_path / "m2.json"
     save_mock_program(m2, program_file)
     out_dir = tmp_path / "run"
-    code = experiments_main(
+    code = cli_main(
         [
+            "experiment",
             "rq4",
             "--program", str(program_file),
             "--registry", str(registry_file),
@@ -164,3 +165,16 @@ def test_experiments_cli_rq4(tmp_path, m2, capsys):
     assert code == 0
     data = json.loads((out_dir / "results.json").read_text())
     assert data["study"] == "rq4_refinement"
+
+
+def test_experiments_cli_missing_program_exit_2(tmp_path, capsys):
+    code = cli_main(
+        [
+            "experiment",
+            "microstructure",
+            "--program", str(tmp_path / "missing.json"),
+            "--out-dir", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
