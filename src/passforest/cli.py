@@ -19,6 +19,7 @@ from .errors import (
     InvalidPipeline,
     MalformedIR,
     PassForestError,
+    SchemaError,
 )
 from .evaluation import OptBackend, evaluate as evaluate_request, EvaluationRequest
 from .experiments import (
@@ -28,7 +29,6 @@ from .experiments import (
     table_lines,
     write_report,
 )
-from .forest import validate as validate_forest
 from .grammar import parse_pipeline, print_pipeline
 from .metrics import ProgramResult, aggregate
 from .mock import MockBackend, load_mock_program
@@ -111,14 +111,6 @@ def cmd_validate(args) -> int:
         forest = parse_pipeline(args.pipeline, registry)
     except PassForestError as exc:
         _emit(args, {"valid": False, "diagnostics": [str(exc)]}, [f"invalid: {exc}"])
-        return EXIT_INVALID_INPUT
-    violations = validate_forest(forest, registry)
-    if violations:
-        _emit(
-            args,
-            {"valid": False, "diagnostics": [str(v) for v in violations]},
-            [f"invalid: {v}" for v in violations],
-        )
         return EXIT_INVALID_INPUT
     _emit(args, {"valid": True, "canonical": print_pipeline(forest)}, ["valid"])
     return EXIT_OK
@@ -271,17 +263,27 @@ def cmd_report(args) -> int:
     labels = {}
     if args.manifest:
         labels = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    results = [
-        ProgramResult(
-            program_id=str(row["program"]),
-            ic_oz=int(row["ic_oz"]),
-            ic_tuned=int(row["ic_tuned"]),
-            dataset=str(
-                row.get("dataset") or labels.get(str(row["program"]), "default")
-            ),
-        )
-        for row in rows
-    ]
+    if not isinstance(labels, dict):
+        raise SchemaError(f"{args.manifest}: expected an object of dataset labels")
+    if not isinstance(rows, list):
+        raise SchemaError(f"{args.results}: expected a list of result rows")
+    try:
+        results = [
+            ProgramResult(
+                program_id=str(row["program"]),
+                ic_oz=int(row["ic_oz"]),
+                ic_tuned=int(row["ic_tuned"]),
+                dataset=str(
+                    row.get("dataset") or labels.get(str(row["program"]), "default")
+                ),
+            )
+            for row in rows
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"{args.results}: each row needs program, ic_oz and ic_tuned "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     report = aggregate(results)
     lines = [f"{'dataset':<16} {'mean OverOz %':>14} {'programs':>9}"]
     for label, stats in report["groups"].items():

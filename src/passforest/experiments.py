@@ -40,7 +40,8 @@ def run_microstructure_study(
     """Evaluate each pair under all applicable structural variants.
 
     Reports per-case counts and the fraction of (pair, program) cases
-    whose variants all produced the same instruction count.
+    whose variants all produced the same instruction count. With no
+    cases there is no fraction to report, so ValueError is raised.
     """
     cases = []
     agreeing = 0
@@ -62,11 +63,12 @@ def run_microstructure_study(
                     "agree": agree,
                 }
             )
-    fraction = agreeing / len(cases) if cases else 1.0
+    if not cases:
+        raise ValueError("microstructure study has no (pair, program) cases")
     return {
         "study": "microstructure",
         "cases": cases,
-        "agreement_fraction": fraction,
+        "agreement_fraction": agreeing / len(cases),
         "corpus_reference_agreement_fraction": CORPUS_REFERENCE[
             "microstructure_agreement_fraction"
         ],

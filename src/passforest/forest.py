@@ -123,31 +123,40 @@ def validate(
     for i, tree in enumerate(forest.trees):
         if not isinstance(tree, Manager) or tree.level != PassLevel.MODULE:
             violations.append(
-                Violation("R1", (i,), "top-level element is not a module manager")
+                Violation(
+                    "R1",
+                    (i,),
+                    f"{_describe(tree)} at top level; only module managers "
+                    "may appear there",
+                )
             )
             continue
         _validate_manager(tree, (i,), registry, violations)
     return violations
 
 
+def _describe(node: PipelineNode) -> str:
+    if isinstance(node, Leaf):
+        return f"{node.name!r} ({node.level.token} pass)"
+    return f"{node.level.token} manager"
+
+
 def _validate_manager(mgr, path, registry, out):
     if not mgr.children:
         out.append(
-            Violation(MANAGER_RULE[mgr.level], path, "empty manager")
+            Violation(
+                MANAGER_RULE[mgr.level], path, f"empty {mgr.level.token} manager"
+            )
         )
     for j, child in enumerate(mgr.children):
         child_path = path + (j,)
         if not allowed_child(mgr.level, child):
-            kind = (
-                f"{child.level.token} pass"
-                if isinstance(child, Leaf)
-                else f"{child.level.token} manager"
-            )
             out.append(
                 Violation(
                     ELEMENT_RULE[mgr.level],
                     child_path,
-                    f"{kind} not admitted under {mgr.level.token} manager",
+                    f"{_describe(child)} not admitted under "
+                    f"{mgr.level.token} manager",
                 )
             )
         if isinstance(child, Leaf):
@@ -380,12 +389,13 @@ def trim_to_length(forest: PipelineForest, max_leaves: int) -> PipelineForest:
 # Random valid forests (search fallback and test generation).
 # ---------------------------------------------------------------------------
 
+# Manager nesting depth and children per manager in random forests.
+_RANDOM_MAX_DEPTH = 6
+_RANDOM_MAX_WIDTH = 5
+
+
 def random_forest(
-    rng: random.Random,
-    registry: PassRegistry,
-    max_leaves: int = 24,
-    max_depth: int = 6,
-    max_width: int = 5,
+    rng: random.Random, registry: PassRegistry, max_leaves: int = 24
 ) -> PipelineForest:
     """Sample a valid forest with bounded depth, width, and leaf count.
 
@@ -419,7 +429,7 @@ def random_forest(
     budget = [rng.randint(1, max_leaves)]
 
     def build(level, depth):
-        width = rng.randint(1, max_width)
+        width = rng.randint(1, _RANDOM_MAX_WIDTH)
         children = []
         for _ in range(width):
             if budget[0] <= 0 and children:
@@ -427,7 +437,7 @@ def random_forest(
             options = []
             if by_level[level]:
                 options.extend(["leaf"] * 3)
-            if depth < max_depth:
+            if depth < _RANDOM_MAX_DEPTH:
                 options.extend(
                     lvl
                     for lvl in _CHILD_MANAGER_LEVELS[level]

@@ -4,6 +4,13 @@ The textual form is the one ``opt -passes=`` consumes: comma-separated
 module-manager trees, managers spelled ``module(`` ``cgscc(`` ``function(``
 ``loop(``. The parser tolerates whitespace around tokens; the printer
 emits none.
+
+Parsing builds and ``forest.validate`` judges. The parser checks only
+syntax: it looks up each pass's level in the registry (polymorphic
+passes take the level of their enclosing manager) and bounds the nesting
+depth, but places any element anywhere. The nesting rules live in
+``forest`` alone; the first violation ``validate`` reports on the built
+forest is raised as the exception its rule maps to.
 """
 
 import re
@@ -22,157 +29,79 @@ from .forest import (
     Manager,
     PipelineForest,
     PipelineNode,
-    allowed_child,
+    validate,
 )
 from .registry import PassLevel, PassRegistry
 
 _MANAGER_TOKENS = {level.token: level for level in PassLevel}
-_NAME_CHARS = re.compile(r"[a-z0-9<>-]+")
+# A pass or manager name (with the '(' that makes it a manager), or any
+# other single non-blank character; whitespace between tokens is skipped.
+_TOKEN = re.compile(r"([a-z0-9<>-]+)(\s*\()?|\S")
 
 # Real pipelines nest a handful of managers; the bound keeps the
-# recursive parser, printer and validator far from Python's stack limit.
+# recursive printer and validator far from Python's stack limit.
 MAX_NESTING_DEPTH = 100
 
 
-def _tokenize(text: str) -> List[Tuple[str, object]]:
-    tokens: List[Tuple[str, object]] = []
-    i, n = 0, len(text)
-    depth = 0
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(("comma", None))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(("close", None))
-            depth -= 1
-            i += 1
-            continue
-        if ch == "(":
-            raise PipelineSyntaxError(f"unexpected '(' at position {i}")
-        match = _NAME_CHARS.match(text, i)
-        if not match:
-            raise PipelineSyntaxError(f"unexpected character {ch!r} at position {i}")
-        name = match.group(0)
-        i = match.end()
-        # a name directly followed by '(' (whitespace allowed) opens a manager
-        j = i
-        while j < n and text[j].isspace():
-            j += 1
-        if j < n and text[j] == "(":
-            level = _MANAGER_TOKENS.get(name)
-            if level is None:
-                raise PipelineSyntaxError(f"unknown manager {name!r}")
-            depth += 1
-            if depth > MAX_NESTING_DEPTH:
-                raise PipelineSyntaxError(
-                    f"managers nested more than {MAX_NESTING_DEPTH} deep"
-                )
-            tokens.append(("open", level))
-            i = j + 1
-        else:
-            tokens.append(("name", name))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, registry: PassRegistry):
-        self.tokens = tokens
-        self.pos = 0
-        self.registry = registry
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", None)
-
-    def advance(self):
-        token = self.peek()
-        self.pos += 1
-        return token
-
-    def parse_forest(self) -> PipelineForest:
-        trees = [self.parse_top()]
-        while True:
-            kind, _ = self.peek()
-            if kind == "eof":
-                break
-            if kind != "comma":
-                raise PipelineSyntaxError("expected ',' between pipeline elements")
-            self.advance()
-            trees.append(self.parse_top())
-        return PipelineForest(tuple(trees))
-
-    def parse_top(self) -> PipelineNode:
-        kind, value = self.peek()
-        if kind == "open" and value == PassLevel.MODULE:
-            self.advance()
-            return self.parse_manager(PassLevel.MODULE)
-        if kind == "open":
-            raise TopLevelNotModule(
-                f"R1: top-level {value.token!r} manager; only module managers "
-                "may appear at the top level"
-            )
-        if kind == "name":
-            raise TopLevelNotModule(
-                f"R1: bare pass {value!r} at top level; wrap it in a manager"
-            )
-        raise PipelineSyntaxError("expected a module manager")
-
-    def parse_manager(self, level: PassLevel) -> Manager:
-        children: List[PipelineNode] = []
-        kind, _ = self.peek()
-        if kind == "close":
-            raise EmptyManager(
-                f"{MANAGER_RULE[level]}: {level.token} manager has no elements"
-            )
-        while True:
-            children.append(self.parse_element(level))
-            kind, _ = self.advance()
-            if kind == "close":
-                return Manager(level, tuple(children))
-            if kind != "comma":
-                raise PipelineSyntaxError(
-                    f"expected ',' or ')' inside {level.token} manager"
-                )
-
-    def parse_element(self, parent: PassLevel) -> PipelineNode:
-        kind, value = self.advance()
-        if kind == "open":
-            node = self.parse_manager(value)
-            if not allowed_child(parent, node):
-                raise LevelMismatch(
-                    f"{ELEMENT_RULE[parent]}: {value.token} manager not "
-                    f"admitted under {parent.token} manager"
-                )
-            return node
-        if kind == "name":
-            info = self.registry.lookup(value)
-            level = parent if info.polymorphic else info.level
-            leaf = Leaf(value, level)
-            if not allowed_child(parent, leaf):
-                raise LevelMismatch(
-                    f"{ELEMENT_RULE[parent]}: {value!r} is a {level.token} "
-                    f"pass; a {parent.token} manager admits only its own level"
-                )
-            return leaf
-        raise PipelineSyntaxError("expected a pass or manager")
+def _error_class(rule: str) -> type:
+    if rule in MANAGER_RULE.values():
+        return EmptyManager
+    if rule in ELEMENT_RULE.values():
+        return LevelMismatch
+    return TopLevelNotModule
 
 
 def parse_pipeline(text: str, registry: PassRegistry) -> PipelineForest:
     """Parse a pipeline string into a validated forest.
 
-    Polymorphic passes take the level of their enclosing manager. Raises
-    PipelineSyntaxError / TopLevelNotModule / LevelMismatch / UnknownPass /
-    EmptyManager on the first problem found.
+    Raises PipelineSyntaxError or UnknownPass at the first bad token;
+    a syntactically sound forest that breaks a nesting rule raises
+    TopLevelNotModule, EmptyManager or LevelMismatch for the first
+    violation ``validate`` reports.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    # Open managers, innermost last, as (level, children). The bottom
+    # entry collects the trees; a polymorphic pass placed there takes
+    # module level, and validate rejects it as a top-level leaf.
+    stack: List[Tuple[PassLevel, List[PipelineNode]]] = [(PassLevel.MODULE, [])]
+    last = "start"  # the previous token: start, open, comma or element
+    for match in _TOKEN.finditer(text):
+        name, opens = match.groups()
+        token = match.group()
+        if opens and last != "element":
+            level = _MANAGER_TOKENS.get(name)
+            if level is None:
+                raise PipelineSyntaxError(f"unknown manager {name!r}")
+            if len(stack) > MAX_NESTING_DEPTH:
+                raise PipelineSyntaxError(
+                    f"managers nested more than {MAX_NESTING_DEPTH} deep"
+                )
+            stack.append((level, []))
+            last = "open"
+        elif name and last != "element":
+            info = registry.lookup(name)
+            enclosing = stack[-1][0]
+            stack[-1][1].append(
+                Leaf(name, enclosing if info.polymorphic else info.level)
+            )
+            last = "element"
+        elif token == "," and last == "element":
+            last = "comma"
+        elif token == ")" and last in ("open", "element") and len(stack) > 1:
+            level, children = stack.pop()
+            stack[-1][1].append(Manager(level, tuple(children)))
+            last = "element"
+        else:
+            raise PipelineSyntaxError(
+                f"unexpected {token!r} at position {match.start()}"
+            )
+    if last == "start":
         raise PipelineSyntaxError("empty pipeline string")
-    parser = _Parser(tokens, registry)
-    forest = parser.parse_forest()
+    if last != "element" or len(stack) > 1:
+        raise PipelineSyntaxError("pipeline string ends inside an element")
+    forest = PipelineForest(tuple(stack[0][1]))
+    violations = validate(forest)
+    if violations:
+        raise _error_class(violations[0].rule)(str(violations[0]))
     return forest
 
 

@@ -165,12 +165,22 @@ def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationRes
 # JSON spec files.
 # ---------------------------------------------------------------------------
 
+def _function_name(value) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"bad mock program spec: function name {value!r}")
+    return value
+
+
 def mock_program_from_dict(spec: Mapping) -> MockProgram:
     try:
         functions = tuple(
-            MockFunction(f["name"], int(f["base_ic"])) for f in spec["functions"]
+            MockFunction(_function_name(f["name"]), int(f["base_ic"]))
+            for f in spec["functions"]
         )
-        call_edges = tuple((c[0], c[1]) for c in spec.get("calls", ()))
+        call_edges = tuple(
+            (_function_name(caller), _function_name(callee))
+            for caller, callee in spec.get("calls", ())
+        )
         effects = {str(k): int(v) for k, v in spec.get("effects", {}).items()}
         synergy = {
             (e["p"], e["q"]): int(e["bonus"]) for e in spec.get("pair_synergy", ())
@@ -178,7 +188,7 @@ def mock_program_from_dict(spec: Mapping) -> MockProgram:
         coupling = {
             (e["p"], e["q"]): int(e["bonus"]) for e in spec.get("coupling", ())
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad mock program spec: {exc}") from exc
     return MockProgram(functions, call_edges, effects, synergy, coupling)
 

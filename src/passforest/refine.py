@@ -149,14 +149,17 @@ def encode(forest: PipelineForest) -> Tuple[PartitionProblem, PartitionChromosom
     return problem, PartitionChromosome(bits)
 
 
+# The partition GA, used when 2^|D| exceeds the exhaustive budget; its
+# per-bit mutation rate is 1/|D|.
+GA_POPULATION_SIZE = 16
+GA_GENERATIONS = 10
+GA_CROSSOVER_RATE = 0.9
+GA_TOURNAMENT_SIZE = 3
+
+
 @dataclass
 class RefineConfig:
     exhaustive_budget: int = 4096
-    population_size: int = 16
-    generations: int = 10
-    mutation_rate: Optional[float] = None  # default 1/|D|
-    crossover_rate: float = 0.9
-    tournament_size: int = 3
     seed: int = 0
 
 
@@ -217,7 +220,9 @@ def refine(
                 [decode(problem, chromosome) for chromosome in _all_chromosomes(k)]
             )
         else:
-            _genetic_partition_search(problem, seed_chromosome, evaluator, config)
+            _genetic_partition_search(
+                problem, seed_chromosome, evaluator, config.seed
+            )
     # Every candidate and the seed are in the memo; including the seed
     # cannot change the outcome, since it wins every tie below.
     counts = {key: _count(res) for key, res in evaluator.results.items()}
@@ -240,22 +245,20 @@ def _genetic_partition_search(
     problem: PartitionProblem,
     seed_chromosome: PartitionChromosome,
     evaluator: Evaluator,
-    config: RefineConfig,
+    seed: int,
 ) -> None:
     """Bit-vector GA over decision points; every candidate lands in the memo."""
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     k = len(problem.decision_points)
-    mutation_rate = (
-        config.mutation_rate if config.mutation_rate is not None else 1.0 / k
-    )
+    mutation_rate = 1.0 / k
 
     population = [seed_chromosome]
-    while len(population) < config.population_size:
+    while len(population) < GA_POPULATION_SIZE:
         population.append(
             PartitionChromosome(tuple(rng.randint(0, 1) for _ in range(k)))
         )
 
-    for _ in range(config.generations + 1):
+    for _ in range(GA_GENERATIONS + 1):
         forests = [decode(problem, ch) for ch in population]
         results = evaluator.map(forests)
         # (count, pipeline string) per member: lower is better.
@@ -265,24 +268,24 @@ def _genetic_partition_search(
         ]
         elite = min(range(len(population)), key=scores.__getitem__)
         next_population = [population[elite]]
-        while len(next_population) < config.population_size:
+        while len(next_population) < GA_POPULATION_SIZE:
             parents = []
             for _ in range(2):
                 contenders = [
                     rng.randrange(len(population))
-                    for _ in range(config.tournament_size)
+                    for _ in range(GA_TOURNAMENT_SIZE)
                 ]
                 best = min(contenders, key=lambda i: scores[i][0])
                 parents.append(population[best])
             bits_a, bits_b = parents[0].bits, parents[1].bits
-            if rng.random() < config.crossover_rate and k > 1:
+            if rng.random() < GA_CROSSOVER_RATE and k > 1:
                 point = rng.randrange(1, k)
                 bits_a, bits_b = (
                     bits_a[:point] + bits_b[point:],
                     bits_b[:point] + bits_a[point:],
                 )
             for bits in (bits_a, bits_b):
-                if len(next_population) >= config.population_size:
+                if len(next_population) >= GA_POPULATION_SIZE:
                     break
                 flipped = tuple(
                     (1 - b) if rng.random() < mutation_rate else b for b in bits

@@ -45,6 +45,12 @@ class Individual:
     fitness: Optional[int] = None
 
 
+# Contenders per parent selection, and best individuals carried over
+# unchanged into each generation.
+TOURNAMENT_SIZE = 3
+ELITISM = 1
+
+
 @dataclass
 class SearchConfig:
     population_size: int = 50
@@ -52,8 +58,6 @@ class SearchConfig:
     max_sequence_length: int = 24
     crossover_rate: float = 0.9
     mutation_rate: float = 0.3
-    tournament_size: int = 3
-    elitism: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +65,6 @@ class SearchConfig:
             raise ValueError("max_sequence_length must be >= 1")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must lie in [0, 1]")
@@ -214,10 +216,10 @@ def mutate(
     return Individual(new_forest)
 
 
-def _tournament(
-    rng: random.Random, population: List[Individual], size: int
-) -> Individual:
-    contenders = [population[rng.randrange(len(population))] for _ in range(size)]
+def _tournament(rng: random.Random, population: List[Individual]) -> Individual:
+    contenders = [
+        population[rng.randrange(len(population))] for _ in range(TOURNAMENT_SIZE)
+    ]
     return max(contenders, key=lambda ind: ind.fitness)
 
 
@@ -260,10 +262,10 @@ def run_search(
 
     for generation in range(1, config.generations + 1):
         ranked = sorted(population, key=lambda ind: ind.fitness, reverse=True)
-        next_population: List[Individual] = list(ranked[: config.elitism])
+        next_population: List[Individual] = list(ranked[:ELITISM])
         while len(next_population) < config.population_size:
-            parent_a = _tournament(rng, population, config.tournament_size)
-            parent_b = _tournament(rng, population, config.tournament_size)
+            parent_a = _tournament(rng, population)
+            parent_b = _tournament(rng, population)
             children: Tuple[Individual, Individual] = (parent_a, parent_b)
             if rng.random() < config.crossover_rate:
                 swapped = crossover(

@@ -121,6 +121,32 @@ def test_evaluate_deep_call_cycle_is_invalid_input(capsys, tmp_path):
     assert "call graph has a cycle" in capsys.readouterr().err
 
 
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"functions": [{"name": "f", "base_ic": 10}], "effects": [1]},
+        {"functions": [{"name": "f", "base_ic": 10}], "calls": [["f"]]},
+        {"functions": [{"name": [1], "base_ic": 10}]},
+        {"functions": [{"name": "f", "base_ic": 10}], "calls": [["f", ["f"]]]},
+    ],
+    ids=["effects-not-object", "short-call-edge", "name-not-string", "edge-names-list"],
+)
+def test_evaluate_malformed_mock_spec_is_invalid_input(capsys, tmp_path, spec):
+    program = tmp_path / "bad.json"
+    program.write_text(json.dumps(spec))
+    code = main(
+        ["evaluate", "--program", str(program), "--pipeline", "module(globalopt)"]
+    )
+    assert code == 1
+    _assert_one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # mine
 # ---------------------------------------------------------------------------
@@ -361,6 +387,28 @@ def test_report_manifest_labels(capsys, tmp_path):
 
 def test_report_missing_file_exit_2(tmp_path):
     assert main(["report", "--results", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, manifest",
+    [
+        ([{}], None),
+        ({}, None),
+        ([1], None),
+        ([{"program": "p", "ic_oz": None, "ic_tuned": 90}], None),
+        ([{"program": "p", "ic_oz": 100, "ic_tuned": 90}], [1]),
+    ],
+    ids=["row-without-keys", "rows-not-list", "row-not-object", "count-null", "manifest-not-object"],
+)
+def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifest):
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(rows))
+    argv = ["report", "--results", str(results)]
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv += ["--manifest", str(tmp_path / "manifest.json")]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,22 @@ def test_microstructure_agreement_without_coupling(m1, ab_infos, backend):
     assert result["agreement_fraction"] == 1.0
 
 
+def test_experiments_cli_microstructure_without_pairs_exit_1(tmp_path, m1, capsys):
+    program_file = tmp_path / "m1.json"
+    save_mock_program(m1, program_file)
+    code = cli_main(
+        [
+            "experiment",
+            "microstructure",
+            "--program", str(program_file),
+            "--out-dir", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 1
+    assert "no (pair, program) cases" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_microstructure_flags_coupling_disagreement(m2, ab_infos, backend):
     result = run_microstructure_study([ab_infos], [m2], backend)
     case = result["cases"][0]

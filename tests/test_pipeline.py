@@ -23,6 +23,7 @@ from passforest import (
     structural_metrics,
     validate,
 )
+from passforest.forest import leaf_paths
 
 FULLY_NESTED = "module(globalopt,cgscc(inline,function(gvn,loop(loop-deletion))))"
 
@@ -65,6 +66,14 @@ def test_parse_manager_level_mismatch(registry):
     with pytest.raises(LevelMismatch) as err:
         parse_pipeline("module(loop(licm))", registry)
     assert "R3" in str(err.value)
+
+
+def test_parse_error_names_the_offending_pass(registry):
+    with pytest.raises(LevelMismatch) as err:
+        parse_pipeline("module(function(globalopt))", registry)
+    assert str(err.value) == (
+        "R7 at 0/0/0: 'globalopt' (module pass) not admitted under function manager"
+    )
 
 
 def test_parse_unknown_pass(registry):
@@ -282,3 +291,31 @@ def test_single_rule_mutants_are_caught(registry):
         violations = validate(mutant)
         assert violations, f"mutant for {rule} produced no violations"
         assert any(v.rule == rule for v in violations)
+
+
+_RULE_ERRORS = {
+    "R1": TopLevelNotModule,
+    **dict.fromkeys(("R2", "R4", "R6", "R8"), EmptyManager),
+    **dict.fromkeys(("R3", "R5", "R7", "R9"), LevelMismatch),
+}
+
+
+def test_parser_raises_the_rule_validate_reports(registry):
+    # A printed mutant re-reads every leaf's level from the registry, so
+    # only retyped-leaf mutants parse clean; every other kind must raise
+    # the exception of its broken rule.
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        forest = random_forest(rng, registry, max_leaves=10)
+        mutant, rule = helpers.make_single_rule_mutant(forest, registry, rng)
+        if any(
+            leaf.level != registry.level_of(leaf.name)
+            for _, leaf in leaf_paths(mutant)
+        ):
+            continue
+        with pytest.raises(_RULE_ERRORS[rule]) as err:
+            parse_pipeline(print_pipeline(mutant), registry)
+        assert str(err.value).startswith(rule)
+        checked += 1
+    assert checked > 200

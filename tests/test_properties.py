@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from passforest import (
     Leaf,
     Manager,
+    PassForestError,
     PassLevel,
     PipelineForest,
     default_registry,
@@ -72,3 +73,38 @@ def test_leaf_sequence_length_matches_leaf_count(forest):
     from passforest.forest import leaf_count
 
     assert len(leaf_sequence(forest)) == leaf_count(forest)
+
+
+_TOKENS = (
+    [f"{level.token}(" for level in PassLevel]
+    + [names[0] for names in _BY_LEVEL.values()]
+    + ["invalidate<all>", "ghost", "warp(", "(", ")", ",", " "]
+)
+
+
+def _insert(printed: str, index: int, token: str) -> str:
+    index %= len(printed) + 1
+    return printed[:index] + token + printed[index:]
+
+
+_PIPELINE_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join),
+    st.builds(
+        _insert,
+        forests(max_depth=2).map(print_pipeline),
+        st.integers(min_value=0),
+        st.sampled_from(_TOKENS),
+    ),
+)
+
+
+@given(_PIPELINE_TEXTS)
+@settings(max_examples=500, deadline=None)
+def test_parse_accepts_only_valid_round_tripping_forests(text):
+    try:
+        forest = parse_pipeline(text, REGISTRY)
+    except PassForestError:
+        return
+    assert validate(forest, REGISTRY) == []
+    assert parse_pipeline(print_pipeline(forest), REGISTRY) == forest
