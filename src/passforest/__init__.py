@@ -27,14 +27,7 @@ from .errors import (
     TopLevelNotModule,
     UnknownPass,
 )
-from .evaluation import (
-    EvaluationRequest,
-    EvaluationResult,
-    OptBackend,
-    count_ir_instructions,
-    evaluate,
-    opt_backend_evaluate,
-)
+from .evaluation import EvaluationResult, OptBackend, count_ir_instructions
 from .forest import (
     Leaf,
     Manager,

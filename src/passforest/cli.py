@@ -21,7 +21,7 @@ from .errors import (
     PassForestError,
     SchemaError,
 )
-from .evaluation import OptBackend, evaluate as evaluate_request, EvaluationRequest
+from .evaluation import DEFAULT_OPT_TIMEOUT, Evaluator, OptBackend
 from .experiments import (
     run_microstructure_study,
     run_rq3_ablation,
@@ -87,8 +87,8 @@ def _add_evaluator_flags(parser):
     parser.add_argument(
         "--timeout",
         type=float,
-        default=60.0,
-        help="per-invocation opt timeout in seconds (default: 60)",
+        default=DEFAULT_OPT_TIMEOUT,
+        help="per-invocation opt timeout in seconds (default: %(default)g)",
     )
     parser.add_argument(
         "--parallel",
@@ -237,9 +237,7 @@ def cmd_evaluate(args) -> int:
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
     forest = parse_pipeline(args.pipeline, registry)
-    result = evaluate_request(
-        EvaluationRequest(args.program, forest), backend, registry
-    )
+    result = backend.evaluate(args.program, forest)
     if not result.ok:
         _emit(
             args,
@@ -309,19 +307,19 @@ def cmd_skeleton_experiment(args) -> int:
             [f"--passes needs exactly 4 comma-separated names, got {len(names)}"]
         )
     original = backend.original_count(args.program)
-    rows = []
-    for variant in range(1, 6):
-        forest = build_skeleton_variant(variant, *names, registry)
-        result = backend.evaluate(args.program, forest)
-        rows.append(
-            {
-                "variant": variant,
-                "name": SKELETON_VARIANT_NAMES[variant],
-                "pipeline": print_pipeline(forest),
-                "instruction_count": result.instruction_count if result.ok else None,
-                "detail": result.detail,
-            }
-        )
+    variants = range(1, 6)
+    forests = [build_skeleton_variant(v, *names, registry) for v in variants]
+    results = Evaluator(backend, args.program, args.parallel).map(forests)
+    rows = [
+        {
+            "variant": variant,
+            "name": SKELETON_VARIANT_NAMES[variant],
+            "pipeline": print_pipeline(forest),
+            "instruction_count": result.instruction_count if result.ok else None,
+            "detail": result.detail,
+        }
+        for variant, forest, result in zip(variants, forests, results)
+    ]
     payload = {"original_ic": original, "variants": rows}
     lines = [f"original instruction count: {original}"]
     lines.append(f"{'variant':>7}  {'name':<20} {'ic':>8}")

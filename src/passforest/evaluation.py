@@ -1,9 +1,11 @@
 """The evaluation contract: apply a pipeline, report an instruction count.
 
-Two backends implement it: the mock simulator (``mock`` module) and an
-external ``opt`` subprocess runner defined here. Backends are safe for
-concurrent independent invocations and results never depend on
-invocation interleaving.
+Two backends implement it: the mock simulator (``mock`` module) and
+``OptBackend``, defined here, which is the only code that runs ``opt``.
+Backends are safe for concurrent independent invocations and results
+never depend on invocation interleaving. One forest is evaluated with
+``backend.evaluate``; mining, search and refinement fan out through
+``Evaluator.map``, which memoizes by pipeline string.
 """
 
 import os
@@ -11,12 +13,11 @@ import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from .errors import BackendUnavailable, InvalidPipeline, MalformedIR
-from .forest import PipelineForest, validate
+from .errors import BackendUnavailable, MalformedIR
+from .forest import PipelineForest
 from .grammar import print_pipeline
-from .registry import PassRegistry
 
 OPT_PATH_ENV_VAR = "PASSFOREST_OPT"
 DEFAULT_OPT_TIMEOUT = 60.0
@@ -37,29 +38,6 @@ class EvaluationResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-@dataclass(frozen=True)
-class EvaluationRequest:
-    program: object
-    pipeline: PipelineForest
-
-
-def evaluate(
-    request: EvaluationRequest,
-    backend,
-    registry: Optional[PassRegistry] = None,
-) -> EvaluationResult:
-    """Validate the pipeline, then hand it to the backend.
-
-    Raises InvalidPipeline before the backend is ever invoked when the
-    forest breaks a nesting rule (or, with a registry, names an unknown
-    or mistyped pass).
-    """
-    violations = validate(request.pipeline, registry)
-    if violations:
-        raise InvalidPipeline(violations)
-    return backend.evaluate(request.program, request.pipeline)
 
 
 class Evaluator:
@@ -143,50 +121,8 @@ def resolve_opt_path(explicit: Optional[str] = None) -> str:
     return explicit or os.environ.get(OPT_PATH_ENV_VAR) or "opt"
 
 
-def opt_backend_evaluate(
-    ir_file: Union[str, Path],
-    pipeline_string: str,
-    opt_path: Optional[str] = None,
-    timeout: float = DEFAULT_OPT_TIMEOUT,
-) -> EvaluationResult:
-    """Run ``opt -S -passes=<pipeline> <ir_file> -o -`` and count output.
-
-    Nonzero exit and timeouts come back as failed results; a missing
-    ``opt`` executable raises BackendUnavailable.
-    """
-    opt = resolve_opt_path(opt_path)
-    cmd = [opt, "-S", f"-passes={pipeline_string}", str(ir_file), "-o", "-"]
-    try:
-        proc = subprocess.run(
-            cmd,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except FileNotFoundError as exc:
-        raise BackendUnavailable(f"opt executable not found: {opt!r}") from exc
-    except subprocess.TimeoutExpired:
-        return EvaluationResult(
-            instruction_count=None,
-            status="failed",
-            detail=f"timeout after {timeout:.0f}s: {' '.join(cmd)}",
-        )
-    if proc.returncode != 0:
-        # An abort prints its diagnostic first and stack frames after it.
-        lines = [line.strip() for line in proc.stderr.splitlines()]
-        first = next((line for line in lines if line), "")
-        return EvaluationResult(
-            instruction_count=None,
-            status="failed",
-            detail=f"opt exited {proc.returncode}: {first}",
-        )
-    try:
-        count = count_ir_instructions(proc.stdout)
-    except MalformedIR as exc:
-        return EvaluationResult(
-            instruction_count=None, status="failed", detail=str(exc)
-        )
-    return EvaluationResult(instruction_count=count, status="ok")
+def _failed(detail: str) -> EvaluationResult:
+    return EvaluationResult(instruction_count=None, status="failed", detail=detail)
 
 
 @dataclass
@@ -194,45 +130,62 @@ class OptBackend:
     """Evaluation backend that shells out to an LLVM ``opt`` binary.
 
     The binary is taken from the constructor, the PASSFOREST_OPT
-    environment variable, or PATH lookup of ``opt``, in that order.
+    environment variable, or PATH lookup of ``opt``, in that order. A
+    missing ``opt`` executable raises BackendUnavailable.
     """
 
     opt_path: Optional[str] = None
     timeout: float = DEFAULT_OPT_TIMEOUT
     name: str = field(default="opt", init=False)
 
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        """Run ``opt -S <args> -o -``; a timeout raises TimeoutExpired."""
+        opt = resolve_opt_path(self.opt_path)
+        cmd = [opt, "-S", *args, "-o", "-"]
+        try:
+            return subprocess.run(
+                cmd, capture_output=True, text=True, timeout=self.timeout
+            )
+        except FileNotFoundError as exc:
+            raise BackendUnavailable(f"opt executable not found: {opt!r}") from exc
+
     def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
+        """Run ``opt -S -passes=<pipeline> <program> -o -`` and count output.
+
+        A missing input, a timeout, a nonzero exit and unbalanced output
+        come back as failed results.
+        """
         path = Path(program)
         if not path.exists():
-            return EvaluationResult(
-                instruction_count=None,
-                status="failed",
-                detail=f"input file not found: {path}",
-            )
-        return opt_backend_evaluate(
-            path, print_pipeline(forest), self.opt_path, self.timeout
-        )
+            return _failed(f"input file not found: {path}")
+        try:
+            proc = self._run(f"-passes={print_pipeline(forest)}", str(path))
+        except subprocess.TimeoutExpired as exc:
+            return _failed(f"timeout after {self.timeout:.0f}s: {' '.join(exc.cmd)}")
+        if proc.returncode != 0:
+            # An abort prints its diagnostic first and stack frames after it.
+            lines = [line.strip() for line in proc.stderr.splitlines()]
+            first = next((line for line in lines if line), "")
+            return _failed(f"opt exited {proc.returncode}: {first}")
+        try:
+            count = count_ir_instructions(proc.stdout)
+        except MalformedIR as exc:
+            return _failed(str(exc))
+        return EvaluationResult(instruction_count=count, status="ok")
 
     def original_count(self, program) -> int:
+        """Instruction count of the input; ``.bc`` files are disassembled."""
         path = Path(program)
         if not path.exists():
             raise BackendUnavailable(f"input file not found: {path}")
-        if path.suffix == ".bc":
-            opt = resolve_opt_path(self.opt_path)
-            cmd = [opt, "-S", str(path), "-o", "-"]
-            try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=self.timeout
-                )
-            except FileNotFoundError as exc:
-                raise BackendUnavailable(
-                    f"opt executable not found: {opt!r}"
-                ) from exc
-            except subprocess.TimeoutExpired as exc:
-                raise BackendUnavailable(f"timeout disassembling {path}") from exc
-            if proc.returncode != 0:
-                raise BackendUnavailable(
-                    f"opt exited {proc.returncode} disassembling {path}"
-                )
-            return count_ir_instructions(proc.stdout)
-        return count_ir_instructions(path.read_text(encoding="utf-8"))
+        if path.suffix != ".bc":
+            return count_ir_instructions(path.read_text(encoding="utf-8"))
+        try:
+            proc = self._run(str(path))
+        except subprocess.TimeoutExpired as exc:
+            raise BackendUnavailable(f"timeout disassembling {path}") from exc
+        if proc.returncode != 0:
+            raise BackendUnavailable(
+                f"opt exited {proc.returncode} disassembling {path}"
+            )
+        return count_ir_instructions(proc.stdout)

@@ -14,6 +14,7 @@ produces the identical graph.
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -30,6 +31,7 @@ INTRA_LEVEL = "intra"
 INTER_LEVEL = "inter"
 
 _WEIGHT_TOL = 1e-9
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
 def classify_synergy_type(p1: PassInfo, p2: PassInfo) -> str:
@@ -48,8 +50,9 @@ class SynergyEdge:
 class SynergyGraph:
     """Directed pass-pair graph with normalized weights.
 
-    Invariants (checked on construction and on load): outgoing weights of
-    each node sum to 1, and start weights sum to 1 when any exist.
+    Invariants (checked on construction and on load): every weight is
+    finite and not negative, outgoing weights of each node sum to 1, and
+    start weights sum to 1 when any exist.
     """
 
     def __init__(
@@ -75,6 +78,10 @@ class SynergyGraph:
         self._check_invariants()
 
     def _check_invariants(self):
+        weights = [e.weight for e in self.edges] + list(self.start_weights.values())
+        for weight in weights:
+            if not (math.isfinite(weight) and weight >= 0):
+                raise SchemaError(f"weight {weight} is not a finite number >= 0")
         for src, out in self._out.items():
             total = sum(e.weight for e in out)
             if abs(total - 1.0) > _WEIGHT_TOL:
@@ -94,9 +101,6 @@ class SynergyGraph:
             and self.start_weights == other.start_weights
             and self.meta == other.meta
         )
-
-    def __bool__(self) -> bool:
-        return bool(self.edges or self.start_weights)
 
     def successors(self, name: str) -> Tuple[SynergyEdge, ...]:
         return self._out.get(name, ())
@@ -247,18 +251,31 @@ def _save_checkpoint(path, registry_hash, counts, done):
     tmp.replace(path)
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` when it is a ``kind``, else TypeError naming ``what``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {_KIND_NAMES[kind]}")
+    return value
+
+
 def _load_checkpoint(path, registry_hash):
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        payload = _expect(json.loads(text), dict, "the checkpoint")
+        counts = {
+            (p1, p2): _expect(n, int, f"count of ({p1}, {p2})")
+            for p1, inner in _expect(payload.get("counts", {}), dict, "counts").items()
+            for p2, n in _expect(inner, dict, f"counts of {p1}").items()
+        }
+        done = [
+            _expect(pid, str, "each done program")
+            for pid in _expect(payload.get("done", []), list, "done")
+        ]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"checkpoint {path}: bad schema: {exc}") from exc
     if payload.get("registry_hash") != registry_hash:
-        raise SchemaError(
-            f"checkpoint {path} was mined with a different registry"
-        )
-    counts = {
-        (p1, p2): int(n)
-        for p1, inner in payload.get("counts", {}).items()
-        for p2, n in inner.items()
-    }
-    return counts, list(payload.get("done", []))
+        raise SchemaError(f"checkpoint {path} was mined with a different registry")
+    return counts, done
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +303,23 @@ def load_graph(source: Union[str, Path]) -> SynergyGraph:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{source}: not valid JSON: {exc}") from exc
     try:
+        _expect(payload, dict, "the graph")
+        for node in _expect(payload.get("nodes", []), list, "nodes"):
+            _expect(node, str, "each node")
         edges = [
             SynergyEdge(
-                src=e["from"],
-                dst=e["to"],
+                src=_expect(e["from"], str, "an edge's 'from'"),
+                dst=_expect(e["to"], str, "an edge's 'to'"),
                 edge_type=e["type"],
                 weight=float(e["weight"]),
             )
-            for e in payload["edges"]
+            for e in _expect(payload["edges"], list, "edges")
         ]
         start_weights = {
-            str(k): float(v) for k, v in payload["start_weights"].items()
+            k: float(v)
+            for k, v in _expect(payload["start_weights"], dict, "start_weights").items()
         }
-        meta = dict(payload.get("meta", {}))
+        meta = _expect(payload.get("meta", {}), dict, "meta")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{source}: bad graph schema: {exc}") from exc
     for edge in edges:

@@ -213,6 +213,44 @@ def test_mine_resume_identical(capsys, tmp_path, m1_file, m2_file, ab_registry_f
     assert g1["start_weights"] == g2["start_weights"]
 
 
+@pytest.mark.parametrize(
+    "checkpoint",
+    [
+        [1],
+        {"counts": [1]},
+        {"counts": {"a": 1}},
+        {"counts": {"a": {"b": "1"}}},
+        {"done": "a.json"},
+        {"done": [1]},
+    ],
+    ids=[
+        "not-object", "counts-list", "inner-not-object", "count-not-int",
+        "done-not-list", "done-entry-not-string",
+    ],
+)
+def test_mine_malformed_checkpoint_is_invalid_input(
+    capsys, tmp_path, m1_file, ab_registry_file, checkpoint
+):
+    from passforest import load_registry
+
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    save_mock_program_from(m1_file, dataset / "a.json")
+    if isinstance(checkpoint, dict):
+        checkpoint["registry_hash"] = load_registry(AB_REGISTRY).content_hash()
+    path = tmp_path / "mine.ckpt"
+    path.write_text(json.dumps(checkpoint))
+    argv = [
+        "mine",
+        "--dataset", str(dataset),
+        "--out", str(tmp_path / "g.json"),
+        "--checkpoint", str(path),
+        "--registry", ab_registry_file,
+    ]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # search / refine
 # ---------------------------------------------------------------------------
@@ -279,6 +317,58 @@ def test_search_log_file(tmp_path, m1_file, ab_registry_file, capsys):
     assert {"generation", "best_fitness", "mean_fitness", "best_pipeline_string"} == set(
         records[0]
     )
+
+
+def _graph(**overrides):
+    graph = {
+        "nodes": ["a", "b"],
+        "edges": [{"from": "a", "to": "b", "type": "intra", "weight": 1.0}],
+        "start_weights": {"a": 1.0},
+        "meta": {},
+    }
+    graph.update(overrides)
+    return graph
+
+
+def _edge(**overrides):
+    return dict({"from": "a", "to": "b", "type": "intra", "weight": 1.0}, **overrides)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        [1],
+        _graph(start_weights=[1]),
+        _graph(edges=[_edge(**{"from": 1})]),
+        _graph(edges=[1]),
+        _graph(nodes=1),
+        _graph(nodes=[1]),
+        _graph(meta=[1]),
+        _graph(edges=[_edge(weight="nan")]),
+        _graph(edges=[_edge(weight=float("inf"))]),
+        _graph(start_weights={"a": 1.5, "b": -0.5}),
+    ],
+    ids=[
+        "not-object", "start-weights-list", "edge-from-int", "edge-not-object",
+        "nodes-int", "node-not-string", "meta-list", "weight-nan-string",
+        "weight-infinity", "start-weight-negative",
+    ],
+)
+def test_search_malformed_graph_is_invalid_input(
+    capsys, tmp_path, m1_file, ab_registry_file, graph
+):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    argv = [
+        "search",
+        "--program", m1_file,
+        "--graph", str(path),
+        "--registry", ab_registry_file,
+        "--population", "4",
+        "--generations", "1",
+    ]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys)
 
 
 def test_search_emitted_pipeline_validates(tmp_path, m1_file, ab_registry_file, capsys):
@@ -428,17 +518,22 @@ def test_skeleton_experiment_grouping(capsys, tmp_path):
     )
     program_file = tmp_path / "prog.json"
     save_mock_program(program, program_file)
-    code = main(
-        [
-            "skeleton-experiment",
-            "--program", str(program_file),
-            "--passes", "m,c,f,l",
-            "--registry", str(registry_file),
-            "--json",
-        ]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payloads = []
+    for extra in ([], ["--parallel", "4"]):
+        code = main(
+            [
+                "skeleton-experiment",
+                "--program", str(program_file),
+                "--passes", "m,c,f,l",
+                "--registry", str(registry_file),
+                "--json",
+            ]
+            + extra
+        )
+        assert code == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    payload, parallel_payload = payloads
+    assert parallel_payload == payload
     counts = [row["instruction_count"] for row in payload["variants"]]
     assert counts[0] == counts[1] == counts[2]
     assert counts[3] == counts[4]

@@ -7,8 +7,6 @@ import pytest
 import helpers
 from passforest import (
     BackendUnavailable,
-    EvaluationRequest,
-    InvalidPipeline,
     Leaf,
     MalformedIR,
     Manager,
@@ -20,11 +18,9 @@ from passforest import (
     PipelineForest,
     SchemaError,
     count_ir_instructions,
-    evaluate,
     load_mock_program,
     load_registry,
     mock_evaluate,
-    opt_backend_evaluate,
     parse_pipeline,
     print_pipeline,
     refine,
@@ -267,33 +263,6 @@ def test_mock_backend_loads_spec_files(m1, tmp_path, ab_registry):
 
 
 # ---------------------------------------------------------------------------
-# evaluate(): validation happens before any backend call
-# ---------------------------------------------------------------------------
-
-class _RecordingBackend:
-    def __init__(self):
-        self.calls = 0
-
-    def evaluate(self, program, forest):
-        self.calls += 1
-        raise AssertionError("backend must not be reached")
-
-
-def test_evaluate_rejects_invalid_pipeline_before_backend(m1):
-    backend = _RecordingBackend()
-    empty = PipelineForest((Manager(PassLevel.MODULE, ()),))
-    with pytest.raises(InvalidPipeline):
-        evaluate(EvaluationRequest(m1, empty), backend)
-    assert backend.calls == 0
-
-
-def test_evaluate_dispatches_valid_pipeline(m1, ab_registry, backend):
-    forest = parse_pipeline("module(function(a,b))", ab_registry)
-    result = evaluate(EvaluationRequest(m1, forest), backend, ab_registry)
-    assert result.ok and result.instruction_count == 82
-
-
-# ---------------------------------------------------------------------------
 # opt subprocess backend (via fake opt executables)
 # ---------------------------------------------------------------------------
 
@@ -310,13 +279,18 @@ def ir_file(tmp_path):
     return path
 
 
-def test_opt_backend_counts_output(tmp_path, ir_file):
+@pytest.fixture
+def globalopt(registry):
+    return parse_pipeline("module(globalopt)", registry)
+
+
+def test_opt_backend_counts_output(tmp_path, ir_file, globalopt):
     fake = _write_script(tmp_path / "opt", f"cat {ir_file}\nexit 0\n")
-    result = opt_backend_evaluate(ir_file, "module(globalopt)", opt_path=fake)
+    result = OptBackend(opt_path=fake).evaluate(ir_file, globalopt)
     assert result.ok and result.instruction_count == 2
 
 
-def test_opt_backend_nonzero_exit(tmp_path, ir_file):
+def test_opt_backend_nonzero_exit(tmp_path, ir_file, globalopt):
     cases = [
         ("echo 'unknown pass' >&2\nexit 1\n", "opt exited 1: unknown pass"),
         # an abort: the diagnostic line, then a stack dump
@@ -329,7 +303,7 @@ def test_opt_backend_nonzero_exit(tmp_path, ir_file):
     ]
     for body, detail in cases:
         fake = _write_script(tmp_path / "opt", body)
-        result = opt_backend_evaluate(ir_file, "module(nonsense)", opt_path=fake)
+        result = OptBackend(opt_path=fake).evaluate(ir_file, globalopt)
         assert not result.ok
         assert result.detail == detail
 
@@ -338,24 +312,20 @@ def test_opt_backend_empty_pipeline_fails(tmp_path, ir_file):
     fake = _write_script(
         tmp_path / "opt", "echo 'usage: opt' >&2\nexit 1\n"
     )
-    result = opt_backend_evaluate(ir_file, "", opt_path=fake)
+    result = OptBackend(opt_path=fake).evaluate(ir_file, PipelineForest(()))
     assert not result.ok
 
 
-def test_opt_backend_timeout(tmp_path, ir_file):
+def test_opt_backend_timeout(tmp_path, ir_file, globalopt):
     fake = _write_script(tmp_path / "opt", "sleep 5\n")
-    result = opt_backend_evaluate(
-        ir_file, "module(globalopt)", opt_path=fake, timeout=0.2
-    )
+    result = OptBackend(opt_path=fake, timeout=0.2).evaluate(ir_file, globalopt)
     assert not result.ok
     assert "timeout" in result.detail
 
 
-def test_opt_backend_missing_binary(ir_file):
+def test_opt_backend_missing_binary(ir_file, globalopt):
     with pytest.raises(BackendUnavailable):
-        opt_backend_evaluate(
-            ir_file, "module(globalopt)", opt_path="/does/not/exist/opt"
-        )
+        OptBackend(opt_path="/does/not/exist/opt").evaluate(ir_file, globalopt)
 
 
 def test_opt_backend_missing_input(tmp_path, registry):
@@ -372,10 +342,31 @@ def test_opt_backend_original_count(tmp_path, ir_file):
     assert backend.original_count(ir_file) == 2
 
 
-def test_opt_path_env_var(tmp_path, ir_file, monkeypatch):
+def test_opt_backend_original_count_disassembles_bc(tmp_path, ir_file):
+    bitcode = tmp_path / "input.bc"
+    bitcode.write_bytes(b"BC\xc0\xde")
+    fake = _write_script(tmp_path / "opt", f'[ "$2" = "{bitcode}" ] && cat {ir_file}\n')
+    assert OptBackend(opt_path=fake).original_count(bitcode) == 2
+
+
+@pytest.mark.parametrize(
+    "body, timeout",
+    [("echo 'bad bitcode' >&2\nexit 1\n", 60.0), ("sleep 5\n", 0.2)],
+    ids=["nonzero-exit", "timeout"],
+)
+def test_opt_backend_original_count_bc_failure(tmp_path, body, timeout):
+    bitcode = tmp_path / "input.bc"
+    bitcode.write_bytes(b"BC\xc0\xde")
+    fake = _write_script(tmp_path / "opt", body)
+    backend = OptBackend(opt_path=fake, timeout=timeout)
+    with pytest.raises(BackendUnavailable, match="disassembling"):
+        backend.original_count(bitcode)
+
+
+def test_opt_path_env_var(tmp_path, ir_file, monkeypatch, globalopt):
     fake = _write_script(tmp_path / "opt-env", f"cat {ir_file}\n")
     monkeypatch.setenv("PASSFOREST_OPT", fake)
-    result = opt_backend_evaluate(ir_file, "module(globalopt)")
+    result = OptBackend().evaluate(ir_file, globalopt)
     assert result.ok and result.instruction_count == 2
 
 

@@ -228,6 +228,24 @@ def test_load_rejects_bad_start_weights(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [('"nan"', "1.0"), ("NaN", "1.0"), ("1.5", "-0.5"), ("1.0", "Infinity")],
+    ids=["nan-string", "nan-literal", "negative", "infinity"],
+)
+def test_load_rejects_weights_not_finite_or_negative(tmp_path, weights):
+    ab, ac = weights
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"nodes": ["a", "b", "c"], "edges": ['
+        f'{{"from": "a", "to": "b", "type": "intra", "weight": {ab}}}, '
+        f'{{"from": "a", "to": "c", "type": "intra", "weight": {ac}}}], '
+        '"start_weights": {"a": 1.0}, "meta": {}}'
+    )
+    with pytest.raises(SchemaError, match="finite"):
+        load_graph(path)
+
+
 def test_load_rejects_unknown_edge_type(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
