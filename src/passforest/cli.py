@@ -95,7 +95,8 @@ def _add_evaluator_flags(parser):
         type=int,
         default=1,
         metavar="N",
-        help="max concurrent backend invocations (default: 1)",
+        help="max concurrent opt invocations; the mock always runs "
+        "serially, and output is identical for every N (default: 1)",
     )
 
 

@@ -5,7 +5,10 @@ Two backends implement it: the mock simulator (``mock`` module) and
 Backends are safe for concurrent independent invocations and results
 never depend on invocation interleaving. One forest is evaluated with
 ``backend.evaluate``; mining, search and refinement fan out through
-``Evaluator.map``, which memoizes by pipeline string.
+``Evaluator.map``, which memoizes by pipeline string. ``map`` fans
+``opt`` calls out to a thread pool, since each one waits on a
+subprocess. The mock is pure Python and always runs serially, since
+threads would only contend for the GIL.
 """
 
 import os
@@ -59,8 +62,10 @@ class Evaluator:
     def map(self, forests: Sequence[PipelineForest]) -> List[EvaluationResult]:
         """Evaluate every forest not yet seen; results in input order.
 
-        With ``parallel > 1`` and more than one pending forest, backend
-        calls run on a thread pool; the results do not depend on it.
+        With ``parallel > 1``, more than one pending forest and a backend
+        other than the mock, backend calls run on a thread pool; the
+        results do not depend on it. The policy reads ``backend.name``,
+        so wrappers that forward ``name`` get the same policy.
         """
         keys = [print_pipeline(forest) for forest in forests]
         pending: Dict[str, PipelineForest] = {}
@@ -68,7 +73,7 @@ class Evaluator:
             if key not in self.results and key not in pending:
                 pending[key] = forest
         todo = list(pending.values())
-        if self.parallel > 1 and len(todo) > 1:
+        if self.parallel > 1 and len(todo) > 1 and self.backend.name != "mock":
             with ThreadPoolExecutor(max_workers=self.parallel) as pool:
                 fresh = list(pool.map(self._evaluate, todo))
         else:

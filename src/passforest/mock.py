@@ -18,12 +18,18 @@ Execution semantics of a forest over a mock program:
   (loop managers inside simply contribute their leaves to the block);
 * sibling managers and separate trees each complete over all functions
   before the next begins.
+
+``schedule_of`` is the one definition of that order; ``mock_evaluate``
+folds over it. The lookup tables the fold needs (bonuses by target pass,
+distinct callee counts, callers) are built once per MockProgram, on its
+first evaluation, and cached on the instance.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Tuple, Union
 
 from .errors import SchemaError
 from .evaluation import EvaluationResult
@@ -35,6 +41,20 @@ from .registry import PassLevel
 class MockFunction:
     name: str
     base_ic: int
+
+
+class _ProgramIndex(NamedTuple):
+    """Per-program lookup tables for ``mock_evaluate``.
+
+    Bonuses are keyed by their second pass ``q`` as ``(p, bonus)``
+    pairs; each function maps to its number of distinct callees and to
+    its distinct callers.
+    """
+
+    synergy_by_target: Dict[str, Tuple[Tuple[str, int], ...]]
+    coupling_by_target: Dict[str, Tuple[Tuple[str, int], ...]]
+    callee_count: Dict[str, int]
+    callers: Dict[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -95,8 +115,27 @@ class MockProgram:
                     color[nxt] = GRAY
                     stack.append((nxt, iter(out.get(nxt, ()))))
 
-    def callees_of(self, name: str) -> Tuple[str, ...]:
-        return tuple(callee for caller, callee in self.call_edges if caller == name)
+    @cached_property
+    def _index(self) -> _ProgramIndex:
+        """Lookup tables ``mock_evaluate`` needs, built on first use."""
+        synergy: Dict[str, List[Tuple[str, int]]] = {}
+        for (p, q), bonus in self.pair_synergy.items():
+            synergy.setdefault(q, []).append((p, bonus))
+        coupling: Dict[str, List[Tuple[str, int]]] = {}
+        for (p, q), bonus in self.coupling.items():
+            coupling.setdefault(q, []).append((p, bonus))
+        edges = dict.fromkeys(self.call_edges)  # distinct, in first-seen order
+        callee_count = {f.name: 0 for f in self.functions}
+        callers: Dict[str, List[str]] = {f.name: [] for f in self.functions}
+        for caller, callee in edges:
+            callee_count[caller] += 1
+            callers[callee].append(caller)
+        return _ProgramIndex(
+            {q: tuple(pairs) for q, pairs in synergy.items()},
+            {q: tuple(pairs) for q, pairs in coupling.items()},
+            callee_count,
+            {name: tuple(names) for name, names in callers.items()},
+        )
 
     def total_base_ic(self) -> int:
         return sum(f.base_ic for f in self.functions)
@@ -131,29 +170,40 @@ def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationRes
     bonus (p, q) whose p already ran on f, plus every coupling bonus
     (p, q) when f has callees and p already ran on all of them. Function
     counts clamp at zero.
+
+    Coupling is counted as the schedule runs: ``done[f][p]`` is how many
+    distinct callees of f p has run on, so the bonus fires when it
+    equals f's callee count.
     """
-    synergy_by_target: Dict[str, List[Tuple[str, int]]] = {}
-    for (p, q), bonus in program.pair_synergy.items():
-        synergy_by_target.setdefault(q, []).append((p, bonus))
-    coupling_by_target: Dict[str, List[Tuple[str, int]]] = {}
-    for (p, q), bonus in program.coupling.items():
-        coupling_by_target.setdefault(q, []).append((p, bonus))
-    callees = {f.name: program.callees_of(f.name) for f in program.functions}
+    index = program._index
+    effects = program.pass_effects
+    synergy_by_target = index.synergy_by_target
+    coupling_by_target = index.coupling_by_target
+    callee_count = index.callee_count
+    callers = index.callers
 
     ran_on: Dict[str, set] = {f.name: set() for f in program.functions}
+    done: Dict[str, Dict[str, int]] = {f.name: {} for f in program.functions}
     reduction: Dict[str, int] = {f.name: 0 for f in program.functions}
 
     for q, fname in schedule_of(forest, program):
-        amount = program.pass_effects.get(q, 0)
+        amount = effects.get(q, 0)
+        ran = ran_on[fname]
         for p, bonus in synergy_by_target.get(q, ()):
-            if p in ran_on[fname]:
+            if p in ran:
                 amount += bonus
-        if callees[fname]:
+        need = callee_count[fname]
+        if need:
+            counts = done[fname]
             for p, bonus in coupling_by_target.get(q, ()):
-                if all(p in ran_on[c] for c in callees[fname]):
+                if counts.get(p) == need:
                     amount += bonus
         reduction[fname] += amount
-        ran_on[fname].add(q)
+        if q not in ran:
+            ran.add(q)
+            for caller in callers[fname]:
+                counts = done[caller]
+                counts[q] = counts.get(q, 0) + 1
 
     total = sum(
         max(0, f.base_ic - reduction[f.name]) for f in program.functions
@@ -165,29 +215,45 @@ def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationRes
 # JSON spec files.
 # ---------------------------------------------------------------------------
 
-def _function_name(value) -> str:
+def _string(value, what: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"bad mock program spec: function name {value!r}")
+        raise SchemaError(f"bad mock program spec: {what} {value!r}")
     return value
+
+
+def _integer(value, what: str) -> int:
+    # bool is an int subclass; strings and floats are not integers either
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"bad mock program spec: {what} {value!r} is not an integer")
+    return value
+
+
+def _bonuses(entries, table: str) -> Dict[Tuple[str, str], int]:
+    bonuses = {}
+    for e in entries:
+        key = (_string(e["p"], f"{table} pass"), _string(e["q"], f"{table} pass"))
+        bonuses[key] = _integer(e["bonus"], f"{table} bonus")
+    return bonuses
 
 
 def mock_program_from_dict(spec: Mapping) -> MockProgram:
     try:
         functions = tuple(
-            MockFunction(_function_name(f["name"]), int(f["base_ic"]))
+            MockFunction(
+                _string(f["name"], "function name"), _integer(f["base_ic"], "base_ic")
+            )
             for f in spec["functions"]
         )
         call_edges = tuple(
-            (_function_name(caller), _function_name(callee))
+            (_string(caller, "function name"), _string(callee, "function name"))
             for caller, callee in spec.get("calls", ())
         )
-        effects = {str(k): int(v) for k, v in spec.get("effects", {}).items()}
-        synergy = {
-            (e["p"], e["q"]): int(e["bonus"]) for e in spec.get("pair_synergy", ())
+        effects = {
+            str(k): _integer(v, f"effect of {k!r}")
+            for k, v in spec.get("effects", {}).items()
         }
-        coupling = {
-            (e["p"], e["q"]): int(e["bonus"]) for e in spec.get("coupling", ())
-        }
+        synergy = _bonuses(spec.get("pair_synergy", ()), "pair_synergy")
+        coupling = _bonuses(spec.get("coupling", ()), "coupling")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad mock program spec: {exc}") from exc
     return MockProgram(functions, call_edges, effects, synergy, coupling)
@@ -230,7 +296,10 @@ class MockBackend:
     """Evaluation backend over mock programs; pure and thread-safe.
 
     Program references may be MockProgram instances or paths to JSON
-    spec files (cached after first load).
+    spec files (cached after first load). Each program compiles its
+    lookup tables on its first evaluation and reuses them afterwards.
+    ``Evaluator.map`` runs this backend serially: it is pure Python, so
+    threads would only contend for the GIL.
     """
 
     name = "mock"

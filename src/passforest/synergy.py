@@ -253,7 +253,8 @@ def _save_checkpoint(path, registry_hash, counts, done):
 
 def _expect(value, kind: type, what: str):
     """``value`` when it is a ``kind``, else TypeError naming ``what``."""
-    if not isinstance(value, kind):
+    # bool is an int subclass, but JSON true is not a count
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise TypeError(f"{what} must be {_KIND_NAMES[kind]}")
     return value
 

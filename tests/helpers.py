@@ -1,9 +1,10 @@
 """Shared random generators for property and acceptance tests."""
 
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from passforest import (
+    EvaluationResult,
     Leaf,
     Manager,
     MockFunction,
@@ -12,6 +13,7 @@ from passforest import (
     PassRegistry,
     PipelineForest,
     load_registry,
+    schedule_of,
 )
 from passforest.forest import (
     ELEMENT_RULE,
@@ -142,3 +144,52 @@ def _illegal_child_level(level: PassLevel):
     if level == PassLevel.FUNCTION:
         return PassLevel.CGSCC
     return PassLevel.FUNCTION  # function managers never nest under loop
+
+
+# ---------------------------------------------------------------------------
+# Reference mock evaluator: the direct reading of the mock semantics,
+# kept as the oracle for the compiled ``passforest.mock_evaluate``.
+# ---------------------------------------------------------------------------
+
+def reference_mock_evaluate(
+    program: MockProgram, forest: PipelineForest
+) -> EvaluationResult:
+    """Apply a forest's schedule and report the resulting count.
+
+    Each event (q, f) reduces f by the flat effect of q, plus every pair
+    bonus (p, q) whose p already ran on f, plus every coupling bonus
+    (p, q) when f has callees and p already ran on all of them. Function
+    counts clamp at zero.
+    """
+    synergy_by_target: Dict[str, List[Tuple[str, int]]] = {}
+    for (p, q), bonus in program.pair_synergy.items():
+        synergy_by_target.setdefault(q, []).append((p, bonus))
+    coupling_by_target: Dict[str, List[Tuple[str, int]]] = {}
+    for (p, q), bonus in program.coupling.items():
+        coupling_by_target.setdefault(q, []).append((p, bonus))
+    callees = {
+        f.name: tuple(
+            callee for caller, callee in program.call_edges if caller == f.name
+        )
+        for f in program.functions
+    }
+
+    ran_on: Dict[str, set] = {f.name: set() for f in program.functions}
+    reduction: Dict[str, int] = {f.name: 0 for f in program.functions}
+
+    for q, fname in schedule_of(forest, program):
+        amount = program.pass_effects.get(q, 0)
+        for p, bonus in synergy_by_target.get(q, ()):
+            if p in ran_on[fname]:
+                amount += bonus
+        if callees[fname]:
+            for p, bonus in coupling_by_target.get(q, ()):
+                if all(p in ran_on[c] for c in callees[fname]):
+                    amount += bonus
+        reduction[fname] += amount
+        ran_on[fname].add(q)
+
+    total = sum(
+        max(0, f.base_ic - reduction[f.name]) for f in program.functions
+    )
+    return EvaluationResult(instruction_count=total, status="ok")

@@ -134,8 +134,45 @@ def _assert_one_line_error(capsys):
         {"functions": [{"name": "f", "base_ic": 10}], "calls": [["f"]]},
         {"functions": [{"name": [1], "base_ic": 10}]},
         {"functions": [{"name": "f", "base_ic": 10}], "calls": [["f", ["f"]]]},
+        {"functions": [{"name": "f", "base_ic": "12"}]},
+        {"functions": [{"name": "f", "base_ic": 7.9}]},
+        {"functions": [{"name": "f", "base_ic": True}]},
+        {"functions": [{"name": "f", "base_ic": 10}], "effects": {"gvn": True}},
+        {"functions": [{"name": "f", "base_ic": 10}], "effects": {"gvn": 2.0}},
+        {"functions": [{"name": "f", "base_ic": 10}], "effects": {"gvn": "3"}},
+        {
+            "functions": [{"name": "f", "base_ic": 10}],
+            "pair_synergy": [{"p": "gvn", "q": "dce", "bonus": 1.5}],
+        },
+        {
+            "functions": [{"name": "f", "base_ic": 10}],
+            "coupling": [{"p": "gvn", "q": "dce", "bonus": "2"}],
+        },
+        {
+            "functions": [{"name": "f", "base_ic": 10}],
+            "pair_synergy": [{"p": 1, "q": "dce", "bonus": 1}],
+        },
+        {
+            "functions": [{"name": "f", "base_ic": 10}],
+            "coupling": [{"p": "gvn", "q": None, "bonus": 1}],
+        },
     ],
-    ids=["effects-not-object", "short-call-edge", "name-not-string", "edge-names-list"],
+    ids=[
+        "effects-not-object",
+        "short-call-edge",
+        "name-not-string",
+        "edge-names-list",
+        "base-ic-string",
+        "base-ic-float",
+        "base-ic-bool",
+        "effect-bool",
+        "effect-float",
+        "effect-string",
+        "synergy-bonus-float",
+        "coupling-bonus-string",
+        "synergy-pass-int",
+        "coupling-pass-null",
+    ],
 )
 def test_evaluate_malformed_mock_spec_is_invalid_input(capsys, tmp_path, spec):
     program = tmp_path / "bad.json"
@@ -220,12 +257,13 @@ def test_mine_resume_identical(capsys, tmp_path, m1_file, m2_file, ab_registry_f
         {"counts": [1]},
         {"counts": {"a": 1}},
         {"counts": {"a": {"b": "1"}}},
+        {"counts": {"a": {"b": True}}},
         {"done": "a.json"},
         {"done": [1]},
     ],
     ids=[
         "not-object", "counts-list", "inner-not-object", "count-not-int",
-        "done-not-list", "done-entry-not-string",
+        "count-bool", "done-not-list", "done-entry-not-string",
     ],
 )
 def test_mine_malformed_checkpoint_is_invalid_input(

@@ -428,6 +428,30 @@ def test_evaluator_parallel_matches_serial(ab_forests):
     assert set(backend.calls.values()) == {1}
 
 
+def test_evaluator_runs_the_mock_serially(m1, ab_registry):
+    class ThreadRecordingBackend(MockBackend):
+        def __init__(self):
+            super().__init__()
+            self.threads = []
+
+        def evaluate(self, program, forest):
+            self.threads.append(threading.get_ident())
+            return super().evaluate(program, forest)
+
+    texts = [
+        "module(function(a))",
+        "module(function(b))",
+        "module(function(a,b))",
+        "module(function(b,a))",
+        "module(function(a),function(b))",
+    ]
+    forests = [parse_pipeline(text, ab_registry) for text in texts]
+    backend = ThreadRecordingBackend()
+    results = Evaluator(backend, m1, parallel=4).map(forests)
+    assert backend.threads == [threading.get_ident()] * len(forests)
+    assert results == Evaluator(MockBackend(), m1).map(forests)
+
+
 def test_refine_exhaustive_evaluates_each_partition_once():
     names = [f"p{i}" for i in range(13)]
     registry = load_registry("".join(f"{n}=function\n" for n in names))

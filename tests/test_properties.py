@@ -1,20 +1,29 @@
 """Hypothesis strategies over valid forests and the core round trips."""
 
+import dataclasses
+import random
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from passforest import (
     Leaf,
     Manager,
+    MockFunction,
     PassForestError,
     PassLevel,
     PipelineForest,
     default_registry,
     leaf_sequence,
+    mock_evaluate,
     parse_pipeline,
     print_pipeline,
+    random_forest,
     validate,
 )
+from passforest.forest import trim_to_length
+
+from helpers import random_mock_program, reference_mock_evaluate, synthetic_registry
 
 REGISTRY = default_registry()
 _BY_LEVEL = {
@@ -108,3 +117,41 @@ def test_parse_accepts_only_valid_round_tripping_forests(text):
         return
     assert validate(forest, REGISTRY) == []
     assert parse_pipeline(print_pipeline(forest), REGISTRY) == forest
+
+
+@st.composite
+def _mock_cases(draw):
+    """A random (program, forest) pair over the default or a synthetic
+    registry, with some call edges listed twice and up to 30 leaves."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_passes = draw(st.sampled_from([0, 4, 8, 12]))
+    registry = synthetic_registry(n_passes, rng) if n_passes else REGISTRY
+    density = st.floats(min_value=0.0, max_value=0.3)
+    program = random_mock_program(
+        registry,
+        rng,
+        n_functions=draw(st.integers(min_value=1, max_value=30)),
+        synergy_density=draw(density),
+        coupling_density=draw(density),
+    )
+    # Large base counts keep the zero clamp from hiding a wrong bonus.
+    scale = draw(st.sampled_from([1, 20]))
+    edges = list(program.call_edges)
+    edges += rng.sample(edges, draw(st.integers(min_value=0, max_value=len(edges))))
+    rng.shuffle(edges)
+    program = dataclasses.replace(
+        program,
+        functions=tuple(MockFunction(f.name, f.base_ic * scale) for f in program.functions),
+        call_edges=tuple(edges),
+    )
+    trees = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        trees.extend(random_forest(rng, registry, max_leaves=12).trees)
+    return program, trim_to_length(PipelineForest(tuple(trees)), 30)
+
+
+@given(_mock_cases())
+@settings(max_examples=300, deadline=None)
+def test_mock_evaluate_matches_reference(case):
+    program, forest = case
+    assert mock_evaluate(program, forest) == reference_mock_evaluate(program, forest)
