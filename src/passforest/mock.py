@@ -19,17 +19,25 @@ Execution semantics of a forest over a mock program:
 * sibling managers and separate trees each complete over all functions
   before the next begins.
 
-``schedule_of`` is the one definition of that order; ``mock_evaluate``
-folds over it. The lookup tables the fold needs (bonuses by target pass,
-distinct callee counts, callers) are built once per MockProgram, on its
-first evaluation, and cached on the instance.
+``schedule_of`` is the one definition of that order. ``mock_evaluate``
+computes the same result in closed form over the forest's *phases*: a
+phase is one module-level leaf, or the whole leaf block of one cgscc or
+function manager, and each phase runs over every function, in
+``functions`` order, before the next phase starts. So every function
+receives the same pass sequence, and the flat effects and pair bonuses
+reduce each function by one common amount. Only coupling differs between
+functions, and only by whether a function has callees and whether they
+are all listed before it; see ``mock_evaluate``. The tables this needs
+(bonuses by target pass, one coupling class per function) are built once
+per MockProgram, on its first evaluation, and cached on the instance.
 """
 
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Mapping, NamedTuple, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple, Union
 
 from .errors import SchemaError
 from .evaluation import EvaluationResult
@@ -47,14 +55,14 @@ class _ProgramIndex(NamedTuple):
     """Per-program lookup tables for ``mock_evaluate``.
 
     Bonuses are keyed by their second pass ``q`` as ``(p, bonus)``
-    pairs; each function maps to its number of distinct callees and to
-    its distinct callers.
+    pairs. ``coupling_class`` follows ``functions`` order: 0 for a
+    function without callees, 1 when some callee is listed after it, 2
+    when every callee is listed before it.
     """
 
     synergy_by_target: Dict[str, Tuple[Tuple[str, int], ...]]
     coupling_by_target: Dict[str, Tuple[Tuple[str, int], ...]]
-    callee_count: Dict[str, int]
-    callers: Dict[str, Tuple[str, ...]]
+    coupling_class: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,10 @@ class MockProgram:
                 raise SchemaError(f"call edge ({caller}, {callee}) names unknown function")
         if any(v < 0 for v in self.pass_effects.values()):
             raise SchemaError("pass effects must be nonnegative")
+        if any(v < 0 for v in self.pair_synergy.values()):
+            raise SchemaError("pair synergy bonuses must be nonnegative")
+        if any(v < 0 for v in self.coupling.values()):
+            raise SchemaError("coupling bonuses must be nonnegative")
         self._check_acyclic()
 
     def _check_acyclic(self):
@@ -124,17 +136,18 @@ class MockProgram:
         coupling: Dict[str, List[Tuple[str, int]]] = {}
         for (p, q), bonus in self.coupling.items():
             coupling.setdefault(q, []).append((p, bonus))
-        edges = dict.fromkeys(self.call_edges)  # distinct, in first-seen order
-        callee_count = {f.name: 0 for f in self.functions}
-        callers: Dict[str, List[str]] = {f.name: [] for f in self.functions}
-        for caller, callee in edges:
-            callee_count[caller] += 1
-            callers[callee].append(caller)
+        position = {f.name: i for i, f in enumerate(self.functions)}
+        classes = [0] * len(self.functions)
+        for caller, callee in self.call_edges:
+            i = position[caller]
+            if position[callee] > i:
+                classes[i] = 1
+            elif classes[i] == 0:
+                classes[i] = 2
         return _ProgramIndex(
             {q: tuple(pairs) for q, pairs in synergy.items()},
             {q: tuple(pairs) for q, pairs in coupling.items()},
-            callee_count,
-            {name: tuple(names) for name, names in callers.items()},
+            tuple(classes),
         )
 
     def total_base_ic(self) -> int:
@@ -163,50 +176,67 @@ def schedule_of(forest: PipelineForest, program: MockProgram) -> List[Tuple[str,
     return events
 
 
+def _phases(mgr: Manager) -> Iterator[Tuple[str, ...]]:
+    """Leaf blocks under a module manager that each run over all
+    functions, in ``schedule_of`` order."""
+    for child in mgr.children:
+        if isinstance(child, Leaf):
+            yield (child.name,)
+        elif child.level == PassLevel.MODULE:
+            yield from _phases(child)
+        else:
+            yield tuple(leaf.name for leaf in iter_leaves(child))
+
+
 def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationResult:
     """Apply a forest's schedule and report the resulting count.
 
     Each event (q, f) reduces f by the flat effect of q, plus every pair
     bonus (p, q) whose p already ran on f, plus every coupling bonus
     (p, q) when f has callees and p already ran on all of them. Function
-    counts clamp at zero.
+    counts clamp at zero, once, after the last event.
 
-    Coupling is counted as the schedule runs: ``done[f][p]`` is how many
-    distinct callees of f p has run on, so the bonus fires when it
-    equals f's callee count.
+    This equals a fold over ``schedule_of`` without building it. Every
+    function receives the forest's leaf sequence in order, so effects
+    and pair bonuses add up to one ``common`` reduction. At an
+    occurrence of q in some phase, a coupling bonus (p, q) fires for a
+    caller f:
+
+    * on every caller, if p ran in an earlier phase, which finished on
+      all functions (``earlier``);
+    * otherwise, if p occurs anywhere in q's own phase, exactly on the
+      callers whose callees are all listed before them: such a callee
+      received the whole block before f's turn came, while a callee
+      listed after f has received none of it yet (``same``);
+    * otherwise never.
     """
     index = program._index
     effects = program.pass_effects
     synergy_by_target = index.synergy_by_target
     coupling_by_target = index.coupling_by_target
-    callee_count = index.callee_count
-    callers = index.callers
 
-    ran_on: Dict[str, set] = {f.name: set() for f in program.functions}
-    done: Dict[str, Dict[str, int]] = {f.name: {} for f in program.functions}
-    reduction: Dict[str, int] = {f.name: 0 for f in program.functions}
-
-    for q, fname in schedule_of(forest, program):
-        amount = effects.get(q, 0)
-        ran = ran_on[fname]
-        for p, bonus in synergy_by_target.get(q, ()):
-            if p in ran:
-                amount += bonus
-        need = callee_count[fname]
-        if need:
-            counts = done[fname]
+    common = earlier = same = 0
+    ran: Set[str] = set()  # passes of the phases before the current one
+    seen: Set[str] = set()  # passes before the current leaf
+    for phase in chain.from_iterable(map(_phases, forest.trees)):
+        block = set(phase)
+        for q in phase:
+            common += effects.get(q, 0)
+            for p, bonus in synergy_by_target.get(q, ()):
+                if p in seen:
+                    common += bonus
             for p, bonus in coupling_by_target.get(q, ()):
-                if counts.get(p) == need:
-                    amount += bonus
-        reduction[fname] += amount
-        if q not in ran:
-            ran.add(q)
-            for caller in callers[fname]:
-                counts = done[caller]
-                counts[q] = counts.get(q, 0) + 1
+                if p in ran:
+                    earlier += bonus
+                elif p in block:
+                    same += bonus
+            seen.add(q)
+        ran |= block
 
+    reduction = (common, common + earlier, common + earlier + same)
     total = sum(
-        max(0, f.base_ic - reduction[f.name]) for f in program.functions
+        max(0, f.base_ic - reduction[c])
+        for f, c in zip(program.functions, index.coupling_class)
     )
     return EvaluationResult(instruction_count=total, status="ok")
 

@@ -156,6 +156,16 @@ def _assert_one_line_error(capsys):
             "functions": [{"name": "f", "base_ic": 10}],
             "coupling": [{"p": "gvn", "q": None, "bonus": 1}],
         },
+        {
+            "functions": [{"name": "f", "base_ic": 10}],
+            "effects": {"gvn": 1},
+            "pair_synergy": [{"p": "gvn", "q": "adce", "bonus": -50}],
+        },
+        {
+            "functions": [{"name": "f", "base_ic": 10}, {"name": "g", "base_ic": 10}],
+            "calls": [["f", "g"]],
+            "coupling": [{"p": "gvn", "q": "adce", "bonus": -50}],
+        },
     ],
     ids=[
         "effects-not-object",
@@ -172,6 +182,8 @@ def _assert_one_line_error(capsys):
         "coupling-bonus-string",
         "synergy-pass-int",
         "coupling-pass-null",
+        "synergy-bonus-negative",
+        "coupling-bonus-negative",
     ],
 )
 def test_evaluate_malformed_mock_spec_is_invalid_input(capsys, tmp_path, spec):

@@ -1,3 +1,4 @@
+import dataclasses
 import stat
 import threading
 from collections import Counter
@@ -183,6 +184,17 @@ def test_mock_m2_coupling(m2, ab_registry, backend):
     assert backend.evaluate(m2, joined).instruction_count == 80
 
 
+def test_mock_m2_coupling_within_one_block_when_callee_is_listed_first(
+    m2, ab_registry, backend
+):
+    # f2 receives the whole block before f1's turn, so a ran on f1's
+    # only callee by the time b runs on f1, whatever the order inside.
+    program = dataclasses.replace(m2, functions=m2.functions[::-1])
+    for text in ("module(function(a,b))", "module(function(b,a))"):
+        forest = parse_pipeline(text, ab_registry)
+        assert backend.evaluate(program, forest).instruction_count == 50 + 50 - 20 - 7
+
+
 def test_mock_clamps_at_zero(ab_registry):
     program = MockProgram(
         functions=(MockFunction("f1", 3),), pass_effects={"a": 100}
@@ -245,6 +257,16 @@ def test_mock_rejects_unknown_edge_name():
 def test_mock_rejects_negative_effect():
     with pytest.raises(SchemaError):
         MockProgram(functions=(MockFunction("f1", 1),), pass_effects={"a": -1})
+
+
+@pytest.mark.parametrize("table", ["pair_synergy", "coupling"])
+def test_mock_rejects_negative_bonus(table):
+    with pytest.raises(SchemaError):
+        MockProgram(
+            functions=(MockFunction("f1", 10), MockFunction("f2", 10)),
+            call_edges=(("f1", "f2"),),
+            **{table: {("a", "b"): -1}},
+        )
 
 
 def test_mock_json_round_trip(m2, tmp_path):

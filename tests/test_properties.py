@@ -10,6 +10,7 @@ from passforest import (
     Leaf,
     Manager,
     MockFunction,
+    MockProgram,
     PassForestError,
     PassLevel,
     PipelineForest,
@@ -19,6 +20,7 @@ from passforest import (
     parse_pipeline,
     print_pipeline,
     random_forest,
+    schedule_of,
     validate,
 )
 from passforest.forest import trim_to_length
@@ -122,7 +124,8 @@ def test_parse_accepts_only_valid_round_tripping_forests(text):
 @st.composite
 def _mock_cases(draw):
     """A random (program, forest) pair over the default or a synthetic
-    registry, with some call edges listed twice and up to 30 leaves."""
+    registry, with functions in random order, some call edges listed
+    twice and up to 30 leaves."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     n_passes = draw(st.sampled_from([0, 4, 8, 12]))
     registry = synthetic_registry(n_passes, rng) if n_passes else REGISTRY
@@ -139,10 +142,11 @@ def _mock_cases(draw):
     edges = list(program.call_edges)
     edges += rng.sample(edges, draw(st.integers(min_value=0, max_value=len(edges))))
     rng.shuffle(edges)
+    # Shuffled so that callees are also listed before their callers.
+    functions = [MockFunction(f.name, f.base_ic * scale) for f in program.functions]
+    rng.shuffle(functions)
     program = dataclasses.replace(
-        program,
-        functions=tuple(MockFunction(f.name, f.base_ic * scale) for f in program.functions),
-        call_edges=tuple(edges),
+        program, functions=tuple(functions), call_edges=tuple(edges)
     )
     trees = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -155,3 +159,15 @@ def _mock_cases(draw):
 def test_mock_evaluate_matches_reference(case):
     program, forest = case
     assert mock_evaluate(program, forest) == reference_mock_evaluate(program, forest)
+
+
+@given(forests(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_schedule_gives_every_function_the_leaf_sequence(forest, n_functions):
+    # The premise of mock_evaluate's closed form.
+    program = MockProgram(tuple(MockFunction(f"f{i}", 1) for i in range(n_functions)))
+    applied = {f.name: [] for f in program.functions}
+    for p, fname in schedule_of(forest, program):
+        applied[fname].append(p)
+    expected = [name for name, _ in leaf_sequence(forest)]
+    assert all(passes == expected for passes in applied.values())
