@@ -21,7 +21,7 @@ from .errors import (
     PassForestError,
     SchemaError,
 )
-from .evaluation import DEFAULT_OPT_TIMEOUT, Evaluator, OptBackend
+from .evaluation import DEFAULT_OPT_TIMEOUT, Evaluator, OptBackend, check_timeout
 from .experiments import (
     run_microstructure_study,
     run_rq3_ablation,
@@ -51,6 +51,9 @@ def _load_registry_arg(args):
 
 
 def _backend_from_args(args):
+    check_timeout(args.timeout)
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
     if args.evaluator == "mock":
         return MockBackend()
     return OptBackend(opt_path=args.opt_path, timeout=args.timeout)
@@ -88,15 +91,18 @@ def _add_evaluator_flags(parser):
         "--timeout",
         type=float,
         default=DEFAULT_OPT_TIMEOUT,
-        help="per-invocation opt timeout in seconds (default: %(default)g)",
+        help="per-evaluation opt timeout, a finite number of seconds > 0 "
+        "(default: %(default)g)",
     )
     parser.add_argument(
         "--parallel",
         type=int,
         default=1,
         metavar="N",
-        help="max concurrent opt invocations; the mock always runs "
-        "serially, and output is identical for every N (default: 1)",
+        help="max concurrent opt evaluations, each in its own libLLVM worker "
+        "process (one opt process per call when opt links no usable "
+        "libLLVM); the mock always runs serially, and output is identical "
+        "for every N (default: 1)",
     )
 
 

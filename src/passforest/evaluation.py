@@ -6,13 +6,18 @@ Backends are safe for concurrent independent invocations and results
 never depend on invocation interleaving. One forest is evaluated with
 ``backend.evaluate``; mining, search and refinement fan out through
 ``Evaluator.map``, which memoizes by pipeline string. ``map`` fans
-``opt`` calls out to a thread pool, since each one waits on a
-subprocess. The mock is pure Python and always runs serially, since
-threads would only contend for the GIL.
+``opt`` calls out to a thread pool, since each one waits on another
+process: a long-lived libLLVM worker (``opt_worker``) when the ``opt``
+binary links a usable libLLVM, else one ``opt`` process per call. The
+mock is pure Python and always runs serially, since threads would only
+contend for the GIL.
 """
 
+import math
 import os
 import subprocess
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +58,8 @@ class Evaluator:
     """
 
     def __init__(self, backend, program, parallel: int = 1):
+        if parallel < 1:
+            raise ValueError(f"parallel must be >= 1, got {parallel}")
         self.backend = backend
         self.program = program
         self.parallel = parallel
@@ -130,18 +137,38 @@ def _failed(detail: str) -> EvaluationResult:
     return EvaluationResult(instruction_count=None, status="failed", detail=detail)
 
 
+def check_timeout(timeout: float) -> None:
+    """Raise ValueError unless ``timeout`` is a finite number of seconds > 0."""
+    number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+    if not (number and math.isfinite(timeout) and timeout > 0):
+        raise ValueError(
+            f"timeout must be a finite number of seconds > 0, got {timeout!r}"
+        )
+
+
 @dataclass
 class OptBackend:
-    """Evaluation backend that shells out to an LLVM ``opt`` binary.
+    """Evaluation backend that runs pipelines the way LLVM ``opt`` does.
 
     The binary is taken from the constructor, the PASSFOREST_OPT
     environment variable, or PATH lookup of ``opt``, in that order. A
-    missing ``opt`` executable raises BackendUnavailable.
+    missing ``opt`` executable raises BackendUnavailable. When the binary
+    links a libLLVM with the New Pass Manager C API, pipelines run in
+    long-lived ``opt_worker`` processes that load it, started on the
+    first evaluation and killed with the backend; otherwise each
+    evaluation runs one ``opt`` process. Both give the same counts and
+    failure details. ``timeout`` must be a finite number of seconds > 0.
     """
 
     opt_path: Optional[str] = None
     timeout: float = DEFAULT_OPT_TIMEOUT
     name: str = field(default="opt", init=False)
+
+    def __post_init__(self):
+        check_timeout(self.timeout)
+        self._lock = threading.Lock()
+        self._pool = None
+        self._pool_resolved = False
 
     def _run(self, *args: str) -> subprocess.CompletedProcess:
         """Run ``opt -S <args> -o -``; a timeout raises TimeoutExpired."""
@@ -154,8 +181,30 @@ class OptBackend:
         except FileNotFoundError as exc:
             raise BackendUnavailable(f"opt executable not found: {opt!r}") from exc
 
+    def _workers(self):
+        """The ``opt_pool.WorkerPool``; None without a usable libLLVM."""
+        with self._lock:
+            if not self._pool_resolved:
+                self._pool_resolved = True
+                # Imported here, so that only a backend that evaluates
+                # compiles and loads the pool code.
+                from . import opt_pool
+
+                opt = resolve_opt_path(self.opt_path)
+                library = opt_pool.linked_libllvm(opt)
+                if library is not None:
+                    self._pool = opt_pool.WorkerPool(opt, library)
+                    weakref.finalize(self, self._pool.close)
+        return self._pool if self._pool is not None and self._pool.usable else None
+
+    def _apply(self, pipeline: str, path: str) -> subprocess.CompletedProcess:
+        """``opt -S -passes=<pipeline> <path> -o -``, in a worker if possible."""
+        pool = self._workers()
+        proc = pool.run(path, pipeline, self.timeout) if pool is not None else None
+        return proc if proc is not None else self._run(f"-passes={pipeline}", path)
+
     def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
-        """Run ``opt -S -passes=<pipeline> <program> -o -`` and count output.
+        """Apply the pipeline as ``opt -S -passes=<pipeline>`` does; count output.
 
         A missing input, a timeout, a nonzero exit and unbalanced output
         come back as failed results.
@@ -164,7 +213,7 @@ class OptBackend:
         if not path.exists():
             return _failed(f"input file not found: {path}")
         try:
-            proc = self._run(f"-passes={print_pipeline(forest)}", str(path))
+            proc = self._apply(print_pipeline(forest), str(path))
         except subprocess.TimeoutExpired as exc:
             return _failed(f"timeout after {self.timeout:.0f}s: {' '.join(exc.cmd)}")
         if proc.returncode != 0:

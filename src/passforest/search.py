@@ -65,6 +65,8 @@ class SearchConfig:
             raise ValueError("max_sequence_length must be >= 1")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must lie in [0, 1]")

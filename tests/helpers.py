@@ -1,6 +1,7 @@
 """Shared random generators for property and acceptance tests."""
 
 import random
+import stat
 from typing import Dict, List, Tuple
 
 from passforest import (
@@ -193,3 +194,10 @@ def reference_mock_evaluate(
         max(0, f.base_ic - reduction[f.name]) for f in program.functions
     )
     return EvaluationResult(instruction_count=total, status="ok")
+
+
+def write_script(path, body):
+    """An executable ``/bin/sh`` script at ``path``, standing in for ``opt``."""
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return str(path)

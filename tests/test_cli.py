@@ -421,6 +421,30 @@ def test_search_malformed_graph_is_invalid_input(
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["search", "evaluate"])
+@pytest.mark.parametrize("timeout", ["0", "-1", "inf", "-inf", "nan"])
+def test_timeout_must_be_finite_and_positive(capsys, tmp_path, command, timeout):
+    argv = [
+        command, "--program", str(tmp_path / "p.ll"), "--evaluator", "opt",
+        "--opt-path", "/nonexistent/opt", f"--timeout={timeout}",
+    ]
+    if command == "evaluate":
+        argv += ["--pipeline", "module(globalopt)"]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--parallel", "0"], ["--parallel", "-3"], ["--generations", "-1"]],
+    ids=["parallel-0", "parallel-negative", "generations-negative"],
+)
+def test_search_rejects_negative_sizes(capsys, m1_file, ab_registry_file, extra):
+    argv = ["search", "--program", m1_file, "--registry", ab_registry_file, *extra]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys)
+
+
 def test_search_emitted_pipeline_validates(tmp_path, m1_file, ab_registry_file, capsys):
     graph = _mine_graph(tmp_path, m1_file, ab_registry_file)
     capsys.readouterr()

@@ -1,5 +1,4 @@
 import dataclasses
-import stat
 import threading
 from collections import Counter
 
@@ -288,12 +287,6 @@ def test_mock_backend_loads_spec_files(m1, tmp_path, ab_registry):
 # opt subprocess backend (via fake opt executables)
 # ---------------------------------------------------------------------------
 
-def _write_script(path, body):
-    path.write_text("#!/bin/sh\n" + body)
-    path.chmod(path.stat().st_mode | stat.S_IXUSR)
-    return str(path)
-
-
 @pytest.fixture
 def ir_file(tmp_path):
     path = tmp_path / "input.ll"
@@ -307,7 +300,7 @@ def globalopt(registry):
 
 
 def test_opt_backend_counts_output(tmp_path, ir_file, globalopt):
-    fake = _write_script(tmp_path / "opt", f"cat {ir_file}\nexit 0\n")
+    fake = helpers.write_script(tmp_path / "opt", f"cat {ir_file}\nexit 0\n")
     result = OptBackend(opt_path=fake).evaluate(ir_file, globalopt)
     assert result.ok and result.instruction_count == 2
 
@@ -324,14 +317,14 @@ def test_opt_backend_nonzero_exit(tmp_path, ir_file, globalopt):
         ),
     ]
     for body, detail in cases:
-        fake = _write_script(tmp_path / "opt", body)
+        fake = helpers.write_script(tmp_path / "opt", body)
         result = OptBackend(opt_path=fake).evaluate(ir_file, globalopt)
         assert not result.ok
         assert result.detail == detail
 
 
 def test_opt_backend_empty_pipeline_fails(tmp_path, ir_file):
-    fake = _write_script(
+    fake = helpers.write_script(
         tmp_path / "opt", "echo 'usage: opt' >&2\nexit 1\n"
     )
     result = OptBackend(opt_path=fake).evaluate(ir_file, PipelineForest(()))
@@ -339,7 +332,7 @@ def test_opt_backend_empty_pipeline_fails(tmp_path, ir_file):
 
 
 def test_opt_backend_timeout(tmp_path, ir_file, globalopt):
-    fake = _write_script(tmp_path / "opt", "sleep 5\n")
+    fake = helpers.write_script(tmp_path / "opt", "sleep 5\n")
     result = OptBackend(opt_path=fake, timeout=0.2).evaluate(ir_file, globalopt)
     assert not result.ok
     assert "timeout" in result.detail
@@ -367,7 +360,7 @@ def test_opt_backend_original_count(tmp_path, ir_file):
 def test_opt_backend_original_count_disassembles_bc(tmp_path, ir_file):
     bitcode = tmp_path / "input.bc"
     bitcode.write_bytes(b"BC\xc0\xde")
-    fake = _write_script(tmp_path / "opt", f'[ "$2" = "{bitcode}" ] && cat {ir_file}\n')
+    fake = helpers.write_script(tmp_path / "opt", f'[ "$2" = "{bitcode}" ] && cat {ir_file}\n')
     assert OptBackend(opt_path=fake).original_count(bitcode) == 2
 
 
@@ -379,14 +372,14 @@ def test_opt_backend_original_count_disassembles_bc(tmp_path, ir_file):
 def test_opt_backend_original_count_bc_failure(tmp_path, body, timeout):
     bitcode = tmp_path / "input.bc"
     bitcode.write_bytes(b"BC\xc0\xde")
-    fake = _write_script(tmp_path / "opt", body)
+    fake = helpers.write_script(tmp_path / "opt", body)
     backend = OptBackend(opt_path=fake, timeout=timeout)
     with pytest.raises(BackendUnavailable, match="disassembling"):
         backend.original_count(bitcode)
 
 
 def test_opt_path_env_var(tmp_path, ir_file, monkeypatch, globalopt):
-    fake = _write_script(tmp_path / "opt-env", f"cat {ir_file}\n")
+    fake = helpers.write_script(tmp_path / "opt-env", f"cat {ir_file}\n")
     monkeypatch.setenv("PASSFOREST_OPT", fake)
     result = OptBackend().evaluate(ir_file, globalopt)
     assert result.ok and result.instruction_count == 2
@@ -448,6 +441,12 @@ def test_evaluator_parallel_matches_serial(ab_forests):
     threaded = Evaluator(backend, "prog", parallel=4).map(forests)
     assert threaded == serial
     assert set(backend.calls.values()) == {1}
+
+
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_evaluator_rejects_parallel_below_one(parallel):
+    with pytest.raises(ValueError, match="parallel"):
+        Evaluator(CountingBackend(), "p", parallel=parallel)
 
 
 def test_evaluator_runs_the_mock_serially(m1, ab_registry):

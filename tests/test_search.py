@@ -295,3 +295,9 @@ def test_operations_valid_by_construction(registry, backend):
         assert is_valid(mutated.forest, registry)
         checked += 1
     assert checked >= 300
+
+
+def test_search_config_rejects_negative_generations():
+    with pytest.raises(ValueError, match="generations"):
+        SearchConfig(generations=-1)
+    assert SearchConfig(generations=0).generations == 0
