@@ -215,7 +215,7 @@ class OptBackend:
         try:
             proc = self._apply(print_pipeline(forest), str(path))
         except subprocess.TimeoutExpired as exc:
-            return _failed(f"timeout after {self.timeout:.0f}s: {' '.join(exc.cmd)}")
+            return _failed(f"timeout after {self.timeout:g}s: {' '.join(exc.cmd)}")
         if proc.returncode != 0:
             # An abort prints its diagnostic first and stack frames after it.
             lines = [line.strip() for line in proc.stderr.splitlines()]

@@ -14,10 +14,16 @@ nesting rules mirror the pipeline grammar:
   R8  loop managers are nonempty
   R9  loop children: loop pass | loop manager
 
-Forests are immutable values; every operation here is pure. Constructors
-deliberately accept rule-breaking shapes so that ``validate`` can report
-violations as data; the parser and all search operators only ever build
-valid forests.
+Forests are immutable values; every operation here is pure. Nodes are
+frozen, slotted dataclasses. Each node carries four summaries of its
+subtree, computed once when a manager is built from its children's:
+``text`` (the canonical printed form), ``names`` (leaf names in order),
+``size`` (leaf count) and ``managers`` (manager count). Equality,
+hashing and repr ignore them. An edit rebuilds only the managers on one
+path and shares every other subtree, so it recomputes summaries along
+that path alone. Constructors deliberately accept rule-breaking shapes
+so that ``validate`` can report violations as data; the parser and all
+search operators only ever build valid forests.
 """
 
 import random
@@ -28,29 +34,71 @@ from .errors import LevelMismatch, UnknownPass
 from .registry import PassLevel, PassRegistry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """A pass occurrence; ``level`` is its effective level in context."""
 
     name: str
     level: PassLevel
 
+    size = 1
+    managers = 0
 
-@dataclass(frozen=True)
+    @property
+    def text(self) -> str:
+        return self.name
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return (self.name,)
+
+
+# A manager's printed text up to its first child.
+_OPEN = {level: f"{level.token}(" for level in PassLevel}
+
+
+def _summary():
+    return field(init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Manager:
     """A pass manager holding an ordered sequence of children."""
 
     level: PassLevel
     children: Tuple["PipelineNode", ...]
+    text: str = _summary()
+    names: Tuple[str, ...] = _summary()
+    size: int = _summary()
+    managers: int = _summary()
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+        children = tuple(self.children)
+        texts: List[str] = []
+        names: List[str] = []
+        managers = 1
+        # One loop, leaves read directly: every edit and decode builds
+        # managers, so this is a hot path.
+        for child in children:
+            if child.__class__ is Leaf:
+                texts.append(child.name)
+                names.append(child.name)
+            else:
+                texts.append(child.text)
+                names += child.names
+                managers += child.managers
+        set_field = object.__setattr__
+        set_field(self, "children", children)
+        set_field(self, "text", _OPEN[self.level] + ",".join(texts) + ")")
+        set_field(self, "names", tuple(names))
+        set_field(self, "size", len(names))
+        set_field(self, "managers", managers)
 
 
 PipelineNode = Union[Leaf, Manager]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineForest:
     """Ordered collection of trees; trees run as sequential stages."""
 
@@ -207,8 +255,29 @@ def leaf_paths(forest: PipelineForest) -> List[Tuple[Tuple[int, ...], Leaf]]:
     return [(p, n) for p, n in iter_nodes(forest) if isinstance(n, Leaf)]
 
 
-def manager_paths(forest: PipelineForest) -> List[Tuple[Tuple[int, ...], Manager]]:
-    return [(p, n) for p, n in iter_nodes(forest) if isinstance(n, Manager)]
+def manager_count(forest: PipelineForest) -> int:
+    return sum(tree.managers for tree in forest.trees)
+
+
+def manager_at(forest: PipelineForest, k: int) -> Tuple[Tuple[int, ...], Manager]:
+    """(path, manager) of the ``k``-th manager in preorder, counting from 0.
+
+    Descends one path, skipping whole subtrees by their manager counts.
+    """
+    if not 0 <= k < manager_count(forest):
+        raise IndexError(f"no manager {k} in forest")
+    path: Tuple[int, ...] = ()
+    children = forest.trees
+    while True:
+        for i, child in enumerate(children):
+            if k < child.managers:
+                break
+            k -= child.managers
+        path += (i,)
+        if k == 0:
+            return path, child
+        k -= 1
+        children = child.children
 
 
 def iter_leaves(node: PipelineNode) -> Iterator[Leaf]:
@@ -229,7 +298,7 @@ def leaf_sequence(forest: PipelineForest) -> List[Tuple[str, PassLevel]]:
 
 
 def leaf_count(forest: PipelineForest) -> int:
-    return sum(1 for tree in forest.trees for _ in iter_leaves(tree))
+    return sum(tree.size for tree in forest.trees)
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +431,30 @@ def insert_tree(
     return PipelineForest(tuple(trees))
 
 
-def remove_node(forest: PipelineForest, path: Tuple[int, ...]) -> PipelineForest:
-    """Remove a node, pruning any manager the removal leaves empty."""
-    if len(path) == 1:
-        trees = list(forest.trees)
-        del trees[path[0]]
-        return PipelineForest(tuple(trees))
-    parent_path, idx = path[:-1], path[-1]
-    parent = get_node(forest, parent_path)
-    children = list(parent.children)
-    del children[idx]
-    if not children:
-        return remove_node(forest, parent_path)
-    return replace_node(forest, parent_path, Manager(parent.level, tuple(children)))
-
-
 def trim_to_length(forest: PipelineForest, max_leaves: int) -> PipelineForest:
-    """Drop trailing leaves (and emptied managers) until within bound."""
-    while leaf_count(forest) > max_leaves:
-        path, _ = leaf_paths(forest)[-1]
-        forest = remove_node(forest, path)
-    return forest
+    """Keep the first ``max_leaves`` leaves, pruning managers left empty.
+
+    A manager is pruned only when the trim removes all of its children;
+    subtrees holding no leaves stay where they are.
+    """
+    if leaf_count(forest) <= max_leaves:
+        return forest
+    return PipelineForest(_keep_leaves(forest.trees, max_leaves))
+
+
+def _keep_leaves(nodes, keep: int) -> Tuple[PipelineNode, ...]:
+    """``nodes`` holding only their first ``keep`` leaves."""
+    kept = []
+    for node in nodes:
+        if node.size <= keep:
+            kept.append(node)
+            keep -= node.size
+        elif isinstance(node, Manager):
+            children = _keep_leaves(node.children, keep)
+            keep = 0
+            if children:
+                kept.append(Manager(node.level, children))
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------

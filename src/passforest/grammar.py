@@ -39,7 +39,7 @@ _MANAGER_TOKENS = {level.token: level for level in PassLevel}
 _TOKEN = re.compile(r"([a-z0-9<>-]+)(\s*\()?|\S")
 
 # Real pipelines nest a handful of managers; the bound keeps the
-# recursive printer and validator far from Python's stack limit.
+# recursive validator and node comparison far from Python's stack limit.
 MAX_NESTING_DEPTH = 100
 
 
@@ -105,16 +105,9 @@ def parse_pipeline(text: str, registry: PassRegistry) -> PipelineForest:
     return forest
 
 
-def _print_node(node: PipelineNode) -> str:
-    if isinstance(node, Leaf):
-        return node.name
-    inner = ",".join(_print_node(child) for child in node.children)
-    return f"{node.level.token}({inner})"
-
-
 def print_pipeline(forest: PipelineForest) -> str:
     """Canonical string: comma-separated, no whitespace.
 
     ``parse_pipeline(print_pipeline(f))`` is structurally equal to ``f``.
     """
-    return ",".join(_print_node(tree) for tree in forest.trees)
+    return ",".join(tree.text for tree in forest.trees)

@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple, Union
 
 from .errors import SchemaError
 from .evaluation import EvaluationResult
-from .forest import Leaf, Manager, PipelineForest, iter_leaves
+from .forest import Leaf, Manager, PipelineForest
 from .registry import PassLevel
 
 
@@ -167,9 +167,8 @@ def schedule_of(forest: PipelineForest, program: MockProgram) -> List[Tuple[str,
                 run_module_manager(child)
             else:
                 # cgscc/function manager: whole leaf block per function
-                block = [leaf.name for leaf in iter_leaves(child)]
                 for fname in fnames:
-                    events.extend((p, fname) for p in block)
+                    events.extend((p, fname) for p in child.names)
 
     for tree in forest.trees:
         run_module_manager(tree)
@@ -180,12 +179,10 @@ def _phases(mgr: Manager) -> Iterator[Tuple[str, ...]]:
     """Leaf blocks under a module manager that each run over all
     functions, in ``schedule_of`` order."""
     for child in mgr.children:
-        if isinstance(child, Leaf):
-            yield (child.name,)
-        elif child.level == PassLevel.MODULE:
+        if isinstance(child, Manager) and child.level == PassLevel.MODULE:
             yield from _phases(child)
         else:
-            yield tuple(leaf.name for leaf in iter_leaves(child))
+            yield child.names
 
 
 def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationResult:

@@ -8,7 +8,7 @@ cuts can change execution order. Take function pass a and loop pass b
 on a mock where f1 calls f2 and a couples with b:
 ``module(function(a,loop(b)))`` leaves 80 instructions and
 ``module(function(a),function(loop(b)))`` 73, yet neither has a decision
-point (ROADMAP.md open item 5 tracks widening the space to such
+point (ROADMAP.md open item 4 tracks widening the space to such
 boundaries). A bit per decision point
 (0 = join, 1 = split) spans the full space of partitions, which is
 searched exhaustively when small and by a small genetic algorithm
@@ -18,7 +18,7 @@ otherwise. The refined pipeline is never worse than the seed.
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ChromosomeLengthMismatch
 from .evaluation import EvaluationResult, Evaluator
@@ -26,6 +26,7 @@ from .forest import (
     Leaf,
     Manager,
     PipelineForest,
+    PipelineNode,
     adaptor_chain,
     leaf_paths,
     leaf_sequence,
@@ -35,6 +36,9 @@ from .grammar import print_pipeline
 from .registry import PassLevel
 
 TypedSequence = Sequence[Tuple[str, PassLevel]]
+# Wrapped non-module blocks by (level, pass names), shared between the
+# forests decoded from one problem.
+BlockCache = Dict[Tuple[PassLevel, Tuple[str, ...]], PipelineNode]
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,9 @@ def _blocks(
 
 
 def decode(
-    problem: PartitionProblem, chromosome: PartitionChromosome
+    problem: PartitionProblem,
+    chromosome: PartitionChromosome,
+    blocks: Optional[BlockCache] = None,
 ) -> PipelineForest:
     """Materialize a partition as a forest.
 
@@ -112,22 +118,31 @@ def decode(
     split between two module-level blocks starts a new tree instead
     (nested module managers are never produced). The leaf sequence of
     the result equals the input sequence.
+
+    ``blocks`` maps (level, names) to a wrapped block already built for
+    this problem; pass the same dict to every call on one problem and
+    the forests share those subtrees instead of building their own.
     """
     if len(chromosome.bits) != len(problem.decision_points):
         raise ChromosomeLengthMismatch(
             f"chromosome length {len(chromosome.bits)} != "
             f"{len(problem.decision_points)} decision points"
         )
+    if blocks is None:
+        blocks = {}
     trees: List[List] = [[]]
     for level, names, split_before in _blocks(problem, chromosome):
-        leaves = [Leaf(name, level) for name in names]
         if level == PassLevel.MODULE:
             if split_before and trees[-1]:
                 trees.append([])
-            trees[-1].extend(leaves)
-        else:
+            trees[-1].extend(Leaf(name, level) for name in names)
+            continue
+        key = (level, tuple(names))
+        if key not in blocks:
             chain = adaptor_chain(PassLevel.MODULE, level)
-            trees[-1].append(wrap_in_chain(chain, tuple(leaves)))
+            leaves = tuple(Leaf(name, level) for name in names)
+            blocks[key] = wrap_in_chain(chain, leaves)
+        trees[-1].append(blocks[key])
     return PipelineForest(
         tuple(Manager(PassLevel.MODULE, tuple(children)) for children in trees)
     )
@@ -215,13 +230,17 @@ def refine(
     k = len(problem.decision_points)
 
     if k > 0:
+        blocks: BlockCache = {}
         if problem.space_size() <= config.exhaustive_budget:
             evaluator.map(
-                [decode(problem, chromosome) for chromosome in _all_chromosomes(k)]
+                [
+                    decode(problem, chromosome, blocks)
+                    for chromosome in _all_chromosomes(k)
+                ]
             )
         else:
             _genetic_partition_search(
-                problem, seed_chromosome, evaluator, config.seed
+                problem, seed_chromosome, evaluator, config.seed, blocks
             )
     # Every candidate and the seed are in the memo; including the seed
     # cannot change the outcome, since it wins every tie below.
@@ -246,6 +265,7 @@ def _genetic_partition_search(
     seed_chromosome: PartitionChromosome,
     evaluator: Evaluator,
     seed: int,
+    blocks: BlockCache,
 ) -> None:
     """Bit-vector GA over decision points; every candidate lands in the memo."""
     rng = random.Random(seed)
@@ -259,7 +279,7 @@ def _genetic_partition_search(
         )
 
     for _ in range(GA_GENERATIONS + 1):
-        forests = [decode(problem, ch) for ch in population]
+        forests = [decode(problem, ch, blocks) for ch in population]
         results = evaluator.map(forests)
         # (count, pipeline string) per member: lower is better.
         scores = [

@@ -19,15 +19,17 @@ from typing import List, Optional, Sequence, Tuple
 from .evaluation import Evaluator
 from .forest import (
     Leaf,
+    Manager,
     PipelineForest,
     adaptor_chain,
+    allowed_child,
     get_node,
     insert_child,
     insert_tree,
-    is_valid,
     leaf_count,
     leaf_paths,
-    manager_paths,
+    manager_at,
+    manager_count,
     minimal_wrap,
     random_forest,
     replace_node,
@@ -162,17 +164,30 @@ def crossover(
 
     Returns None (parents unchanged) when either offspring would break a
     nesting rule. Oversized offspring are trimmed from the tail.
+
+    Each swap point is the k-th manager in preorder for a uniform k. The
+    parents are valid, so an offspring is valid iff the subtree it
+    receives is admitted where it lands; only that is checked.
     """
-    path_a, node_a = rng.choice(manager_paths(parent_a.forest))
-    path_b, node_b = rng.choice(manager_paths(parent_b.forest))
-    child_a = replace_node(parent_a.forest, path_a, node_b)
-    child_b = replace_node(parent_b.forest, path_b, node_a)
-    if not (is_valid(child_a) and is_valid(child_b)):
+    forest_a, forest_b = parent_a.forest, parent_b.forest
+    path_a, node_a = manager_at(forest_a, rng.choice(range(manager_count(forest_a))))
+    path_b, node_b = manager_at(forest_b, rng.choice(range(manager_count(forest_b))))
+    if not (_admits(forest_a, path_a, node_b) and _admits(forest_b, path_b, node_a)):
         return None
+    child_a = replace_node(forest_a, path_a, node_b)
+    child_b = replace_node(forest_b, path_b, node_a)
     if max_sequence_length is not None:
         child_a = trim_to_length(child_a, max_sequence_length)
         child_b = trim_to_length(child_b, max_sequence_length)
     return Individual(child_a), Individual(child_b)
+
+
+def _admits(forest: PipelineForest, path: Tuple[int, ...], node: Manager) -> bool:
+    """Whether ``node`` may stand at ``path``: a module manager at top
+    level, else a child its parent manager admits."""
+    if len(path) == 1:
+        return node.level == PassLevel.MODULE
+    return allowed_child(get_node(forest, path[:-1]).level, node)
 
 
 def mutate(

@@ -6,6 +6,7 @@ from typing import Dict, List, Tuple
 
 from passforest import (
     EvaluationResult,
+    Individual,
     Leaf,
     Manager,
     MockFunction,
@@ -13,14 +14,17 @@ from passforest import (
     PassLevel,
     PassRegistry,
     PipelineForest,
+    is_valid,
     load_registry,
     schedule_of,
 )
 from passforest.forest import (
     ELEMENT_RULE,
     MANAGER_RULE,
+    PipelineNode,
     get_node,
-    manager_paths,
+    iter_nodes,
+    leaf_paths,
     replace_node,
 )
 
@@ -113,23 +117,13 @@ def make_single_rule_mutant(
             mutated = Manager(mgr.level, mgr.children + (bad,))
             return replace_node(forest, path, mutated), ELEMENT_RULE[mgr.level]
         if kind == "retyped-leaf":
-            leaf_sites = [
-                (p, n)
-                for p, n in _leaf_sites(forest)
-            ]
-            path, leaf = rng.choice(leaf_sites)
+            path, leaf = rng.choice(leaf_paths(forest))
             parent = get_node(forest, path[:-1])
             wrong = rng.choice([lvl for lvl in LEVELS if lvl != parent.level])
             return (
                 replace_node(forest, path, Leaf(leaf.name, wrong)),
                 ELEMENT_RULE[parent.level],
             )
-
-
-def _leaf_sites(forest):
-    from passforest.forest import leaf_paths
-
-    return leaf_paths(forest)
 
 
 def _name_at(registry, level, rng):
@@ -145,6 +139,59 @@ def _illegal_child_level(level: PassLevel):
     if level == PassLevel.FUNCTION:
         return PassLevel.CGSCC
     return PassLevel.FUNCTION  # function managers never nest under loop
+
+
+# ---------------------------------------------------------------------------
+# Whole-tree walks: the direct readings that the node summaries, the
+# preorder manager walk and the one-pass trim replaced, kept as oracles.
+# ---------------------------------------------------------------------------
+
+def reference_print_node(node: PipelineNode) -> str:
+    if isinstance(node, Leaf):
+        return node.name
+    inner = ",".join(reference_print_node(child) for child in node.children)
+    return f"{node.level.token}({inner})"
+
+
+def manager_paths(forest: PipelineForest) -> List[Tuple[Tuple[int, ...], Manager]]:
+    return [(p, n) for p, n in iter_nodes(forest) if isinstance(n, Manager)]
+
+
+def remove_node(forest: PipelineForest, path: Tuple[int, ...]) -> PipelineForest:
+    """Remove a node, pruning any manager the removal leaves empty."""
+    if len(path) == 1:
+        trees = list(forest.trees)
+        del trees[path[0]]
+        return PipelineForest(tuple(trees))
+    parent_path, idx = path[:-1], path[-1]
+    parent = get_node(forest, parent_path)
+    children = list(parent.children)
+    del children[idx]
+    if not children:
+        return remove_node(forest, parent_path)
+    return replace_node(forest, parent_path, Manager(parent.level, tuple(children)))
+
+
+def reference_trim_to_length(forest: PipelineForest, max_leaves: int) -> PipelineForest:
+    """Drop the last leaf (and emptied managers) until within bound."""
+    while len(leaf_paths(forest)) > max_leaves:
+        path, _ = leaf_paths(forest)[-1]
+        forest = remove_node(forest, path)
+    return forest
+
+
+def reference_crossover(parent_a, parent_b, rng, max_sequence_length=None):
+    """Crossover that builds both offspring and validates them whole."""
+    path_a, node_a = rng.choice(manager_paths(parent_a.forest))
+    path_b, node_b = rng.choice(manager_paths(parent_b.forest))
+    child_a = replace_node(parent_a.forest, path_a, node_b)
+    child_b = replace_node(parent_b.forest, path_b, node_a)
+    if not (is_valid(child_a) and is_valid(child_b)):
+        return None
+    if max_sequence_length is not None:
+        child_a = reference_trim_to_length(child_a, max_sequence_length)
+        child_b = reference_trim_to_length(child_b, max_sequence_length)
+    return Individual(child_a), Individual(child_b)
 
 
 # ---------------------------------------------------------------------------

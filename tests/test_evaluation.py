@@ -338,6 +338,12 @@ def test_opt_backend_timeout(tmp_path, ir_file, globalopt):
     assert "timeout" in result.detail
 
 
+def test_opt_backend_timeout_detail_keeps_fractional_seconds(tmp_path, ir_file, globalopt):
+    fake = helpers.write_script(tmp_path / "opt", "exec sleep 5\n")
+    result = OptBackend(opt_path=fake, timeout=0.3).evaluate(ir_file, globalopt)
+    assert result.detail.startswith("timeout after 0.3s")
+
+
 def test_opt_backend_missing_binary(ir_file, globalopt):
     with pytest.raises(BackendUnavailable):
         OptBackend(opt_path="/does/not/exist/opt").evaluate(ir_file, globalopt)

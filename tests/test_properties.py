@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from passforest import (
+    Individual,
     Leaf,
     Manager,
     MockFunction,
@@ -14,6 +15,7 @@ from passforest import (
     PassForestError,
     PassLevel,
     PipelineForest,
+    crossover,
     default_registry,
     leaf_sequence,
     mock_evaluate,
@@ -23,9 +25,25 @@ from passforest import (
     schedule_of,
     validate,
 )
-from passforest.forest import trim_to_length
+from passforest.forest import (
+    insert_child,
+    iter_nodes,
+    leaf_count,
+    manager_at,
+    replace_node,
+    trim_to_length,
+)
 
-from helpers import random_mock_program, reference_mock_evaluate, synthetic_registry
+from helpers import (
+    manager_paths,
+    random_mock_program,
+    reference_crossover,
+    reference_mock_evaluate,
+    reference_print_node,
+    reference_trim_to_length,
+    remove_node,
+    synthetic_registry,
+)
 
 REGISTRY = default_registry()
 _BY_LEVEL = {
@@ -81,9 +99,85 @@ def test_printed_form_is_canonical(forest):
 @given(forests())
 @settings(max_examples=200, deadline=None)
 def test_leaf_sequence_length_matches_leaf_count(forest):
-    from passforest.forest import leaf_count
-
     assert len(leaf_sequence(forest)) == leaf_count(forest)
+
+
+def _random_edit(forest, donor, rng):
+    """One replace_node, insert_child or remove_node at a random site;
+    new subtrees come from ``donor``. The result may break rules."""
+    nodes = list(iter_nodes(forest))
+    donors = [node for _, node in iter_nodes(donor)]
+    kind = rng.choice(["replace", "insert", "remove"])
+    if not nodes or (kind == "insert" and not manager_paths(forest)):
+        return PipelineForest(donor.trees)
+    if kind == "replace":
+        path, _ = rng.choice(nodes)
+        return replace_node(forest, path, rng.choice(donors))
+    if kind == "insert":
+        path, mgr = rng.choice(manager_paths(forest))
+        index = rng.randint(0, len(mgr.children))
+        return insert_child(forest, path, index, rng.choice(donors))
+    path, _ = rng.choice(nodes)
+    return remove_node(forest, path)
+
+
+@st.composite
+def _edited_forests(draw):
+    """A random_forest after 0-6 random edits, over the default or a
+    synthetic registry."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_passes = draw(st.sampled_from([0, 4, 8]))
+    registry = synthetic_registry(n_passes, rng) if n_passes else REGISTRY
+    forest = random_forest(rng, registry, max_leaves=16)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        forest = _random_edit(forest, random_forest(rng, registry, 8), rng)
+    return forest
+
+
+@given(_edited_forests())
+@settings(max_examples=300, deadline=None)
+def test_node_summaries_match_whole_tree_walks(forest):
+    for _, node in iter_nodes(forest):
+        sub = PipelineForest((node,))
+        assert node.text == reference_print_node(node)
+        assert node.names == tuple(name for name, _ in leaf_sequence(sub))
+        assert node.size == len(leaf_sequence(sub))
+        assert node.managers == len(manager_paths(sub))
+    assert print_pipeline(forest) == ",".join(map(reference_print_node, forest.trees))
+    assert leaf_count(forest) == len(leaf_sequence(forest))
+
+
+@given(_edited_forests())
+@settings(max_examples=300, deadline=None)
+def test_manager_walk_matches_preorder_listing(forest):
+    paths = manager_paths(forest)
+    assert [manager_at(forest, k) for k in range(len(paths))] == paths
+    for _, node in paths:
+        sub = PipelineForest((node,))
+        assert [manager_at(sub, k) for k in range(node.managers)] == manager_paths(sub)
+
+
+@given(_edited_forests())
+@settings(max_examples=300, deadline=None)
+def test_trim_matches_last_leaf_removal_loop(forest):
+    for n in range(leaf_count(forest) + 2):
+        assert trim_to_length(forest, n) == reference_trim_to_length(forest, n)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([None, 3, 8]))
+@settings(max_examples=300, deadline=None)
+def test_crossover_matches_whole_forest_validation(seed, max_length):
+    # The local check must accept exactly the swaps after which both
+    # offspring validate, and draw the same swap points from the stream.
+    rng = random.Random(seed)
+    registry = synthetic_registry(6, rng) if seed % 2 else REGISTRY
+    parents = [Individual(random_forest(rng, registry, 12)) for _ in range(2)]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        got = crossover(*parents, ours, max_length)
+        assert got == reference_crossover(*parents, theirs, max_length)
+        assert ours.getstate() == theirs.getstate()
+        parents = list(got) if got is not None else parents
 
 
 _TOKENS = (

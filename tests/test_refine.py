@@ -113,6 +113,27 @@ def test_decode_preserves_sequence_and_validates(registry):
         assert not validate(forest, registry)
 
 
+def test_decode_with_shared_blocks_matches_fresh_decode(registry):
+    rng = random.Random(41)
+    seq = helpers.random_typed_sequence(registry, rng, 9)
+    problem = decision_points(seq)
+    k = len(problem.decision_points)
+    blocks = {}
+    for _ in range(50):
+        chromosome = PartitionChromosome(tuple(rng.randint(0, 1) for _ in range(k)))
+        shared = decode(problem, chromosome, blocks)
+        assert shared == decode(problem, chromosome)
+        assert print_pipeline(shared) == print_pipeline(decode(problem, chromosome))
+    # Later forests hold the very nodes stored for their blocks.
+    stored = {id(node) for node in blocks.values()}
+    assert stored and all(
+        id(child) in stored
+        for tree in shared.trees
+        for child in tree.children
+        if child.level != M
+    )
+
+
 # ---------------------------------------------------------------------------
 # Encoding.
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from passforest import (
     EvaluationResult,
     Individual,
     MockBackend,
+    RefineConfig,
     SearchConfig,
     crossover,
     is_valid,
@@ -16,6 +17,7 @@ from passforest import (
     mutate,
     parse_pipeline,
     print_pipeline,
+    refine,
     run_search,
     weighted_walk_init,
 )
@@ -301,3 +303,38 @@ def test_search_config_rejects_negative_generations():
     with pytest.raises(ValueError, match="generations"):
         SearchConfig(generations=-1)
     assert SearchConfig(generations=0).generations == 0
+
+
+# ---------------------------------------------------------------------------
+# Seeded stream: the exact outputs of one seeded search and refinement.
+# ---------------------------------------------------------------------------
+
+def test_seeded_search_and_refine_outputs_are_pinned(m2, backend):
+    # Every level has a pass and the mined graph is empty, so the run
+    # goes through random_forest, trim_to_length, every crossover case
+    # and the random-pass mutation. Any change to how these consume the
+    # seeded stream changes the strings below.
+    registry = load_registry("m=module\nc=cgscc\na=function\nb=function\nl=loop\n")
+    graph = mine_synergies([m2], registry, backend)
+    config = SearchConfig(
+        population_size=12, generations=8, max_sequence_length=6, seed=2024
+    )
+    best, log = run_search(m2, graph, registry, backend, config)
+    assert print_pipeline(best.forest) == (
+        "module(function(a,function(b),function(b),function(a,b,function(b))))"
+    )
+    assert [record["mean_fitness"] * 12 for record in log] == [
+        140, 300, 470, 610, 620, 660, 630, 710, 650
+    ]
+    assert log[0]["best_pipeline_string"] == (
+        "module(function(a,function(b),function(b),"
+        "function(a,b,function(loop(loop(l))))))"
+    )
+    refined = (
+        "module(function(a),function(b),function(b),"
+        "function(a),function(b),function(b))"
+    )
+    exhaustive = refine(best.forest, m2, backend)
+    assert (exhaustive.refined_pipeline, exhaustive.evaluations_used) == (refined, 33)
+    genetic = refine(best.forest, m2, backend, RefineConfig(exhaustive_budget=1, seed=4))
+    assert (genetic.refined_pipeline, genetic.evaluations_used) == (refined, 32)
