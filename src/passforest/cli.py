@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (bad pipeline, bad file
 contents), 2 environment problems (missing opt, missing files, empty
-dataset), 3 evaluation failure. Every command but ``experiment`` takes
---json for machine-readable output; ``experiment`` writes its JSON to
---out-dir/results.json. Commands with randomness take --seed and are
+dataset), 3 evaluation failure. Every command takes --json for
+machine-readable output. Commands with randomness take --seed and are
 bit-reproducible on the mock evaluator.
 """
 
@@ -16,26 +15,23 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     BackendUnavailable,
-    InvalidPipeline,
     MalformedIR,
     PassForestError,
     SchemaError,
 )
-from .evaluation import DEFAULT_OPT_TIMEOUT, Evaluator, OptBackend, check_timeout
+from .evaluation import DEFAULT_OPT_TIMEOUT, OptBackend, check_timeout
 from .experiments import (
-    run_microstructure_study,
     run_rq3_ablation,
     run_rq4_ablation,
+    run_structure_study,
     table_lines,
-    write_report,
 )
 from .grammar import parse_pipeline, print_pipeline
 from .metrics import ProgramResult, aggregate
-from .mock import MockBackend, load_mock_program
+from .mock import MockBackend
 from .refine import RefineConfig, refine
 from .registry import default_registry, load_registry
 from .search import SearchConfig, run_search
-from .skeletons import SKELETON_VARIANT_NAMES, build_skeleton_variant
 from .synergy import load_graph, mine_synergies, save_graph, SynergyGraph
 
 EXIT_OK = 0
@@ -305,69 +301,31 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_skeleton_experiment(args) -> int:
-    registry = _load_registry_arg(args)
-    backend = _backend_from_args(args)
-    names = [p.strip() for p in args.passes.split(",")]
-    if len(names) != 4:
-        raise InvalidPipeline(
-            [f"--passes needs exactly 4 comma-separated names, got {len(names)}"]
-        )
-    original = backend.original_count(args.program)
-    variants = range(1, 6)
-    forests = [build_skeleton_variant(v, *names, registry) for v in variants]
-    results = Evaluator(backend, args.program, args.parallel).map(forests)
-    rows = [
-        {
-            "variant": variant,
-            "name": SKELETON_VARIANT_NAMES[variant],
-            "pipeline": print_pipeline(forest),
-            "instruction_count": result.instruction_count if result.ok else None,
-            "detail": result.detail,
-        }
-        for variant, forest, result in zip(variants, forests, results)
-    ]
-    payload = {"original_ic": original, "variants": rows}
-    lines = [f"original instruction count: {original}"]
-    lines.append(f"{'variant':>7}  {'name':<20} {'ic':>8}")
-    for row in rows:
-        count = row["instruction_count"]
-        shown = str(count) if count is not None else f"failed ({row['detail']})"
-        lines.append(f"{row['variant']:>7}  {row['name']:<20} {shown:>8}")
-    _emit(args, payload, lines)
-    return EXIT_OK
-
-
 def cmd_experiment(args) -> int:
     registry = _load_registry_arg(args)
-    program = load_mock_program(args.program)
-    backend = MockBackend()
+    backend = _backend_from_args(args)
     graph = load_graph(args.graph) if args.graph else SynergyGraph.empty()
-    config = SearchConfig(
-        population_size=args.population,
-        generations=args.generations,
-        max_sequence_length=args.max_len,
-        seed=args.seed,
-    )
-    if args.study == "microstructure":
-        if args.pairs:
-            pairs = [
-                (registry.lookup(a.strip()), registry.lookup(b.strip()))
-                for a, b in (pair.split(",") for pair in args.pairs.split(";"))
+    if args.study == "structure":
+        if args.passes is not None:
+            groups = [
+                [name.strip() for name in group.split(",")]
+                for group in args.passes.split(";")
             ]
         else:
-            pairs = [
-                (registry.lookup(e.src), registry.lookup(e.dst))
-                for e in graph.edges
-            ]
-        result = run_microstructure_study(pairs, [program], backend)
-    elif args.study == "rq3":
-        result = run_rq3_ablation(program, graph, registry, backend, config)
+            groups = [[e.src, e.dst] for e in graph.edges]
+        result = run_structure_study(
+            groups, args.program, registry, backend, args.parallel
+        )
     else:
-        result = run_rq4_ablation(program, graph, registry, backend, config)
-    write_report(result, args.out_dir)
-    for line in table_lines(result):
-        print(line)
+        config = SearchConfig(
+            population_size=args.population,
+            generations=args.generations,
+            max_sequence_length=args.max_len,
+            seed=args.seed,
+        )
+        study = run_rq3_ablation if args.study == "rq3" else run_rq4_ablation
+        result = study(args.program, graph, registry, backend, config, args.parallel)
+    _emit(args, result, table_lines(result))
     return EXIT_OK
 
 
@@ -445,41 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(p)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser(
-        "skeleton-experiment",
-        help="evaluate the five nesting skeletons of a pass quartet",
-    )
+    p = sub.add_parser("experiment", help="run a desk-scale study")
+    p.add_argument("study", choices=("structure", "rq3", "rq4"))
     p.add_argument("--program", required=True)
+    p.add_argument("--graph", help="synergy graph JSON")
     p.add_argument(
         "--passes",
-        default="globalopt,inline,gvn,loop-deletion",
-        help="comma-separated module,cgscc,function,loop passes",
-    )
-    _add_registry_flag(p)
-    _add_evaluator_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(func=cmd_skeleton_experiment)
-
-    p = sub.add_parser(
-        "experiment",
-        help="run a desk-scale study on a mock program",
-    )
-    p.add_argument("study", choices=("microstructure", "rq3", "rq4"))
-    p.add_argument("--program", required=True, help="mock program JSON")
-    p.add_argument("--graph", help="synergy graph JSON (rq3/rq4)")
-    _add_registry_flag(p)
-    p.add_argument(
-        "--pairs",
-        help="semicolon-separated ordered pairs like gvn,adce;globalopt,gvn "
-        "(microstructure; default: every mined edge)",
+        help="structure: semicolon-separated pass groups, each a pair or a "
+        "module,cgscc,function,loop quartet, like gvn,adce;globalopt,inline,"
+        "gvn,loop-deletion (default: every edge of --graph)",
     )
     p.add_argument("--population", type=int, default=16)
     p.add_argument("--generations", type=int, default=8)
     p.add_argument("--max-len", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--out-dir", required=True, help="writes results.json and table.txt"
-    )
+    _add_registry_flag(p)
+    _add_evaluator_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -1,25 +1,23 @@
 """Desk-scale experiment drivers.
 
-Three reproducible studies over any backend (normally the mock):
-whether a pass pair's result depends on its micro-structure, what
-synergy guidance buys the search, and what the refinement stage adds on
-top of it. Each driver returns a plain dict; ``write_report`` dumps it
-as JSON plus a small text table under an output directory.
+Three reproducible studies over any backend: whether a pass group's
+result depends on how it is nested, what synergy guidance buys the
+search, and what the refinement stage adds on top of it. Each driver
+returns a plain dict, and ``table_lines`` renders it as a text table.
 
-Published large-corpus averages appear in the emitted tables as
-reference columns for context only; nothing here asserts them.
+Published large-corpus averages appear in the tables as reference
+columns for context only; nothing here asserts them.
 """
 
-import json
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
+from .evaluation import Evaluator
 from .grammar import print_pipeline
 from .metrics import overoz
 from .refine import RefineConfig, refine
-from .registry import PassInfo, PassRegistry
+from .registry import PassRegistry
 from .search import SearchConfig, run_search
-from .skeletons import pair_structure_variants
+from .skeletons import structure_variants
 from .synergy import SynergyGraph
 
 # Large-corpus OverOz averages (reference display only, never asserted).
@@ -32,43 +30,49 @@ CORPUS_REFERENCE = {
 }
 
 
-def run_microstructure_study(
-    pairs: Sequence[Tuple[PassInfo, PassInfo]],
-    programs: Sequence,
+def run_structure_study(
+    groups: Sequence[Sequence[str]],
+    program,
+    registry: PassRegistry,
     backend,
+    parallel: int = 1,
 ) -> dict:
-    """Evaluate each pair under all applicable structural variants.
+    """Evaluate every pass group under each of its structural variants.
 
-    Reports per-case counts and the fraction of (pair, program) cases
-    whose variants all produced the same instruction count. With no
-    cases there is no fraction to report, so ValueError is raised.
+    A group is a pass pair or an M,C,F,L quartet (see
+    ``skeletons.structure_variants``). All variants of all groups go
+    through one ``Evaluator.map``. Each case reports its variants'
+    pipelines and counts (None on failure, with the detail) and whether
+    they all agree; with no case there is no agreement fraction to
+    report, so ValueError is raised.
     """
+    variants = [structure_variants(names, registry) for names in groups]
+    if not variants:
+        raise ValueError("structure study has no cases")
+    original = backend.original_count(program)
+    forests = [forest for group in variants for forest in group.values()]
+    results = iter(Evaluator(backend, program, parallel).map(forests))
     cases = []
-    agreeing = 0
-    for p1, p2 in pairs:
-        variants = pair_structure_variants(p1, p2)
-        for index, program in enumerate(programs):
-            counts: Dict[str, Optional[int]] = {}
-            for name, forest in variants.items():
-                res = backend.evaluate(program, forest)
-                counts[name] = res.instruction_count if res.ok else None
-            values = set(counts.values())
-            agree = len(values) == 1 and None not in values
-            agreeing += agree
-            cases.append(
+    for names, group in zip(groups, variants):
+        rows = []
+        for name, forest in group.items():
+            res = next(results)
+            rows.append(
                 {
-                    "pair": [p1.name, p2.name],
-                    "program": index,
-                    "counts": counts,
-                    "agree": agree,
+                    "name": name,
+                    "pipeline": print_pipeline(forest),
+                    "instruction_count": res.instruction_count if res.ok else None,
+                    "detail": res.detail,
                 }
             )
-    if not cases:
-        raise ValueError("microstructure study has no (pair, program) cases")
+        counts = {row["instruction_count"] for row in rows}
+        agree = len(counts) == 1 and None not in counts
+        cases.append({"passes": list(names), "variants": rows, "agree": agree})
     return {
-        "study": "microstructure",
+        "study": "structure",
+        "original_ic": original,
         "cases": cases,
-        "agreement_fraction": agreeing / len(cases),
+        "agreement_fraction": sum(c["agree"] for c in cases) / len(cases),
         "corpus_reference_agreement_fraction": CORPUS_REFERENCE[
             "microstructure_agreement_fraction"
         ],
@@ -81,15 +85,18 @@ def run_rq3_ablation(
     registry: PassRegistry,
     backend,
     config: SearchConfig,
+    parallel: int = 1,
 ) -> dict:
     """Guided versus knowledge-blind search under one seed and budget.
 
     The unguided run uses an empty graph, which forces uniform-random
     initialization and mutation fallback throughout.
     """
-    guided_best, guided_log = run_search(program, graph, registry, backend, config)
+    guided_best, guided_log = run_search(
+        program, graph, registry, backend, config, parallel
+    )
     unguided_best, unguided_log = run_search(
-        program, SynergyGraph.empty(), registry, backend, config
+        program, SynergyGraph.empty(), registry, backend, config, parallel
     )
     return {
         "study": "rq3_guidance",
@@ -120,6 +127,7 @@ def run_rq4_ablation(
     registry: PassRegistry,
     backend,
     config: SearchConfig,
+    parallel: int = 1,
     refine_config: Optional[RefineConfig] = None,
 ) -> dict:
     """Main search alone versus search plus structural refinement.
@@ -128,9 +136,9 @@ def run_rq4_ablation(
     refinement; it is never negative.
     """
     ic_orig = backend.original_count(program)
-    best, _ = run_search(program, graph, registry, backend, config)
+    best, _ = run_search(program, graph, registry, backend, config, parallel)
     main_ic = ic_orig - best.fitness
-    result = refine(best.forest, program, backend, refine_config)
+    result = refine(best.forest, program, backend, refine_config, parallel)
     refined_ic = result.refined_ic if result.refined_ic is not None else main_ic
     gain_pct = overoz(ic_orig, refined_ic) - overoz(ic_orig, main_ic)
     return {
@@ -151,21 +159,17 @@ def run_rq4_ablation(
 
 
 def table_lines(result: dict) -> list:
-    """The text table of a study result, as written to table.txt."""
+    """The text table of a study result."""
     study = result.get("study", "study")
     lines = [study, "=" * len(study)]
-    if study == "microstructure":
-        lines.append(
-            f"{'pair':30} {'program':>8} {'agree':>6}  counts"
-        )
+    if study == "structure":
+        lines.append(f"original instruction count: {result['original_ic']}")
         for case in result["cases"]:
-            pair = "+".join(case["pair"])
-            counts = ", ".join(
-                f"{k}={v}" for k, v in case["counts"].items()
-            )
-            lines.append(
-                f"{pair:30} {case['program']:>8} {str(case['agree']):>6}  {counts}"
-            )
+            lines.append(f"{','.join(case['passes'])}  agree={case['agree']}")
+            for row in case["variants"]:
+                count = row["instruction_count"]
+                shown = count if count is not None else f"failed ({row['detail']})"
+                lines.append(f"  {row['name']:<20} {shown:>8}  {row['pipeline']}")
         lines.append(f"agreement fraction: {result['agreement_fraction']:.4f}")
         lines.append(
             "reference (large corpus): "
@@ -194,15 +198,3 @@ def table_lines(result: dict) -> list:
             f"full={ref['full_framework_overoz_pct']}"
         )
     return lines
-
-
-def write_report(result: dict, out_dir) -> None:
-    """Dump a study result as results.json plus table.txt."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "results.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "table.txt").write_text(
-        "\n".join(table_lines(result)) + "\n", encoding="utf-8"
-    )

@@ -280,6 +280,26 @@ def manager_at(forest: PipelineForest, k: int) -> Tuple[Tuple[int, ...], Manager
         children = child.children
 
 
+def leaf_at(forest: PipelineForest, i: int) -> Tuple[Tuple[int, ...], Leaf]:
+    """(path, leaf) of the ``i``-th leaf from the left, counting from 0.
+
+    Descends one path, skipping whole subtrees by their leaf counts.
+    """
+    if not 0 <= i < leaf_count(forest):
+        raise IndexError(f"no leaf {i} in forest")
+    path: Tuple[int, ...] = ()
+    children = forest.trees
+    while True:
+        for j, child in enumerate(children):
+            if i < child.size:
+                break
+            i -= child.size
+        path += (j,)
+        if isinstance(child, Leaf):
+            return path, child
+        children = child.children
+
+
 def iter_leaves(node: PipelineNode) -> Iterator[Leaf]:
     if isinstance(node, Leaf):
         yield node

@@ -310,7 +310,10 @@ def load_mock_program(path: Union[str, Path]) -> MockProgram:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return mock_program_from_dict(spec)
+    try:
+        return mock_program_from_dict(spec)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def save_mock_program(program: MockProgram, path: Union[str, Path]) -> None:

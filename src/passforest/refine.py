@@ -177,6 +177,12 @@ class RefineConfig:
     exhaustive_budget: int = 4096
     seed: int = 0
 
+    def __post_init__(self):
+        if self.exhaustive_budget < 0:
+            raise ValueError(
+                f"exhaustive budget must be >= 0, got {self.exhaustive_budget}"
+            )
+
 
 @dataclass
 class RefinementResult:

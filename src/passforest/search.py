@@ -26,6 +26,7 @@ from .forest import (
     get_node,
     insert_child,
     insert_tree,
+    leaf_at,
     leaf_count,
     leaf_paths,
     manager_at,
@@ -204,8 +205,7 @@ def mutate(
     inserted next to the anchor the same way the walk would place it.
     """
     forest = individual.forest
-    leaves = leaf_paths(forest)
-    anchor_path, anchor = rng.choice(leaves)
+    anchor_path, anchor = leaf_at(forest, rng.randrange(leaf_count(forest)))
     successors = [
         e
         for e in graph.successors(anchor.name)
@@ -221,7 +221,7 @@ def mutate(
     if rng.random() < 0.5:
         candidates = [
             path
-            for path, leaf in leaves
+            for path, leaf in leaf_paths(forest)
             if path != anchor_path and leaf.level == partner_level
         ]
         if candidates:

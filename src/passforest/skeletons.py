@@ -2,12 +2,13 @@
 
 Covers the five reference skeletons for an M/C/F/L pass quartet, the
 single representative skeleton used when mining pass pairs, and the
-micro/meso/macro structural variants of a pair.
+micro/meso/macro structural variants of a pair. ``structure_variants``
+picks the right family for a pass group.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from .errors import LevelMismatch
+from .errors import InvalidPipeline, LevelMismatch, PassForestError
 from .forest import (
     Leaf,
     Manager,
@@ -157,3 +158,29 @@ def pair_structure_variants(p1: PassInfo, p2: PassInfo) -> Dict[str, PipelineFor
             unique[name] = forest
             seen.append(forest)
     return unique
+
+
+def structure_variants(
+    names: Sequence[str], registry: PassRegistry
+) -> Dict[str, PipelineForest]:
+    """The structural variants of one pass group, keyed by variant name.
+
+    Four names (module, cgscc, function, loop) give the five skeletons,
+    in ``SKELETON_VARIANT_NAMES`` order; two names give the pair
+    variants. Any other group, an unknown pass or a pass at the wrong
+    level raises InvalidPipeline naming the group.
+    """
+    group = ",".join(names)
+    try:
+        if len(names) == 4:
+            return {
+                label: build_skeleton_variant(variant, *names, registry)
+                for variant, label in SKELETON_VARIANT_NAMES.items()
+            }
+        if len(names) == 2:
+            return pair_structure_variants(*map(registry.lookup, names))
+    except PassForestError as exc:
+        raise InvalidPipeline([f"pass group {group!r}: {exc}"]) from exc
+    raise InvalidPipeline(
+        [f"pass group {group!r} needs 2 or 4 comma-separated names, got {len(names)}"]
+    )

@@ -153,7 +153,8 @@ def single_pass_performance(
 ) -> Dict[str, float]:
     """Per-pass reduction of each concrete pass run alone.
 
-    Failed evaluations map to -inf, which excludes the pass from pairing.
+    Failed evaluations map to -inf, which excludes the pass from pairing,
+    and are logged as warnings.
     """
     if ic_orig is None:
         ic_orig = backend.original_count(program)
@@ -164,9 +165,11 @@ def single_pass_performance(
     results = Evaluator(backend, program, parallel).map(forests)
     perf: Dict[str, float] = {}
     for info, res in zip(passes, results):
-        perf[info.name] = (
-            ic_orig - res.instruction_count if res.ok else float("-inf")
-        )
+        if res.ok:
+            perf[info.name] = ic_orig - res.instruction_count
+        else:
+            logger.warning("skipping pass %s: %s", info.name, res.detail)
+            perf[info.name] = float("-inf")
     return perf
 
 

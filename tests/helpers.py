@@ -27,6 +27,7 @@ from passforest.forest import (
     leaf_paths,
     replace_node,
 )
+from passforest.search import _place_after_anchor, _weighted_pick
 
 LEVELS = (PassLevel.MODULE, PassLevel.CGSCC, PassLevel.FUNCTION, PassLevel.LOOP)
 
@@ -192,6 +193,38 @@ def reference_crossover(parent_a, parent_b, rng, max_sequence_length=None):
         child_a = reference_trim_to_length(child_a, max_sequence_length)
         child_b = reference_trim_to_length(child_b, max_sequence_length)
     return Individual(child_a), Individual(child_b)
+
+
+def reference_mutate(individual, graph, registry, rng):
+    """Mutation that lists every leaf to draw the anchor and the target."""
+    forest = individual.forest
+    leaves = leaf_paths(forest)
+    anchor_path, anchor = rng.choice(leaves)
+    successors = [
+        e
+        for e in graph.successors(anchor.name)
+        if e.dst in registry and registry.level_of(e.dst) is not None
+    ]
+    if successors:
+        edge = _weighted_pick(rng, successors, [e.weight for e in successors])
+        partner = edge.dst
+        partner_level = registry.level_of(partner)
+    else:
+        info = rng.choice(list(registry.concrete_passes()))
+        partner, partner_level = info.name, info.level
+    if rng.random() < 0.5:
+        candidates = [
+            path
+            for path, leaf in leaves
+            if path != anchor_path and leaf.level == partner_level
+        ]
+        if candidates:
+            target = rng.choice(candidates)
+            return Individual(
+                replace_node(forest, target, Leaf(partner, partner_level))
+            )
+    new_forest, _ = _place_after_anchor(forest, anchor_path, partner, partner_level)
+    return Individual(new_forest)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from passforest.cli import main as cli_main
 from passforest.forest import Manager, PipelineForest
 from passforest.refine import _all_chromosomes
 from passforest.search import SearchConfig
+from passforest.skeletons import SKELETON_VARIANT_NAMES
 from passforest.synergy import SynergyGraph, mine_program_pairs
 from test_synergy import brute_force_edges
 
@@ -309,8 +310,10 @@ def test_criterion_9_optional_opt_integration(capsys):
         )
     code = cli_main(
         [
-            "skeleton-experiment",
+            "experiment",
+            "structure",
             "--program", ir,
+            "--passes", "globalopt,inline,gvn,loop-deletion",
             "--evaluator", "opt",
             "--opt-path", opt,
             "--json",
@@ -318,8 +321,12 @@ def test_criterion_9_optional_opt_integration(capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    counts = {
+        row["name"]: row["instruction_count"]
+        for row in payload["cases"][0]["variants"]
+    }
     observed = {
-        row["variant"]: row["instruction_count"] for row in payload["variants"]
+        variant: counts[name] for variant, name in SKELETON_VARIANT_NAMES.items()
     }
     if observed != DIJKSTRA_EXPECTED:
         print(

@@ -4,6 +4,7 @@ import pytest
 
 from passforest import save_mock_program
 from passforest.cli import main
+from passforest.skeletons import SKELETON_VARIANT_NAMES
 
 AB_REGISTRY = "a=function\nb=function\n"
 
@@ -244,6 +245,23 @@ def test_mine_missing_dir_exit_2(tmp_path):
     assert code == 2
 
 
+def test_mine_bad_program_spec_names_the_file(capsys, tmp_path, m1_file, ab_registry_file):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    save_mock_program_from(m1_file, dataset / "a.json")
+    bad = dataset / "b.json"
+    bad.write_text(json.dumps({"calls": []}))
+    argv = [
+        "mine",
+        "--dataset", str(dataset),
+        "--out", str(tmp_path / "g.json"),
+        "--registry", ab_registry_file,
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def test_mine_resume_identical(capsys, tmp_path, m1_file, m2_file, ab_registry_file):
     dataset = tmp_path / "ds"
     dataset.mkdir()
@@ -445,6 +463,19 @@ def test_search_rejects_negative_sizes(capsys, m1_file, ab_registry_file, extra)
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "budget, code", [("-1", 1), ("-4096", 1), ("0", 0)], ids=["-1", "-4096", "0"]
+)
+def test_refine_exhaustive_budget_range(capsys, m1_file, ab_registry_file, budget, code):
+    argv = [
+        "refine", "--program", m1_file, "--registry", ab_registry_file,
+        "--pipeline", "module(function(a,b))", "--exhaustive-budget", budget,
+    ]
+    assert main(argv) == code
+    if code:
+        _assert_one_line_error(capsys)
+
+
 def test_search_emitted_pipeline_validates(tmp_path, m1_file, ab_registry_file, capsys):
     graph = _mine_graph(tmp_path, m1_file, ab_registry_file)
     capsys.readouterr()
@@ -576,7 +607,7 @@ def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifes
 
 
 # ---------------------------------------------------------------------------
-# skeleton-experiment
+# experiment structure
 # ---------------------------------------------------------------------------
 
 def test_skeleton_experiment_grouping(capsys, tmp_path):
@@ -596,7 +627,8 @@ def test_skeleton_experiment_grouping(capsys, tmp_path):
     for extra in ([], ["--parallel", "4"]):
         code = main(
             [
-                "skeleton-experiment",
+                "experiment",
+                "structure",
                 "--program", str(program_file),
                 "--passes", "m,c,f,l",
                 "--registry", str(registry_file),
@@ -608,20 +640,38 @@ def test_skeleton_experiment_grouping(capsys, tmp_path):
         payloads.append(json.loads(capsys.readouterr().out))
     payload, parallel_payload = payloads
     assert parallel_payload == payload
-    counts = [row["instruction_count"] for row in payload["variants"]]
+    (case,) = payload["cases"]
+    assert [row["name"] for row in case["variants"]] == list(
+        SKELETON_VARIANT_NAMES.values()
+    )
+    counts = [row["instruction_count"] for row in case["variants"]]
     assert counts[0] == counts[1] == counts[2]
     assert counts[3] == counts[4]
     assert counts[0] != counts[3]
+    assert case["agree"] is False
 
 
-def test_skeleton_experiment_needs_four_passes(m1_file):
-    assert (
-        main(
-            [
-                "skeleton-experiment",
-                "--program", m1_file,
-                "--passes", "a,b",
-            ]
-        )
-        == 1
-    )
+@pytest.mark.parametrize(
+    "group",
+    [
+        "gvn",
+        "a,b,c",
+        "gvn,inline,gvn,loop-deletion",
+        "globalopt,inline,gvn,gvn",
+        "invalidate<all>,gvn",
+        "gvn,ghost",
+        "gvn,adce;",
+    ],
+    ids=[
+        "one-name", "three-names", "quartet-wrong-level", "quartet-no-loop",
+        "polymorphic", "unknown-pass", "empty-group",
+    ],
+)
+def test_experiment_structure_rejects_bad_group(capsys, m1_file, group):
+    argv = ["experiment", "structure", "--program", m1_file, "--passes", group]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = group.split(";")[-1]
+    assert captured.err.startswith(f"error: pass group {bad!r}")
+    assert captured.err.count("\n") == 1

@@ -1,60 +1,60 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from passforest import (
     MockFunction,
     MockProgram,
+    OptBackend,
     SearchConfig,
+    default_registry,
     load_registry,
     mine_synergies,
+    parse_pipeline,
+    save_graph,
     save_mock_program,
 )
 from passforest.cli import main as cli_main
+from passforest.evaluation import resolve_opt_path
 from passforest.experiments import (
-    run_microstructure_study,
     run_rq3_ablation,
     run_rq4_ablation,
-    write_report,
+    run_structure_study,
 )
 from passforest.synergy import SynergyGraph
 
-
-@pytest.fixture
-def ab_infos(ab_registry):
-    return ab_registry.lookup("a"), ab_registry.lookup("b")
+LOOPS_LL = str(Path(__file__).resolve().parent / "data" / "loops.ll")
 
 
-def test_microstructure_agreement_without_coupling(m1, ab_infos, backend):
-    result = run_microstructure_study([ab_infos], [m1], backend)
+def _counts(case) -> dict:
+    return {row["name"]: row["instruction_count"] for row in case["variants"]}
+
+
+def test_microstructure_agreement_without_coupling(m1, ab_registry, backend):
+    result = run_structure_study([("a", "b")], m1, ab_registry, backend)
     case = result["cases"][0]
-    assert case["counts"] == {"micro": 82, "meso": 82, "macro": 82}
+    assert _counts(case) == {"micro": 82, "meso": 82, "macro": 82}
     assert case["agree"] is True
     assert result["agreement_fraction"] == 1.0
+    assert result["original_ic"] == 100
 
 
 def test_experiments_cli_microstructure_without_pairs_exit_1(tmp_path, m1, capsys):
     program_file = tmp_path / "m1.json"
     save_mock_program(m1, program_file)
-    code = cli_main(
-        [
-            "experiment",
-            "microstructure",
-            "--program", str(program_file),
-            "--out-dir", str(tmp_path / "run"),
-        ]
-    )
+    code = cli_main(["experiment", "structure", "--program", str(program_file)])
     assert code == 1
-    assert "no (pair, program) cases" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    captured = capsys.readouterr()
+    assert "structure study has no cases" in captured.err
+    assert captured.out == ""
 
 
-def test_microstructure_flags_coupling_disagreement(m2, ab_infos, backend):
-    result = run_microstructure_study([ab_infos], [m2], backend)
+def test_microstructure_flags_coupling_disagreement(m2, ab_registry, backend):
+    result = run_structure_study([("a", "b")], m2, ab_registry, backend)
     case = result["cases"][0]
-    assert case["counts"]["micro"] == 80
-    assert case["counts"]["meso"] == 73
-    assert case["counts"]["macro"] == 73
+    assert _counts(case) == {"micro": 80, "meso": 73, "macro": 73}
     assert case["agree"] is False
     assert result["agreement_fraction"] == 0.0
 
@@ -67,10 +67,25 @@ def test_microstructure_inter_level_pair(backend):
         pass_effects={"m": 2, "f": 3},
         pair_synergy={("m", "f"): 4},
     )
-    pair = (registry.lookup("m"), registry.lookup("f"))
-    result = run_microstructure_study([pair], [program], backend)
-    counts = result["cases"][0]["counts"]
+    result = run_structure_study([("m", "f")], program, registry, backend)
+    counts = _counts(result["cases"][0])
     assert counts["nested"] == counts["phased"]
+
+
+def test_structure_study_defaults_to_graph_edges(tmp_path, m1, ab_registry, backend, capsys):
+    program_file = tmp_path / "m1.json"
+    save_mock_program(m1, program_file)
+    graph_file = tmp_path / "g.json"
+    save_graph(mine_synergies([m1], ab_registry, backend), graph_file)
+    registry_file = tmp_path / "reg.txt"
+    registry_file.write_text("a=function\nb=function\n")
+    argv = [
+        "experiment", "structure", "--program", str(program_file),
+        "--graph", str(graph_file), "--registry", str(registry_file), "--json",
+    ]
+    assert cli_main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [case["passes"] for case in payload["cases"]] == [["a", "b"]]
 
 
 def test_rq3_identical_seeds_identical_trajectories(m1, ab_registry, backend):
@@ -154,12 +169,28 @@ def test_rq4_zero_gain_without_decision_points(backend):
     assert result["gain_pct"] == 0.0
 
 
-def test_write_report_files(tmp_path, m1, ab_infos, backend):
-    result = run_microstructure_study([ab_infos], [m1], backend)
-    write_report(result, tmp_path / "out")
-    data = json.loads((tmp_path / "out" / "results.json").read_text())
+def test_structure_study_cli_json_and_text(tmp_path, m1, capsys):
+    program_file = tmp_path / "m1.json"
+    save_mock_program(m1, program_file)
+    registry_file = tmp_path / "reg.txt"
+    registry_file.write_text("a=function\nb=function\n")
+    argv = [
+        "experiment", "structure", "--program", str(program_file),
+        "--registry", str(registry_file), "--passes", "a,b",
+    ]
+    assert cli_main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["agreement_fraction"] == 1.0
-    assert (tmp_path / "out" / "table.txt").read_text().startswith("microstructure")
+    assert data["cases"][0]["variants"][0] == {
+        "name": "micro",
+        "pipeline": "module(function(a,b))",
+        "instruction_count": 82,
+        "detail": "",
+    }
+    assert cli_main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("structure\n")
+    assert "agreement fraction: 1.0000" in text
 
 
 def test_experiments_cli_rq4(tmp_path, m2, capsys):
@@ -167,19 +198,18 @@ def test_experiments_cli_rq4(tmp_path, m2, capsys):
     registry_file.write_text("a=function\nb=function\n")
     program_file = tmp_path / "m2.json"
     save_mock_program(m2, program_file)
-    out_dir = tmp_path / "run"
     code = cli_main(
         [
             "experiment",
             "rq4",
             "--program", str(program_file),
             "--registry", str(registry_file),
-            "--out-dir", str(out_dir),
             "--seed", "3",
+            "--json",
         ]
     )
     assert code == 0
-    data = json.loads((out_dir / "results.json").read_text())
+    data = json.loads(capsys.readouterr().out)
     assert data["study"] == "rq4_refinement"
 
 
@@ -187,10 +217,36 @@ def test_experiments_cli_missing_program_exit_2(tmp_path, capsys):
     code = cli_main(
         [
             "experiment",
-            "microstructure",
+            "structure",
             "--program", str(tmp_path / "missing.json"),
-            "--out-dir", str(tmp_path / "run"),
+            "--passes", "gvn,adce",
         ]
     )
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_structure_study_on_opt_matches_direct_evaluation(capsys):
+    if shutil.which(resolve_opt_path()) is None:
+        pytest.skip("no opt found")
+    argv = [
+        "experiment", "structure", "--program", LOOPS_LL, "--evaluator", "opt",
+        "--passes", "globalopt,inline,gvn,loop-deletion;gvn,adce", "--json",
+    ]
+    outputs = []
+    for parallel in ("1", "2"):
+        assert cli_main(argv + ["--parallel", parallel]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert [len(case["variants"]) for case in payload["cases"]] == [5, 3]
+    backend, registry = OptBackend(), default_registry()
+    for case in payload["cases"]:
+        for row in case["variants"]:
+            expected = backend.evaluate(
+                LOOPS_LL, parse_pipeline(row["pipeline"], registry)
+            )
+            assert expected.ok
+            assert row["instruction_count"] == expected.instruction_count

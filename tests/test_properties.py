@@ -19,6 +19,7 @@ from passforest import (
     default_registry,
     leaf_sequence,
     mock_evaluate,
+    mutate,
     parse_pipeline,
     print_pipeline,
     random_forest,
@@ -28,17 +29,21 @@ from passforest import (
 from passforest.forest import (
     insert_child,
     iter_nodes,
+    leaf_at,
     leaf_count,
+    leaf_paths,
     manager_at,
     replace_node,
     trim_to_length,
 )
+from passforest.synergy import graph_from_counts
 
 from helpers import (
     manager_paths,
     random_mock_program,
     reference_crossover,
     reference_mock_evaluate,
+    reference_mutate,
     reference_print_node,
     reference_trim_to_length,
     remove_node,
@@ -159,6 +164,12 @@ def test_manager_walk_matches_preorder_listing(forest):
 
 @given(_edited_forests())
 @settings(max_examples=300, deadline=None)
+def test_leaf_walk_matches_leaf_listing(forest):
+    assert [leaf_at(forest, i) for i in range(leaf_count(forest))] == leaf_paths(forest)
+
+
+@given(_edited_forests())
+@settings(max_examples=300, deadline=None)
 def test_trim_matches_last_leaf_removal_loop(forest):
     for n in range(leaf_count(forest) + 2):
         assert trim_to_length(forest, n) == reference_trim_to_length(forest, n)
@@ -178,6 +189,28 @@ def test_crossover_matches_whole_forest_validation(seed, max_length):
         assert got == reference_crossover(*parents, theirs, max_length)
         assert ours.getstate() == theirs.getstate()
         parents = list(got) if got is not None else parents
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_mutate_matches_leaf_listing_operator(seed):
+    # Drawing the anchor by index must give the same offspring as listing
+    # every leaf, and consume the same draws from the stream.
+    rng = random.Random(seed)
+    registry = synthetic_registry(6, rng) if seed % 2 else REGISTRY
+    names = [p.name for p in registry.concrete_passes()]
+    counts = {
+        (p, q): rng.randint(1, 3) for p in names for q in names if rng.random() < 0.2
+    }
+    graph = graph_from_counts(counts, registry)
+    individual = Individual(random_forest(rng, registry, 12))
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        got = mutate(individual, graph, registry, ours)
+        assert got == reference_mutate(individual, graph, registry, theirs)
+        assert ours.getstate() == theirs.getstate()
+        individual = got
+
 
 
 _TOKENS = (

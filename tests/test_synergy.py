@@ -1,14 +1,17 @@
+import logging
 import random
 
 import pytest
 
 import helpers
 from passforest import (
+    EvaluationResult,
     MockBackend,
     MockFunction,
     MockProgram,
     SchemaError,
     classify_synergy_type,
+    leaf_sequence,
     load_graph,
     load_registry,
     mine_synergies,
@@ -89,17 +92,24 @@ def test_single_pass_performance(m1, ab_registry, backend):
     assert perf == {"a": 10, "b": 5}
 
 
+class FailsOnB(MockBackend):
+    """Mock backend on which every pipeline that runs pass ``b`` fails."""
+
+    def evaluate(self, program, forest):
+        if any(name == "b" for name, _ in leaf_sequence(forest)):
+            return EvaluationResult(None, "failed", "crash")
+        return super().evaluate(program, forest)
+
+
 def test_failed_baseline_excludes_pass(m1, ab_registry):
-    class FlakyBackend(MockBackend):
-        def evaluate(self, program, forest):
-            from passforest import EvaluationResult, leaf_sequence
-
-            if any(name == "b" for name, _ in leaf_sequence(forest)):
-                return EvaluationResult(None, "failed", "crash")
-            return super().evaluate(program, forest)
-
-    graph = mine_synergies([m1], ab_registry, FlakyBackend())
+    graph = mine_synergies([m1], ab_registry, FailsOnB())
     assert all("b" not in (e.src, e.dst) for e in graph.edges)
+
+
+def test_failed_single_pass_is_logged(m1, ab_registry, caplog):
+    with caplog.at_level(logging.WARNING, logger="passforest.synergy"):
+        mine_program_pairs(m1, ab_registry, FailsOnB())
+    assert [r.getMessage() for r in caplog.records] == ["skipping pass b: crash"]
 
 
 def test_pair_count_budget(m1, ab_registry):
