@@ -256,14 +256,28 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def _read_json(path: str):
+    """The JSON value in ``path``; contents that are not JSON are invalid
+    input, named by the file."""
     try:
-        rows = json.loads(Path(args.results).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise BackendUnavailable(f"results file not found: {args.results}")
-    labels = {}
-    if args.manifest:
-        labels = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+        raise BackendUnavailable(f"file not found: {path}")
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _count(row: dict, key: str) -> int:
+    # bool is an int subclass; floats, even whole or infinite, are not counts
+    value = row[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
+def cmd_report(args) -> int:
+    rows = _read_json(args.results)
+    labels = _read_json(args.manifest) if args.manifest else {}
     if not isinstance(labels, dict):
         raise SchemaError(f"{args.manifest}: expected an object of dataset labels")
     if not isinstance(rows, list):
@@ -272,8 +286,8 @@ def cmd_report(args) -> int:
         results = [
             ProgramResult(
                 program_id=str(row["program"]),
-                ic_oz=int(row["ic_oz"]),
-                ic_tuned=int(row["ic_tuned"]),
+                ic_oz=_count(row, "ic_oz"),
+                ic_tuned=_count(row, "ic_tuned"),
                 dataset=str(
                     row.get("dataset") or labels.get(str(row["program"]), "default")
                 ),
@@ -285,7 +299,10 @@ def cmd_report(args) -> int:
             f"{args.results}: each row needs program, ic_oz and ic_tuned "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    report = aggregate(results)
+    try:
+        report = aggregate(results)
+    except OverflowError as exc:
+        raise SchemaError(f"{args.results}: counts out of range: {exc}") from exc
     lines = [f"{'dataset':<16} {'mean OverOz %':>14} {'programs':>9}"]
     for label, stats in report["groups"].items():
         lines.append(

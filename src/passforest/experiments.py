@@ -133,14 +133,17 @@ def run_rq4_ablation(
     """Main search alone versus search plus structural refinement.
 
     The gain is the extra percentage of the original count recovered by
-    refinement; it is never negative.
+    refinement; it is never negative. When the search's winner fails to
+    evaluate, its count and the gain are None, and so is the refined
+    count unless some partition of the winner evaluates.
     """
     ic_orig = backend.original_count(program)
     best, _ = run_search(program, graph, registry, backend, config, parallel)
-    main_ic = ic_orig - best.fitness
     result = refine(best.forest, program, backend, refine_config, parallel)
-    refined_ic = result.refined_ic if result.refined_ic is not None else main_ic
-    gain_pct = overoz(ic_orig, refined_ic) - overoz(ic_orig, main_ic)
+    main_ic, refined_ic = result.seed_ic, result.refined_ic
+    gain_pct = None
+    if main_ic is not None:
+        gain_pct = overoz(ic_orig, refined_ic) - overoz(ic_orig, main_ic)
     return {
         "study": "rq4_refinement",
         "main_ga_ic": main_ic,
@@ -156,6 +159,10 @@ def run_rq4_ablation(
             ],
         },
     }
+
+
+def _count_or_failed(count: Optional[int]) -> str:
+    return "failed" if count is None else str(count)
 
 
 def table_lines(result: dict) -> list:
@@ -188,9 +195,10 @@ def table_lines(result: dict) -> list:
             f"unguided={ref['unguided_overoz_pct']}"
         )
     elif study == "rq4_refinement":
-        lines.append(f"main GA ic:  {result['main_ga_ic']}")
-        lines.append(f"refined ic:  {result['refined_ic']}")
-        lines.append(f"gain:        {result['gain_pct']:+.4f}%")
+        gain = result["gain_pct"]
+        lines.append(f"main GA ic:  {_count_or_failed(result['main_ga_ic'])}")
+        lines.append(f"refined ic:  {_count_or_failed(result['refined_ic'])}")
+        lines.append(f"gain:        {'failed' if gain is None else f'{gain:+.4f}%'}")
         ref = result["corpus_reference"]
         lines.append(
             "reference (large corpus, OverOz %): "

@@ -23,7 +23,9 @@ hashing and repr ignore them. An edit rebuilds only the managers on one
 path and shares every other subtree, so it recomputes summaries along
 that path alone. Constructors deliberately accept rule-breaking shapes
 so that ``validate`` can report violations as data; the parser and all
-search operators only ever build valid forests.
+search operators only ever build valid forests. ``nested_forest`` holds
+the placement rule that builds every fixed-shape forest: walk
+individuals, mining skeletons and the study skeletons.
 """
 
 import random
@@ -402,6 +404,43 @@ def minimal_wrap(pass_name: str, level: PassLevel) -> PipelineNode:
     """
     chain = [PassLevel.MODULE] + adaptor_chain(PassLevel.MODULE, level)
     return wrap_in_chain(chain, (Leaf(pass_name, level),))
+
+
+def nested_forest(passes: Sequence[Tuple[str, PassLevel]]) -> PipelineForest:
+    """The forest that places each (name, level) pass by the one before it.
+
+    This is the synergy placement rule: the first pass gets its
+    ``minimal_wrap`` tree; a pass at the previous pass's level joins that
+    pass's manager; a deeper pass opens ``adaptor_chain(previous level,
+    level)`` inside that manager; a shallower pass starts a new module
+    tree. The result is valid for any sequence of concrete passes, and
+    pass order is leaf order. Mutation applies the same rule to insert one
+    pass into an existing forest (``search._place_after_anchor``).
+    """
+    trees: List[PipelineNode] = []
+    # The open tree, outermost manager first; each entry's manager holds
+    # its leaves, then the entry after it.
+    open_managers: List[Tuple[PassLevel, List[PipelineNode]]] = []
+    previous: Optional[PassLevel] = None
+    for name, level in passes:
+        if previous is None or level < previous:
+            if open_managers:
+                trees.append(_close(open_managers))
+            open_managers = [(PassLevel.MODULE, [])]
+            previous = PassLevel.MODULE
+        open_managers += [(lvl, []) for lvl in adaptor_chain(previous, level)]
+        open_managers[-1][1].append(Leaf(name, level))
+        previous = level
+    if open_managers:
+        trees.append(_close(open_managers))
+    return PipelineForest(tuple(trees))
+
+
+def _close(open_managers) -> Manager:
+    node = None
+    for level, children in reversed(open_managers):
+        node = Manager(level, tuple(children) if node is None else (*children, node))
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Structure-aware genetic search over pipeline forests.
 
 Individuals are whole forests, valid by construction: initialization
-walks the synergy graph and places each pass according to its edge type,
-crossover swaps manager-rooted subtrees and discards any swap that
-breaks a nesting rule, and mutation grows or rewrites the forest around
-a randomly chosen anchor pass. The net effect is that no candidate ever
-needs repair and no evaluation is wasted on an invalid pipeline.
+walks the synergy graph and places the walk's passes by the placement
+rule of ``forest.nested_forest``, crossover swaps manager-rooted
+subtrees and discards any swap that breaks a nesting rule, and mutation
+grows or rewrites the forest around a randomly chosen anchor pass by the
+same rule. The net effect is that no candidate ever needs repair and no
+evaluation is wasted on an invalid pipeline.
 
 All randomness flows through one seeded stream consumed in a fixed
 order, so a run is a pure function of (program, graph, config); fitness
@@ -32,6 +33,7 @@ from .forest import (
     manager_at,
     manager_count,
     minimal_wrap,
+    nested_forest,
     random_forest,
     replace_node,
     trim_to_length,
@@ -79,36 +81,22 @@ def _weighted_pick(rng: random.Random, items: Sequence, weights: Sequence[float]
     return rng.choices(list(items), weights=list(weights), k=1)[0]
 
 
-def _leaf_path_to(level: PassLevel) -> Tuple[int, ...]:
-    # tree index, then one step per manager of the minimal wrap chain
-    return (0,) * (len(adaptor_chain(PassLevel.MODULE, level)) + 2)
-
-
 def _place_after_anchor(
     forest: PipelineForest,
     anchor_path: Tuple[int, ...],
     name: str,
     level: PassLevel,
-) -> Tuple[PipelineForest, Tuple[int, ...]]:
-    """Insert a pass next to the anchor leaf, respecting its level.
-
-    Same level: next sibling in the anchor's manager. Deeper level: a
-    fresh manager chain opened right after the anchor. Shallower level:
-    a new minimal-wrap tree right after the anchor's tree.
-    """
+) -> PipelineForest:
+    """Insert a pass right after the anchor leaf by the placement rule of
+    ``forest.nested_forest``, taking the anchor as the previous pass."""
     anchor = get_node(forest, anchor_path)
     parent_path, idx = anchor_path[:-1], anchor_path[-1]
     if level == anchor.level:
-        new_forest = insert_child(forest, parent_path, idx + 1, Leaf(name, level))
-        return new_forest, parent_path + (idx + 1,)
+        return insert_child(forest, parent_path, idx + 1, Leaf(name, level))
     if level > anchor.level:
-        chain = adaptor_chain(anchor.level, level)
-        node = wrap_in_chain(chain, (Leaf(name, level),))
-        new_forest = insert_child(forest, parent_path, idx + 1, node)
-        return new_forest, parent_path + (idx + 1,) + (0,) * len(chain)
-    tree_index = anchor_path[0] + 1
-    new_forest = insert_tree(forest, tree_index, minimal_wrap(name, level))
-    return new_forest, (tree_index,) + _leaf_path_to(level)[1:]
+        node = wrap_in_chain(adaptor_chain(anchor.level, level), (Leaf(name, level),))
+        return insert_child(forest, parent_path, idx + 1, node)
+    return insert_tree(forest, anchor_path[0] + 1, minimal_wrap(name, level))
 
 
 def weighted_walk_init(
@@ -119,10 +107,11 @@ def weighted_walk_init(
 ) -> Individual:
     """Seed one individual by a weighted random walk on the graph.
 
-    The start pass follows the mined start distribution; each successor
-    is drawn proportionally to its synergy weight and placed according
-    to the edge's level relationship. An empty graph falls back to a
-    uniformly random valid forest.
+    The start pass follows the mined start distribution and each
+    successor is drawn proportionally to its synergy weight, until the
+    walk has ``max_sequence_length`` passes or a pass without a
+    successor; ``forest.nested_forest`` then places the walk. An empty
+    graph falls back to a uniformly random valid forest.
     """
     names = [
         name
@@ -133,26 +122,18 @@ def weighted_walk_init(
         return Individual(
             random_forest(rng, registry, max_leaves=config.max_sequence_length)
         )
-    start = _weighted_pick(rng, names, [graph.start_weights[n] for n in names])
-    level = registry.level_of(start)
-    forest = PipelineForest((minimal_wrap(start, level),))
-    anchor_path = _leaf_path_to(level)
-    current = start
-    while leaf_count(forest) < config.max_sequence_length:
+    walk = [_weighted_pick(rng, names, [graph.start_weights[n] for n in names])]
+    while len(walk) < config.max_sequence_length:
         successors = [
             e
-            for e in graph.successors(current)
+            for e in graph.successors(walk[-1])
             if e.dst in registry and registry.level_of(e.dst) is not None
         ]
         if not successors:
             break
         edge = _weighted_pick(rng, successors, [e.weight for e in successors])
-        nxt_level = registry.level_of(edge.dst)
-        forest, anchor_path = _place_after_anchor(
-            forest, anchor_path, edge.dst, nxt_level
-        )
-        current = edge.dst
-    return Individual(forest)
+        walk.append(edge.dst)
+    return Individual(nested_forest([(n, registry.level_of(n)) for n in walk]))
 
 
 def crossover(
@@ -229,8 +210,7 @@ def mutate(
             return Individual(
                 replace_node(forest, target, Leaf(partner, partner_level))
             )
-    new_forest, _ = _place_after_anchor(forest, anchor_path, partner, partner_level)
-    return Individual(new_forest)
+    return Individual(_place_after_anchor(forest, anchor_path, partner, partner_level))
 
 
 def _tournament(rng: random.Random, population: List[Individual]) -> Individual:

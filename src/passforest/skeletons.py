@@ -2,21 +2,16 @@
 
 Covers the five reference skeletons for an M/C/F/L pass quartet, the
 single representative skeleton used when mining pass pairs, and the
-micro/meso/macro structural variants of a pair. ``structure_variants``
-picks the right family for a pass group.
+micro/meso/macro structural variants of a pair. Every tree here is a
+``forest.nested_forest`` of the passes it holds, so each shape follows
+that function's placement rule. ``structure_variants`` picks the right
+family for a pass group.
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence, Tuple
 
 from .errors import InvalidPipeline, LevelMismatch, PassForestError
-from .forest import (
-    Leaf,
-    Manager,
-    PipelineForest,
-    adaptor_chain,
-    minimal_wrap,
-    wrap_in_chain,
-)
+from .forest import Manager, PipelineForest, nested_forest
 from .registry import PassInfo, PassLevel, PassRegistry
 
 SKELETON_VARIANT_NAMES = {
@@ -26,6 +21,22 @@ SKELETON_VARIANT_NAMES = {
     4: "c+f+l combined",
     5: "fully nested",
 }
+
+# Which of the m, c, f, l passes share a tree, per skeleton variant.
+_SKELETON_TREES = {
+    1: ((0,), (1,), (2,), (3,)),
+    2: ((0,), (1,), (2, 3)),
+    3: ((0, 1), (2, 3)),
+    4: ((0,), (1, 2, 3)),
+    5: ((0, 1, 2, 3),),
+}
+
+
+def _stages(*groups: Sequence[Tuple[str, PassLevel]]) -> PipelineForest:
+    """The ``nested_forest`` trees of each pass group, one group after another."""
+    return PipelineForest(
+        tuple(tree for group in groups for tree in nested_forest(group).trees)
+    )
 
 
 def _require_level(name: str, registry: PassRegistry, expected: PassLevel) -> None:
@@ -47,54 +58,21 @@ def build_skeleton_variant(
 ) -> PipelineForest:
     """One of the five nesting skeletons over a fixed M,C,F,L pass order.
 
-    All five preserve the pass order m, c, f, l; they differ only in how
-    the four passes are grouped into trees and nested managers.
+    All five preserve the pass order m, c, f, l; they differ only in
+    which passes share a tree (``_SKELETON_TREES``).
     """
-    _require_level(m, registry, PassLevel.MODULE)
-    _require_level(c, registry, PassLevel.CGSCC)
-    _require_level(f, registry, PassLevel.FUNCTION)
-    _require_level(l, registry, PassLevel.LOOP)
-
-    lm = Leaf(m, PassLevel.MODULE)
-    lc = Leaf(c, PassLevel.CGSCC)
-    lf = Leaf(f, PassLevel.FUNCTION)
-    ll = Leaf(l, PassLevel.LOOP)
-    loop = Manager(PassLevel.LOOP, (ll,))
-    fn_fl = Manager(PassLevel.FUNCTION, (lf, loop))
-
-    if variant == 1:
-        trees = (
-            Manager(PassLevel.MODULE, (lm,)),
-            Manager(PassLevel.MODULE, (Manager(PassLevel.CGSCC, (lc,)),)),
-            Manager(PassLevel.MODULE, (Manager(PassLevel.FUNCTION, (lf,)),)),
-            Manager(
-                PassLevel.MODULE,
-                (Manager(PassLevel.FUNCTION, (loop,)),),
-            ),
-        )
-    elif variant == 2:
-        trees = (
-            Manager(PassLevel.MODULE, (lm,)),
-            Manager(PassLevel.MODULE, (Manager(PassLevel.CGSCC, (lc,)),)),
-            Manager(PassLevel.MODULE, (fn_fl,)),
-        )
-    elif variant == 3:
-        trees = (
-            Manager(PassLevel.MODULE, (lm, Manager(PassLevel.CGSCC, (lc,)))),
-            Manager(PassLevel.MODULE, (fn_fl,)),
-        )
-    elif variant == 4:
-        trees = (
-            Manager(PassLevel.MODULE, (lm,)),
-            Manager(PassLevel.MODULE, (Manager(PassLevel.CGSCC, (lc, fn_fl)),)),
-        )
-    elif variant == 5:
-        trees = (
-            Manager(PassLevel.MODULE, (lm, Manager(PassLevel.CGSCC, (lc, fn_fl)))),
-        )
-    else:
+    passes = tuple(zip((m, c, f, l), PassLevel))
+    for name, level in passes:
+        _require_level(name, registry, level)
+    if variant not in _SKELETON_TREES:
         raise ValueError(f"variant must be 1..5, got {variant}")
-    return PipelineForest(trees)
+    return _stages(*([passes[i] for i in tree] for tree in _SKELETON_TREES[variant]))
+
+
+def _concrete_pair(p1: PassInfo, p2: PassInfo) -> Tuple[Tuple[str, PassLevel], ...]:
+    if p1.level is None or p2.level is None:
+        raise LevelMismatch("pair skeletons need concrete pass levels")
+    return (p1.name, p1.level), (p2.name, p2.level)
 
 
 def representative_skeleton(p1: PassInfo, p2: PassInfo) -> PipelineForest:
@@ -103,61 +81,30 @@ def representative_skeleton(p1: PassInfo, p2: PassInfo) -> PipelineForest:
     When p2 nests at or below p1's level, both passes share one maximally
     nested tree; otherwise the pair runs as two sequential stages.
     """
-    if p1.level is None or p2.level is None:
-        raise LevelMismatch("representative skeletons need concrete pass levels")
-    if p2.level < p1.level:
-        return PipelineForest(
-            (minimal_wrap(p1.name, p1.level), minimal_wrap(p2.name, p2.level))
-        )
-    first = Leaf(p1.name, p1.level)
-    if p2.level == p1.level:
-        inner = [first, Leaf(p2.name, p2.level)]
-    else:
-        tail_chain = adaptor_chain(p1.level, p2.level)
-        inner = [first, wrap_in_chain(tail_chain, (Leaf(p2.name, p2.level),))]
-    outer_chain = [PassLevel.MODULE] + adaptor_chain(PassLevel.MODULE, p1.level)
-    return PipelineForest((wrap_in_chain(outer_chain, tuple(inner)),))
+    return nested_forest(_concrete_pair(p1, p2))
 
 
 def pair_structure_variants(p1: PassInfo, p2: PassInfo) -> Dict[str, PipelineForest]:
     """All applicable structural arrangements of an ordered pass pair.
 
     Intra-level pairs get micro (one manager), meso (sibling managers in
-    one tree), and macro (separate trees); inter-level pairs get nested
-    and phased. Variants that coincide structurally are deduplicated.
+    one tree; not for module passes, where it would be micro) and macro
+    (separate trees); inter-level pairs get nested and phased when p2
+    nests below p1, and phased alone otherwise. No two variants of a
+    pair are equal.
     """
-    if p1.level is None or p2.level is None:
-        raise LevelMismatch("structure variants need concrete pass levels")
-    variants: Dict[str, PipelineForest] = {}
-    phased = PipelineForest(
-        (minimal_wrap(p1.name, p1.level), minimal_wrap(p2.name, p2.level))
-    )
+    first, second = _concrete_pair(p1, p2)
+    phased = _stages([first], [second])
     if p1.level == p2.level:
-        variants["micro"] = representative_skeleton(p1, p2)
-        chain = [PassLevel.MODULE] + adaptor_chain(PassLevel.MODULE, p1.level)
-        if len(chain) > 1:
-            meso = Manager(
-                PassLevel.MODULE,
-                (
-                    wrap_in_chain(chain[1:], (Leaf(p1.name, p1.level),)),
-                    wrap_in_chain(chain[1:], (Leaf(p2.name, p2.level),)),
-                ),
-            )
-            variants["meso"] = PipelineForest((meso,))
+        variants = {"micro": nested_forest([first, second])}
+        if p1.level != PassLevel.MODULE:
+            chains = phased.trees[0].children + phased.trees[1].children
+            variants["meso"] = PipelineForest((Manager(PassLevel.MODULE, chains),))
         variants["macro"] = phased
-    elif p2.level > p1.level:
-        variants["nested"] = representative_skeleton(p1, p2)
-        variants["phased"] = phased
-    else:
-        variants["phased"] = phased
-
-    unique: Dict[str, PipelineForest] = {}
-    seen: List[PipelineForest] = []
-    for name, forest in variants.items():
-        if forest not in seen:
-            unique[name] = forest
-            seen.append(forest)
-    return unique
+        return variants
+    if p2.level > p1.level:
+        return {"nested": nested_forest([first, second]), "phased": phased}
+    return {"phased": phased}
 
 
 def structure_variants(

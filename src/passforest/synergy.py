@@ -324,7 +324,7 @@ def load_graph(source: Union[str, Path]) -> SynergyGraph:
             for k, v in _expect(payload["start_weights"], dict, "start_weights").items()
         }
         meta = _expect(payload.get("meta", {}), dict, "meta")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{source}: bad graph schema: {exc}") from exc
     for edge in edges:
         if edge.edge_type not in (INTRA_LEVEL, INTER_LEVEL):

@@ -25,6 +25,7 @@ from passforest.forest import (
     get_node,
     iter_nodes,
     leaf_paths,
+    minimal_wrap,
     replace_node,
 )
 from passforest.search import _place_after_anchor, _weighted_pick
@@ -223,8 +224,18 @@ def reference_mutate(individual, graph, registry, rng):
             return Individual(
                 replace_node(forest, target, Leaf(partner, partner_level))
             )
-    new_forest, _ = _place_after_anchor(forest, anchor_path, partner, partner_level)
-    return Individual(new_forest)
+    return Individual(_place_after_anchor(forest, anchor_path, partner, partner_level))
+
+
+def reference_nested_forest(passes: List[Tuple[str, PassLevel]]) -> PipelineForest:
+    """Place each pass after the newest leaf with mutation's insertion,
+    starting from the first pass's minimal wrap."""
+    (name, level), rest = passes[0], passes[1:]
+    forest = PipelineForest((minimal_wrap(name, level),))
+    for name, level in rest:
+        newest_path, _ = leaf_paths(forest)[-1]
+        forest = _place_after_anchor(forest, newest_path, name, level)
+    return forest
 
 
 # ---------------------------------------------------------------------------

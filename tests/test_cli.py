@@ -591,9 +591,15 @@ def test_report_missing_file_exit_2(tmp_path):
         ({}, None),
         ([1], None),
         ([{"program": "p", "ic_oz": None, "ic_tuned": 90}], None),
+        ([{"program": "p", "ic_oz": float("inf"), "ic_tuned": 90}], None),
+        ([{"program": "p", "ic_oz": 10.7, "ic_tuned": 9}], None),
+        ([{"program": "p", "ic_oz": 100, "ic_tuned": True}], None),
         ([{"program": "p", "ic_oz": 100, "ic_tuned": 90}], [1]),
     ],
-    ids=["row-without-keys", "rows-not-list", "row-not-object", "count-null", "manifest-not-object"],
+    ids=[
+        "row-without-keys", "rows-not-list", "row-not-object", "count-null",
+        "count-infinite", "count-float", "count-bool", "manifest-not-object",
+    ],
 )
 def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifest):
     results = tmp_path / "results.json"
@@ -604,6 +610,19 @@ def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifes
         argv += ["--manifest", str(tmp_path / "manifest.json")]
     assert main(argv) == 1
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("bad", ["results", "manifest"])
+def test_report_invalid_json_names_the_file(capsys, tmp_path, bad):
+    files = {name: tmp_path / f"{name}.json" for name in ("results", "manifest")}
+    files["results"].write_text('[{"program": "p", "ic_oz": 100, "ic_tuned": 90}]')
+    files["manifest"].write_text('{"p": "x"}')
+    files[bad].write_text("{not json")
+    argv = ["report", "--results", str(files["results"])]
+    assert main(argv + ["--manifest", str(files["manifest"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[bad]}: not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

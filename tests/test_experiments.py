@@ -25,6 +25,8 @@ from passforest.experiments import (
 )
 from passforest.synergy import SynergyGraph
 
+import helpers
+
 LOOPS_LL = str(Path(__file__).resolve().parent / "data" / "loops.ll")
 
 
@@ -211,6 +213,30 @@ def test_experiments_cli_rq4(tmp_path, m2, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["study"] == "rq4_refinement"
+
+
+def test_rq4_reports_a_failed_winner_as_failed(tmp_path, capsys):
+    # Every evaluation fails, so the search's winner has no count; the
+    # study must not turn its failure fitness into one.
+    fake = helpers.write_script(tmp_path / "opt", "exit 1\n")
+    argv = [
+        "experiment",
+        "rq4",
+        "--program", LOOPS_LL,
+        "--evaluator", "opt",
+        "--opt-path", fake,
+        "--population", "3",
+        "--generations", "1",
+        "--max-len", "3",
+    ]
+    assert cli_main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["main_ga_ic"] is data["refined_ic"] is data["gain_pct"] is None
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert "main GA ic:  failed" in out
+    assert "refined ic:  failed" in out
+    assert "gain:        failed" in out
 
 
 def test_experiments_cli_missing_program_exit_2(tmp_path, capsys):

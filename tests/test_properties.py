@@ -33,6 +33,7 @@ from passforest.forest import (
     leaf_count,
     leaf_paths,
     manager_at,
+    nested_forest,
     replace_node,
     trim_to_length,
 )
@@ -41,9 +42,11 @@ from passforest.synergy import graph_from_counts
 from helpers import (
     manager_paths,
     random_mock_program,
+    random_typed_sequence,
     reference_crossover,
     reference_mock_evaluate,
     reference_mutate,
+    reference_nested_forest,
     reference_print_node,
     reference_trim_to_length,
     remove_node,
@@ -211,6 +214,24 @@ def test_mutate_matches_leaf_listing_operator(seed):
         assert ours.getstate() == theirs.getstate()
         individual = got
 
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0, 4, 8]),
+    st.integers(min_value=1, max_value=24),
+)
+@settings(max_examples=300, deadline=None)
+def test_nested_forest_matches_insertion_fold(seed, n_passes, length):
+    # One builder places a whole sequence exactly as inserting each pass
+    # after the one before it would, and the result is valid.
+    rng = random.Random(seed)
+    registry = synthetic_registry(n_passes, rng) if n_passes else REGISTRY
+    passes = random_typed_sequence(registry, rng, length)
+    forest, reference = nested_forest(passes), reference_nested_forest(passes)
+    assert forest == reference
+    assert print_pipeline(forest) == print_pipeline(reference)
+    assert leaf_sequence(forest) == passes
+    assert validate(forest, registry) == []
 
 
 _TOKENS = (
