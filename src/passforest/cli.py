@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (bad pipeline, bad file
 contents), 2 environment problems (missing opt, missing files, empty
-dataset), 3 evaluation failure. Every command takes --json for
+dataset), 3 evaluation failure, also when a command prints a result
+whose reported pipeline failed to evaluate. Every command takes --json for
 machine-readable output. Commands with randomness take --seed and are
 bit-reproducible on the mock evaluator.
 """
@@ -31,7 +32,7 @@ from .metrics import ProgramResult, aggregate
 from .mock import MockBackend
 from .refine import RefineConfig, refine
 from .registry import default_registry, load_registry
-from .search import SearchConfig, run_search
+from .search import SearchConfig, failed_fitness, run_search
 from .synergy import load_graph, mine_synergies, save_graph, SynergyGraph
 
 EXIT_OK = 0
@@ -173,6 +174,19 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
+def _exit_status(failed: bool) -> int:
+    """Exit code of a command whose reported pipeline may have failed to
+    evaluate; its output is printed either way."""
+    return EXIT_EVALUATION if failed else EXIT_OK
+
+
+def _search_failed(backend, program, best_fitness: int) -> bool:
+    # The failure fitness is negative; only then is the count worth reading.
+    return best_fitness < 0 and best_fitness == failed_fitness(
+        backend.original_count(program)
+    )
+
+
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
         population_size=args.population,
@@ -209,7 +223,7 @@ def cmd_search(args) -> int:
             f"fitness (instruction-count reduction): {best.fitness}",
         ],
     )
-    return EXIT_OK
+    return _exit_status(_search_failed(backend, args.program, best.fitness))
 
 
 def cmd_refine(args) -> int:
@@ -233,7 +247,7 @@ def cmd_refine(args) -> int:
             f"evaluations: {result.evaluations_used}",
         ],
     )
-    return EXIT_OK
+    return _exit_status(result.refined_ic is None)
 
 
 def cmd_evaluate(args) -> int:
@@ -272,6 +286,8 @@ def _count(row: dict, key: str) -> int:
     value = row[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} {value!r} is not an integer")
+    if value < 0:
+        raise ValueError(f"{key} {value} is negative")
     return value
 
 
@@ -343,6 +359,13 @@ def cmd_experiment(args) -> int:
         study = run_rq3_ablation if args.study == "rq3" else run_rq4_ablation
         result = study(args.program, graph, registry, backend, config, args.parallel)
     _emit(args, result, table_lines(result))
+    if args.study == "rq3":
+        return _exit_status(any(
+            _search_failed(backend, args.program, result[mode]["best_fitness"])
+            for mode in ("guided", "unguided")
+        ))
+    if args.study == "rq4":
+        return _exit_status(result["main_ga_ic"] is None or result["refined_ic"] is None)
     return EXIT_OK
 
 

@@ -30,6 +30,15 @@ functions, and only by whether a function has callees and whether they
 are all listed before it; see ``mock_evaluate``. The tables this needs
 (bonuses by target pass, one coupling class per function) are built once
 per MockProgram, on its first evaluation, and cached on the instance.
+
+Refinement evaluates many partitions of one leaf sequence back to back.
+For those, ``MockBackend`` compiles the sequence once into a
+``_SequencePlan``: the common reduction, and the coupling bonuses summed
+per span of boundaries, so that a forest is scored from which of its
+boundaries cut phases. Search candidates rarely repeat a sequence, and
+building a plan and scoring one forest with it costs more than one
+``mock_evaluate``, so the backend builds a plan only when two calls in a
+row share program and sequence.
 """
 
 import json
@@ -229,13 +238,86 @@ def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationRes
                     same += bonus
             seen.add(q)
         ran |= block
+    return _clamped_total(program, common, earlier, same)
 
+
+def _clamped_total(
+    program: MockProgram, common: int, earlier: int, same: int
+) -> EvaluationResult:
+    """The program's count after each function's coupling class adds
+    its share of the coupling bonuses to the common reduction."""
     reduction = (common, common + earlier, common + earlier + same)
     total = sum(
         max(0, f.base_ic - reduction[c])
-        for f, c in zip(program.functions, index.coupling_class)
+        for f, c in zip(program.functions, program._index.coupling_class)
     )
     return EvaluationResult(instruction_count=total, status="ok")
+
+
+class _SequencePlan:
+    """``mock_evaluate`` compiled for every forest with one leaf sequence.
+
+    Boundary i sits between leaves i and i+1, and cuts when the two run
+    in different phases. Flat effects and pair bonuses depend only on the
+    sequence, so they sum to ``common`` once. A coupling bonus (p, q) at
+    an occurrence j of q, where p first occurs at f, is:
+
+    * for f < j, ``earlier`` if a boundary in [f, j) cuts, else ``same``;
+    * for f > j, ``same`` iff no boundary in [j, f) cuts;
+    * for f == j, always ``same``;
+    * never, if p is not in the sequence.
+
+    A forest's cut mask sets bit b when a phase starts at leaf b, that
+    is, when boundary b - 1 cuts. ``terms`` sums the bonuses per span of
+    boundaries, as (the span's bits of that mask, earlier if cut, same if
+    not cut), and ``same`` holds the f == j bonuses.
+    """
+
+    __slots__ = ("program", "common", "same", "terms")
+
+    def __init__(self, program: MockProgram, names: Tuple[str, ...]):
+        index = program._index
+        effects = program.pass_effects
+        first: Dict[str, int] = {}
+        common = 0
+        for j, q in enumerate(names):
+            common += effects.get(q, 0)
+            for p, bonus in index.synergy_by_target.get(q, ()):
+                if p in first:
+                    common += bonus
+            first.setdefault(q, j)
+        same = 0
+        terms: Dict[int, List[int]] = {}
+        for j, q in enumerate(names):
+            for p, bonus in index.coupling_by_target.get(q, ()):
+                f = first.get(p)
+                if f is None:
+                    continue
+                if f == j:
+                    same += bonus
+                    continue
+                lo, hi = min(f, j), max(f, j)
+                term = terms.setdefault((2 << hi) - (2 << lo), [0, 0])
+                if f < j:
+                    term[0] += bonus
+                term[1] += bonus
+        self.program = program
+        self.common = common
+        self.same = same
+        self.terms = tuple((span, e, s) for span, (e, s) in terms.items())
+
+    def evaluate(self, forest: PipelineForest) -> EvaluationResult:
+        cuts = start = 0
+        for phase in chain.from_iterable(map(_phases, forest.trees)):
+            cuts |= 1 << start
+            start += len(phase)
+        earlier, same = 0, self.same
+        for span, if_cut, if_joined in self.terms:
+            if cuts & span:
+                earlier += if_cut
+            else:
+                same += if_joined
+        return _clamped_total(self.program, self.common, earlier, same)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +412,24 @@ class MockBackend:
     lookup tables on its first evaluation and reuses them afterwards.
     ``Evaluator.map`` runs this backend serially: it is pure Python, so
     threads would only contend for the GIL.
+
+    The backend remembers the program, the leaf sequence and the plan, if
+    any, of its last call, in one tuple that every call reads and
+    replaces whole, so concurrent calls stay correct. A forest whose
+    program (by identity) and leaf names equal the last call's is scored
+    by that sequence's ``_SequencePlan``, built on this second sighting;
+    refinement's partitions of one sequence all take this path. Every
+    other forest goes through ``mock_evaluate``, which is cheaper than
+    building and using a plan for a sequence seen once, as most search
+    candidates are.
     """
 
     name = "mock"
 
     def __init__(self):
         self._cache: Dict[str, MockProgram] = {}
+        # (program, leaf names, plan or None) of the last call
+        self._last = (None, (), None)
 
     def resolve(self, program: Union[MockProgram, str, Path]) -> MockProgram:
         if isinstance(program, MockProgram):
@@ -346,7 +440,18 @@ class MockBackend:
         return self._cache[key]
 
     def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
-        return mock_evaluate(self.resolve(program), forest)
+        program = self.resolve(program)
+        names = ()
+        for tree in forest.trees:
+            names += tree.names
+        last_program, last_names, plan = self._last
+        if last_program is not program or last_names != names:
+            self._last = (program, names, None)
+            return mock_evaluate(program, forest)
+        if plan is None:
+            plan = _SequencePlan(program, names)
+            self._last = (program, names, plan)
+        return plan.evaluate(forest)
 
     def original_count(self, program) -> int:
         return self.resolve(program).total_base_ic()

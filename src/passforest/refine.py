@@ -36,9 +36,10 @@ from .grammar import print_pipeline
 from .registry import PassLevel
 
 TypedSequence = Sequence[Tuple[str, PassLevel]]
-# Wrapped non-module blocks by (level, pass names), shared between the
-# forests decoded from one problem.
-BlockCache = Dict[Tuple[PassLevel, Tuple[str, ...]], PipelineNode]
+# Wrapped non-module blocks by the (start, end) positions of their
+# passes in the sequence, shared between the forests decoded from one
+# problem.
+BlockCache = Dict[Tuple[int, int], PipelineNode]
 
 
 @dataclass(frozen=True)
@@ -73,38 +74,6 @@ def decision_points(sequence: TypedSequence) -> PartitionProblem:
     return PartitionProblem(sequence=seq, decision_points=points)
 
 
-def _blocks(
-    problem: PartitionProblem, chromosome: PartitionChromosome
-) -> List[Tuple[PassLevel, List[str], bool]]:
-    """Cut the sequence into blocks.
-
-    Returns (level, names, split_before) triples; split_before is True
-    when the cut before the block came from a decision-point bit rather
-    than a forced level change.
-    """
-    bit_at = dict(zip(problem.decision_points, chromosome.bits))
-    blocks: List[Tuple[PassLevel, List[str], bool]] = []
-    current: List[str] = [problem.sequence[0][0]]
-    level = problem.sequence[0][1]
-    split_before = False
-    for i in range(1, len(problem.sequence)):
-        name, nxt_level = problem.sequence[i]
-        boundary = i - 1
-        if boundary in bit_at:
-            cut = bool(bit_at[boundary])
-            chosen = True
-        else:
-            cut = True
-            chosen = False
-        if cut:
-            blocks.append((level, current, split_before))
-            current, level, split_before = [name], nxt_level, chosen
-        else:
-            current.append(name)
-    blocks.append((level, current, split_before))
-    return blocks
-
-
 def decode(
     problem: PartitionProblem,
     chromosome: PartitionChromosome,
@@ -112,16 +81,18 @@ def decode(
 ) -> PipelineForest:
     """Materialize a partition as a forest.
 
-    Each block becomes one innermost manager wrapped in its adaptor
-    chain; blocks sit as siblings inside a shared module tree. Module-
-    level blocks place their passes directly under the module root, so a
-    split between two module-level blocks starts a new tree instead
-    (nested module managers are never produced). The leaf sequence of
-    the result equals the input sequence.
+    Every boundary cuts unless a 0 bit joins it, and each segment between
+    cuts is one block. A non-module block becomes one innermost manager
+    wrapped in its adaptor chain; blocks sit as siblings inside a shared
+    module tree. A module-level block places its passes directly under
+    the module root, and starts a new tree when the pass before it is
+    also module-level (nested module managers are never produced). The
+    leaf sequence of the result equals the input sequence.
 
-    ``blocks`` maps (level, names) to a wrapped block already built for
-    this problem; pass the same dict to every call on one problem and
-    the forests share those subtrees instead of building their own.
+    ``blocks`` maps a segment's (start, end) positions to its wrapped
+    block already built for this problem; pass the same dict to every
+    call on one problem and the forests share those subtrees instead of
+    building their own.
     """
     if len(chromosome.bits) != len(problem.decision_points):
         raise ChromosomeLengthMismatch(
@@ -130,19 +101,26 @@ def decode(
         )
     if blocks is None:
         blocks = {}
+    sequence = problem.sequence
+    joined = {i for i, bit in zip(problem.decision_points, chromosome.bits) if not bit}
+    ends = [i + 1 for i in range(len(sequence) - 1) if i not in joined]
+    ends.append(len(sequence))
     trees: List[List] = [[]]
-    for level, names, split_before in _blocks(problem, chromosome):
+    start = 0
+    for end in ends:
+        level = sequence[start][1]
         if level == PassLevel.MODULE:
-            if split_before and trees[-1]:
+            if start and sequence[start - 1][1] == PassLevel.MODULE:
                 trees.append([])
-            trees[-1].extend(Leaf(name, level) for name in names)
-            continue
-        key = (level, tuple(names))
-        if key not in blocks:
-            chain = adaptor_chain(PassLevel.MODULE, level)
-            leaves = tuple(Leaf(name, level) for name in names)
-            blocks[key] = wrap_in_chain(chain, leaves)
-        trees[-1].append(blocks[key])
+            trees[-1].extend(Leaf(name, level) for name, _ in sequence[start:end])
+        else:
+            block = blocks.get((start, end))
+            if block is None:
+                leaves = tuple(Leaf(name, level) for name, _ in sequence[start:end])
+                block = wrap_in_chain(adaptor_chain(PassLevel.MODULE, level), leaves)
+                blocks[start, end] = block
+            trees[-1].append(block)
+        start = end
     return PipelineForest(
         tuple(Manager(PassLevel.MODULE, tuple(children)) for children in trees)
     )

@@ -220,6 +220,13 @@ def _tournament(rng: random.Random, population: List[Individual]) -> Individual:
     return max(contenders, key=lambda ind: ind.fitness)
 
 
+def failed_fitness(ic_orig: int) -> int:
+    """Fitness of a candidate that failed to evaluate, on a program of
+    ``ic_orig`` instructions: one below any pipeline that at most
+    doubles the program."""
+    return -ic_orig - 1
+
+
 def run_search(
     program,
     graph: SynergyGraph,
@@ -241,11 +248,9 @@ def run_search(
 
     def score(population: List[Individual]) -> List[Individual]:
         results = evaluator.map([ind.forest for ind in population])
+        failed = failed_fitness(ic_orig)
         return [
-            replace(
-                ind,
-                fitness=ic_orig - res.instruction_count if res.ok else -ic_orig - 1,
-            )
+            replace(ind, fitness=ic_orig - res.instruction_count if res.ok else failed)
             for ind, res in zip(population, results)
         ]
 

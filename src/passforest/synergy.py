@@ -329,4 +329,7 @@ def load_graph(source: Union[str, Path]) -> SynergyGraph:
     for edge in edges:
         if edge.edge_type not in (INTRA_LEVEL, INTER_LEVEL):
             raise SchemaError(f"{source}: unknown edge type {edge.edge_type!r}")
-    return SynergyGraph(edges, start_weights, meta)
+    try:
+        return SynergyGraph(edges, start_weights, meta)
+    except SchemaError as exc:
+        raise SchemaError(f"{source}: {exc}") from exc

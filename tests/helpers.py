@@ -22,11 +22,13 @@ from passforest.forest import (
     ELEMENT_RULE,
     MANAGER_RULE,
     PipelineNode,
+    adaptor_chain,
     get_node,
     iter_nodes,
     leaf_paths,
     minimal_wrap,
     replace_node,
+    wrap_in_chain,
 )
 from passforest.search import _place_after_anchor, _weighted_pick
 
@@ -236,6 +238,45 @@ def reference_nested_forest(passes: List[Tuple[str, PassLevel]]) -> PipelineFore
         newest_path, _ = leaf_paths(forest)[-1]
         forest = _place_after_anchor(forest, newest_path, name, level)
     return forest
+
+
+def reference_decode(problem, chromosome, blocks=None) -> PipelineForest:
+    """Decode by cutting the sequence into (level, names, split_before)
+    blocks first; split_before is True when the cut before the block
+    came from a decision-point bit rather than a forced level change.
+    ``blocks`` caches wrapped blocks by (level, names)."""
+    bit_at = dict(zip(problem.decision_points, chromosome.bits))
+    cut_blocks = []
+    current = [problem.sequence[0][0]]
+    level = problem.sequence[0][1]
+    split_before = False
+    for i in range(1, len(problem.sequence)):
+        name, next_level = problem.sequence[i]
+        chosen = (i - 1) in bit_at
+        if bit_at.get(i - 1, 1):
+            cut_blocks.append((level, current, split_before))
+            current, level, split_before = [name], next_level, chosen
+        else:
+            current.append(name)
+    cut_blocks.append((level, current, split_before))
+
+    if blocks is None:
+        blocks = {}
+    trees = [[]]
+    for level, names, split_before in cut_blocks:
+        if level == PassLevel.MODULE:
+            if split_before and trees[-1]:
+                trees.append([])
+            trees[-1].extend(Leaf(name, level) for name in names)
+            continue
+        key = (level, tuple(names))
+        if key not in blocks:
+            leaves = tuple(Leaf(name, level) for name in names)
+            blocks[key] = wrap_in_chain(adaptor_chain(PassLevel.MODULE, level), leaves)
+        trees[-1].append(blocks[key])
+    return PipelineForest(
+        tuple(Manager(PassLevel.MODULE, tuple(children)) for children in trees)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,23 @@ def test_search_malformed_graph_is_invalid_input(
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [_graph(edges=[_edge(weight=-3)]), _graph(start_weights={"a": 0.5})],
+    ids=["weight-negative", "start-weights-sum"],
+)
+def test_graph_invariant_errors_name_the_file(
+    capsys, tmp_path, m1_file, ab_registry_file, graph
+):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    argv = ["search", "--program", m1_file, "--graph", str(path),
+            "--registry", ab_registry_file]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["search", "evaluate"])
 @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "-inf", "nan"])
 def test_timeout_must_be_finite_and_positive(capsys, tmp_path, command, timeout):
@@ -610,6 +627,17 @@ def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifes
         argv += ["--manifest", str(tmp_path / "manifest.json")]
     assert main(argv) == 1
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key", ["ic_oz", "ic_tuned"])
+def test_report_refuses_negative_counts(capsys, tmp_path, key):
+    row = dict({"program": "p", "ic_oz": 100, "ic_tuned": 90}, **{key: -5})
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps([row]))
+    assert main(["report", "--results", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}: ") and err.count("\n") == 1
+    assert f"{key} -5 is negative" in err
 
 
 @pytest.mark.parametrize("bad", ["results", "manifest"])

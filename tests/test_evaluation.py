@@ -283,6 +283,23 @@ def test_mock_backend_loads_spec_files(m1, tmp_path, ab_registry):
     assert backend.original_count(str(path)) == 100
 
 
+def test_mock_backend_plan_never_serves_another_program(m1, m2, ab_registry):
+    # m1 and m2 share the passes a and b; a plan compiled for one program
+    # must not score the other's forests with the same leaf sequence.
+    backend = MockBackend()
+    joined = parse_pipeline("module(function(a,b))", ab_registry)
+    split = parse_pipeline("module(function(a),function(b))", ab_registry)
+    for forest in (joined, split, split, joined):
+        for program in (m1, m2, m2, m1):
+            expected = mock_evaluate(program, forest)
+            assert backend.evaluate(program, forest) == expected
+    assert backend.evaluate(m2, split).instruction_count == 73
+    assert backend.evaluate(m2, joined).instruction_count == 80
+    assert backend._last[2] is not None  # the repeated sequence has a plan
+    assert backend.evaluate(m1, joined).instruction_count == 82
+    assert backend._last[2] is None
+
+
 # ---------------------------------------------------------------------------
 # opt subprocess backend (via fake opt executables)
 # ---------------------------------------------------------------------------

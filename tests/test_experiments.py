@@ -17,17 +17,19 @@ from passforest import (
     save_mock_program,
 )
 from passforest.cli import main as cli_main
-from passforest.evaluation import resolve_opt_path
+from passforest.evaluation import count_ir_instructions, resolve_opt_path
 from passforest.experiments import (
     run_rq3_ablation,
     run_rq4_ablation,
     run_structure_study,
 )
+from passforest.search import failed_fitness
 from passforest.synergy import SynergyGraph
 
 import helpers
 
 LOOPS_LL = str(Path(__file__).resolve().parent / "data" / "loops.ll")
+LOOPS_LL_IC = count_ir_instructions(Path(LOOPS_LL).read_text(encoding="utf-8"))
 
 
 def _counts(case) -> dict:
@@ -229,14 +231,38 @@ def test_rq4_reports_a_failed_winner_as_failed(tmp_path, capsys):
         "--generations", "1",
         "--max-len", "3",
     ]
-    assert cli_main(argv + ["--json"]) == 0
+    assert cli_main(argv + ["--json"]) == 3
     data = json.loads(capsys.readouterr().out)
     assert data["main_ga_ic"] is data["refined_ic"] is data["gain_pct"] is None
-    assert cli_main(argv) == 0
+    assert cli_main(argv) == 3
     out = capsys.readouterr().out
     assert "main GA ic:  failed" in out
     assert "refined ic:  failed" in out
     assert "gain:        failed" in out
+
+
+@pytest.mark.parametrize(
+    "command, reported",
+    [
+        (["refine", "--pipeline", "module(function(gvn,adce))"],
+         lambda data: data["refined_ic"]),
+        (["search"], lambda data: data["best_fitness"]),
+        (["experiment", "rq3"], lambda data: data["unguided"]["best_fitness"]),
+    ],
+    ids=["refine", "search", "rq3"],
+)
+def test_failed_reported_pipeline_exits_3(tmp_path, capsys, command, reported):
+    # An opt that always fails leaves the reported pipeline without a
+    # count; the payload is still printed, with exit code 3.
+    fake = helpers.write_script(tmp_path / "opt", "exit 1\n")
+    argv = command + [
+        "--program", LOOPS_LL, "--evaluator", "opt", "--opt-path", fake, "--json",
+    ]
+    if command[0] != "refine":
+        argv += ["--population", "3", "--generations", "1", "--max-len", "3"]
+    assert cli_main(argv) == 3
+    failed = None if command[0] == "refine" else failed_fitness(LOOPS_LL_IC)
+    assert reported(json.loads(capsys.readouterr().out)) == failed
 
 
 def test_experiments_cli_missing_program_exit_2(tmp_path, capsys):

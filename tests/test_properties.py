@@ -10,12 +10,16 @@ from passforest import (
     Individual,
     Leaf,
     Manager,
+    MockBackend,
     MockFunction,
     MockProgram,
     PassForestError,
+    PartitionChromosome,
     PassLevel,
     PipelineForest,
     crossover,
+    decision_points,
+    decode,
     default_registry,
     leaf_sequence,
     mock_evaluate,
@@ -44,6 +48,7 @@ from helpers import (
     random_mock_program,
     random_typed_sequence,
     reference_crossover,
+    reference_decode,
     reference_mock_evaluate,
     reference_mutate,
     reference_nested_forest,
@@ -307,6 +312,46 @@ def _mock_cases(draw):
 def test_mock_evaluate_matches_reference(case):
     program, forest = case
     assert mock_evaluate(program, forest) == reference_mock_evaluate(program, forest)
+
+
+def _random_partitions(forest, rng, count):
+    problem = decision_points(leaf_sequence(forest))
+    k = len(problem.decision_points)
+    chromosomes = [
+        PartitionChromosome(tuple(rng.randint(0, 1) for _ in range(k)))
+        for _ in range(count)
+    ]
+    return problem, chromosomes
+
+
+@given(_mock_cases(), st.integers(min_value=2, max_value=12), st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_mock_backend_plan_matches_reference(case, count, rng):
+    # The partitions share the case's leaf sequence, so from the second
+    # one on the backend scores them by its sequence plan; the case's own
+    # forest, evaluated last, has the same sequence in any shape.
+    program, forest = case
+    problem, chromosomes = _random_partitions(forest, rng, count)
+    backend = MockBackend()
+    for candidate in [decode(problem, c) for c in chromosomes] + [forest]:
+        expected = reference_mock_evaluate(program, candidate)
+        assert backend.evaluate(program, candidate) == expected
+
+
+@given(forests(), st.integers(min_value=1, max_value=8), st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_block_listing_decode(forest, count, rng):
+    problem, chromosomes = _random_partitions(forest, rng, count)
+    shared, reference_shared = {}, {}
+    for chromosome in chromosomes:
+        expected = reference_decode(problem, chromosome)
+        for got in (
+            decode(problem, chromosome),
+            decode(problem, chromosome, shared),
+            reference_decode(problem, chromosome, reference_shared),
+        ):
+            assert got == expected
+            assert print_pipeline(got) == print_pipeline(expected)
 
 
 @given(forests(), st.integers(min_value=1, max_value=4))
