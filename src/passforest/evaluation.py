@@ -169,6 +169,8 @@ class OptBackend:
         self._lock = threading.Lock()
         self._pool = None
         self._pool_resolved = False
+        # original_count's memo: (path, size, mtime in ns) -> count
+        self._counts: Dict[tuple, int] = {}
 
     def _run(self, *args: str) -> subprocess.CompletedProcess:
         """Run ``opt -S <args> -o -``; a timeout raises TimeoutExpired."""
@@ -228,18 +230,28 @@ class OptBackend:
         return EvaluationResult(instruction_count=count, status="ok")
 
     def original_count(self, program) -> int:
-        """Instruction count of the input; ``.bc`` files are disassembled."""
+        """Instruction count of the input as ``opt -S`` prints it.
+
+        Both ``.ll`` and ``.bc`` inputs are counted on that printing, the
+        text every evaluation's output is counted on, so hand-written
+        layouts (a trailing comment on a ``define`` line, a brace on its
+        own line) count as ``opt`` reads them. The count is memoized per
+        path, size and modification time, so the stages of one tune run
+        ``opt`` for it once.
+        """
         path = Path(program)
         if not path.exists():
             raise BackendUnavailable(f"input file not found: {path}")
-        if path.suffix != ".bc":
-            return count_ir_instructions(path.read_text(encoding="utf-8"))
-        try:
-            proc = self._run(str(path))
-        except subprocess.TimeoutExpired as exc:
-            raise BackendUnavailable(f"timeout disassembling {path}") from exc
-        if proc.returncode != 0:
-            raise BackendUnavailable(
-                f"opt exited {proc.returncode} disassembling {path}"
-            )
-        return count_ir_instructions(proc.stdout)
+        stat = path.stat()
+        key = (str(path), stat.st_size, stat.st_mtime_ns)
+        count = self._counts.get(key)
+        if count is None:
+            what = "disassembling" if path.suffix == ".bc" else "reading"
+            try:
+                proc = self._run(str(path))
+            except subprocess.TimeoutExpired as exc:
+                raise BackendUnavailable(f"timeout {what} {path}") from exc
+            if proc.returncode != 0:
+                raise BackendUnavailable(f"opt exited {proc.returncode} {what} {path}")
+            count = self._counts[key] = count_ir_instructions(proc.stdout)
+        return count

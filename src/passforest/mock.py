@@ -28,30 +28,36 @@ receives the same pass sequence, and the flat effects and pair bonuses
 reduce each function by one common amount. Only coupling differs between
 functions, and only by whether a function has callees and whether they
 are all listed before it; see ``mock_evaluate``. The tables this needs
-(bonuses by target pass, one coupling class per function) are built once
-per MockProgram, on its first evaluation, and cached on the instance.
+(bonuses by target pass, and per coupling class the sorted base counts
+with their suffix sums, so the final clamp is one bisection per class)
+are built once per MockProgram, on its first evaluation, and cached on
+the instance.
 
 Refinement evaluates many partitions of one leaf sequence back to back.
 For those, ``MockBackend`` compiles the sequence once into a
-``_SequencePlan``: the common reduction, and the coupling bonuses summed
-per span of boundaries, so that a forest is scored from which of its
-boundaries cut phases. Search candidates rarely repeat a sequence, and
-building a plan and scoring one forest with it costs more than one
-``mock_evaluate``, so the backend builds a plan only when two calls in a
-row share program and sequence.
+``_SequencePlan``, which scores a forest with one table lookup per
+phase, whatever the number of bonuses or functions. Search candidates
+rarely repeat a sequence, and building a plan and scoring one forest
+with it costs more than one ``mock_evaluate``, so the backend builds a
+plan only when two calls in a row share program and sequence.
 """
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple, Union
 
 from .errors import SchemaError
 from .evaluation import EvaluationResult
 from .forest import Leaf, Manager, PipelineForest
 from .registry import PassLevel
+
+
+# Read in the hot loops: an enum member lookup costs ten times a global.
+_MODULE = PassLevel.MODULE
 
 
 @dataclass(frozen=True)
@@ -64,14 +70,16 @@ class _ProgramIndex(NamedTuple):
     """Per-program lookup tables for ``mock_evaluate``.
 
     Bonuses are keyed by their second pass ``q`` as ``(p, bonus)``
-    pairs. ``coupling_class`` follows ``functions`` order: 0 for a
-    function without callees, 1 when some callee is listed after it, 2
-    when every callee is listed before it.
+    pairs. Each function falls in one coupling class: 0 without callees,
+    1 when some callee is listed after it, 2 when every callee is listed
+    before it. ``class_bases`` holds, per class, the base counts of its
+    functions in ascending order and their suffix sums (``sums[i]`` is
+    the sum of ``bases[i:]``, so ``sums`` has one more entry).
     """
 
     synergy_by_target: Dict[str, Tuple[Tuple[str, int], ...]]
     coupling_by_target: Dict[str, Tuple[Tuple[str, int], ...]]
-    coupling_class: Tuple[int, ...]
+    class_bases: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,15 @@ class MockProgram:
                 classes[i] = 1
             elif classes[i] == 0:
                 classes[i] = 2
+        class_bases = []
+        for c in range(3):
+            bases = tuple(sorted(f.base_ic for f, fc in zip(self.functions, classes) if fc == c))
+            sums = tuple(accumulate(reversed(bases), initial=0))[::-1]
+            class_bases.append((bases, sums))
         return _ProgramIndex(
             {q: tuple(pairs) for q, pairs in synergy.items()},
             {q: tuple(pairs) for q, pairs in coupling.items()},
-            tuple(classes),
+            tuple(class_bases),
         )
 
     def total_base_ic(self) -> int:
@@ -245,35 +258,44 @@ def _clamped_total(
     program: MockProgram, common: int, earlier: int, same: int
 ) -> EvaluationResult:
     """The program's count after each function's coupling class adds
-    its share of the coupling bonuses to the common reduction."""
-    reduction = (common, common + earlier, common + earlier + same)
-    total = sum(
-        max(0, f.base_ic - reduction[c])
-        for f, c in zip(program.functions, program._index.coupling_class)
-    )
+    its share of the coupling bonuses to the common reduction.
+
+    A function's count is ``max(0, base - reduction)``; within a class
+    the functions above zero are those whose base exceeds the class's
+    reduction, found by one bisection of its sorted bases, so the sum
+    costs O(log F) for F functions.
+    """
+    total = 0
+    reductions = (common, common + earlier, common + earlier + same)
+    for (bases, sums), reduction in zip(program._index.class_bases, reductions):
+        i = bisect_right(bases, reduction)
+        total += sums[i] - reduction * (len(bases) - i)
     return EvaluationResult(instruction_count=total, status="ok")
 
 
 class _SequencePlan:
     """``mock_evaluate`` compiled for every forest with one leaf sequence.
 
-    Boundary i sits between leaves i and i+1, and cuts when the two run
-    in different phases. Flat effects and pair bonuses depend only on the
-    sequence, so they sum to ``common`` once. A coupling bonus (p, q) at
-    an occurrence j of q, where p first occurs at f, is:
+    Flat effects and pair bonuses depend only on the sequence, so they
+    sum to ``common`` once. A coupling bonus (p, q) at an occurrence j of
+    q, where p first occurs at f, spans the positions lo = min(f, j) to
+    hi = max(f, j), and is:
 
-    * for f < j, ``earlier`` if a boundary in [f, j) cuts, else ``same``;
-    * for f > j, ``same`` iff no boundary in [j, f) cuts;
-    * for f == j, always ``same``;
+    * ``same`` if lo and hi fall in one phase (always, when f == j);
+    * otherwise ``earlier`` if f < j, and nothing if f > j;
     * never, if p is not in the sequence.
 
-    A forest's cut mask sets bit b when a phase starts at leaf b, that
-    is, when boundary b - 1 cuts. ``terms`` sums the bonuses per span of
-    boundaries, as (the span's bits of that mask, earlier if cut, same if
-    not cut), and ``same`` holds the f == j bonuses.
+    Phases are contiguous runs of leaves, so lo and hi share a phase
+    [start, end) exactly when lo lies in it and hi < end. ``terms[lo]``
+    lists the bonuses starting at lo as (hi, earlier if split, same if
+    joined), and ``table`` maps a phase's (start, end) to the
+    ``(earlier, same)`` of the terms starting in it, filled on the
+    phase's first use. A forest is scored with one table lookup per
+    phase, and ``results`` keeps one result per ``(earlier, same)``.
+    Filling an entry twice from concurrent calls stores equal values.
     """
 
-    __slots__ = ("program", "common", "same", "terms")
+    __slots__ = ("program", "common", "terms", "table", "results")
 
     def __init__(self, program: MockProgram, names: Tuple[str, ...]):
         index = program._index
@@ -286,38 +308,59 @@ class _SequencePlan:
                 if p in first:
                     common += bonus
             first.setdefault(q, j)
-        same = 0
-        terms: Dict[int, List[int]] = {}
+        terms: List[List[Tuple[int, int, int]]] = [[] for _ in names]
         for j, q in enumerate(names):
             for p, bonus in index.coupling_by_target.get(q, ()):
                 f = first.get(p)
                 if f is None:
                     continue
-                if f == j:
-                    same += bonus
-                    continue
-                lo, hi = min(f, j), max(f, j)
-                term = terms.setdefault((2 << hi) - (2 << lo), [0, 0])
                 if f < j:
-                    term[0] += bonus
-                term[1] += bonus
+                    terms[f].append((j, bonus, bonus))
+                else:
+                    terms[j].append((f, 0, bonus))
         self.program = program
         self.common = common
-        self.same = same
-        self.terms = tuple((span, e, s) for span, (e, s) in terms.items())
+        self.terms = terms
+        self.table: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self.results: Dict[Tuple[int, int], EvaluationResult] = {}
+
+    def _phase_entry(self, start: int, end: int) -> Tuple[int, int]:
+        earlier = same = 0
+        for lo in range(start, end):
+            for hi, if_split, if_joined in self.terms[lo]:
+                if hi < end:
+                    same += if_joined
+                else:
+                    earlier += if_split
+        entry = self.table[start, end] = (earlier, same)
+        return entry
 
     def evaluate(self, forest: PipelineForest) -> EvaluationResult:
-        cuts = start = 0
-        for phase in chain.from_iterable(map(_phases, forest.trees)):
-            cuts |= 1 << start
-            start += len(phase)
-        earlier, same = 0, self.same
-        for span, if_cut, if_joined in self.terms:
-            if cuts & span:
-                earlier += if_cut
-            else:
-                same += if_joined
-        return _clamped_total(self.program, self.common, earlier, same)
+        table = self.table
+        earlier = same = start = 0
+        for tree in forest.trees:
+            for child in tree.children:
+                if child.__class__ is Manager and child.level is _MODULE:
+                    # A nested module manager: its own children are phases.
+                    for phase in _phases(child):
+                        end = start + len(phase)
+                        entry = table.get((start, end)) or self._phase_entry(start, end)
+                        earlier += entry[0]
+                        same += entry[1]
+                        start = end
+                else:
+                    end = start + child.size
+                    entry = table.get((start, end)) or self._phase_entry(start, end)
+                    earlier += entry[0]
+                    same += entry[1]
+                    start = end
+        key = (earlier, same)
+        result = self.results.get(key)
+        if result is None:
+            result = self.results[key] = _clamped_total(
+                self.program, self.common, earlier, same
+            )
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +461,12 @@ class MockBackend:
     replaces whole, so concurrent calls stay correct. A forest whose
     program (by identity) and leaf names equal the last call's is scored
     by that sequence's ``_SequencePlan``, built on this second sighting;
-    refinement's partitions of one sequence all take this path. Every
-    other forest goes through ``mock_evaluate``, which is cheaper than
-    building and using a plan for a sequence seen once, as most search
-    candidates are.
+    refinement's partitions of one sequence all take this path, at one
+    table lookup per phase once the plan has seen the phase. Every other
+    forest goes through ``mock_evaluate``, which is cheaper than building
+    and using a plan for a sequence seen once, as most search candidates
+    are: replaying mock-tune's calls with a plan built on every first
+    sighting costs more per call than ``mock_evaluate`` alone.
     """
 
     name = "mock"

@@ -36,6 +36,8 @@ from .grammar import print_pipeline
 from .registry import PassLevel
 
 TypedSequence = Sequence[Tuple[str, PassLevel]]
+# Read in decode's loop: an enum member lookup costs ten times a global.
+_MODULE = PassLevel.MODULE
 # Wrapped non-module blocks by the (start, end) positions of their
 # passes in the sequence, shared between the forests decoded from one
 # problem.
@@ -65,7 +67,8 @@ class PartitionChromosome:
 
 
 def decision_points(sequence: TypedSequence) -> PartitionProblem:
-    seq = tuple((name, level) for name, level in sequence)
+    # Members, not plain ints: decode compares levels by identity.
+    seq = tuple((name, PassLevel(level)) for name, level in sequence)
     if not seq:
         raise ValueError("sequence is empty")
     points = tuple(
@@ -102,27 +105,31 @@ def decode(
     if blocks is None:
         blocks = {}
     sequence = problem.sequence
-    joined = {i for i, bit in zip(problem.decision_points, chromosome.bits) if not bit}
-    ends = [i + 1 for i in range(len(sequence) - 1) if i not in joined]
-    ends.append(len(sequence))
+    # cuts[i]: a block ends after pass i; the last pass always ends one.
+    cuts = [True] * len(sequence)
+    for i, bit in zip(problem.decision_points, chromosome.bits):
+        if not bit:
+            cuts[i] = False
     trees: List[List] = [[]]
     start = 0
-    for end in ends:
+    for end, cut in enumerate(cuts, 1):
+        if not cut:
+            continue
         level = sequence[start][1]
-        if level == PassLevel.MODULE:
-            if start and sequence[start - 1][1] == PassLevel.MODULE:
+        if level is _MODULE:
+            if start and sequence[start - 1][1] is _MODULE:
                 trees.append([])
             trees[-1].extend(Leaf(name, level) for name, _ in sequence[start:end])
         else:
             block = blocks.get((start, end))
             if block is None:
                 leaves = tuple(Leaf(name, level) for name, _ in sequence[start:end])
-                block = wrap_in_chain(adaptor_chain(PassLevel.MODULE, level), leaves)
+                block = wrap_in_chain(adaptor_chain(_MODULE, level), leaves)
                 blocks[start, end] = block
             trees[-1].append(block)
         start = end
     return PipelineForest(
-        tuple(Manager(PassLevel.MODULE, tuple(children)) for children in trees)
+        tuple([Manager(_MODULE, tuple(children)) for children in trees])
     )
 
 

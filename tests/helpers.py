@@ -333,3 +333,9 @@ def write_script(path, body):
     path.write_text("#!/bin/sh\n" + body)
     path.chmod(path.stat().st_mode | stat.S_IXUSR)
     return str(path)
+
+
+# Body of a fake ``opt`` that prints its input as ``opt -S <file> -o -``
+# does (how ``OptBackend.original_count`` reads it) and exits 1 on every
+# ``-passes=`` run, so every pipeline fails to evaluate.
+FAIL_EVERY_PIPELINE = 'case "$2" in -passes=*) exit 1 ;; esac\ncat "$2"\n'

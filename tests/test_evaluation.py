@@ -1,4 +1,5 @@
 import dataclasses
+import shutil
 import threading
 from collections import Counter
 
@@ -27,7 +28,8 @@ from passforest import (
     save_mock_program,
     schedule_of,
 )
-from passforest.evaluation import Evaluator, EvaluationResult
+from passforest.evaluation import Evaluator, EvaluationResult, resolve_opt_path
+from passforest.refine import _all_chromosomes, decision_points, decode
 
 SAMPLE_IR = """\
 ; ModuleID = 'demo'
@@ -300,6 +302,52 @@ def test_mock_backend_plan_never_serves_another_program(m1, m2, ab_registry):
     assert backend._last[2] is None
 
 
+def _three_class_program(with_class_2: bool) -> MockProgram:
+    # Coupling classes: f0 and f2 have no callees (0); f1 and f5 call f2,
+    # listed after them (1); f3 and f4 call f0, listed before them (2).
+    # Each class has a base below and one above the reductions, so the
+    # clamp cuts inside every class.
+    functions = [("f0", 10), ("f1", 40), ("f5", 30), ("f2", 200), ("f3", 45), ("f4", 300)]
+    calls = [("f1", "f2"), ("f5", "f2"), ("f3", "f0"), ("f4", "f0")]
+    if not with_class_2:
+        functions, calls = functions[:4], calls[:2]
+    return MockProgram(
+        functions=tuple(MockFunction(name, base) for name, base in functions),
+        call_edges=tuple(calls),
+        pass_effects={"a": 4, "b": 3, "m": 2},
+        pair_synergy={("a", "b"): 2, ("b", "a"): 1},
+        coupling={("a", "b"): 5, ("b", "a"): 4, ("m", "b"): 3, ("b", "b"): 2},
+    )
+
+
+@pytest.mark.parametrize("with_class_2", [True, False], ids=["three-classes", "class-2-empty"])
+def test_mock_backend_plan_scores_nested_module_managers(with_class_2):
+    # One leaf sequence m,a,b,a,b in every flat partition and in shapes
+    # that nest module managers in module trees; from the second call on,
+    # the backend scores them all through one sequence plan.
+    registry = load_registry("a=function\nb=function\nm=module\n")
+    program = _three_class_program(with_class_2)
+    problem = decision_points([(n, registry.level_of(n)) for n in "mabab"])
+    flat = [decode(problem, chromosome) for chromosome in _all_chromosomes(3)]
+    nested = [
+        parse_pipeline(text, registry)
+        for text in (
+            "module(module(m,function(a)),function(b,a,b))",
+            "module(module(m,function(a),function(b)),function(a,b))",
+            "module(m,module(function(a,b),module(function(a))),function(b))",
+            "module(m,function(a)),module(function(b,a),module(function(b)))",
+        )
+    ]
+    backend = MockBackend()
+    counts = set()
+    for forest in flat + nested + flat[::-1]:
+        expected = helpers.reference_mock_evaluate(program, forest)
+        assert backend.evaluate(program, forest) == expected
+        counts.add(expected.instruction_count)
+    assert backend._last[2] is not None  # scored by the plan
+    assert len(counts) > 2  # the shapes do not all score alike
+
+
 # ---------------------------------------------------------------------------
 # opt subprocess backend (via fake opt executables)
 # ---------------------------------------------------------------------------
@@ -376,8 +424,60 @@ def test_opt_backend_missing_input(tmp_path, registry):
 
 
 def test_opt_backend_original_count(tmp_path, ir_file):
-    backend = OptBackend(opt_path=str(tmp_path / "unused"))
-    assert backend.original_count(ir_file) == 2
+    fake = helpers.write_script(tmp_path / "opt", f'[ "$2" = "{ir_file}" ] && cat {ir_file}\n')
+    assert OptBackend(opt_path=fake).original_count(ir_file) == 2
+
+
+# Two layouts of one function that count 0 and MalformedIR on their raw
+# text; ``opt -S`` prints both with 2 instructions.
+COMMENTED_IR = """\
+define i32 @f(i32 %x) { ; adds one
+  %y = add i32 %x, 1
+  ret i32 %y
+} ; end
+"""
+BRACE_ON_ITS_OWN_LINE_IR = """\
+define i32 @f(i32 %x)
+{
+  %y = add i32 %x, 1
+  ret i32 %y
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [COMMENTED_IR, BRACE_ON_ITS_OWN_LINE_IR], ids=["comments", "brace-line"]
+)
+def test_opt_backend_original_count_reads_opt_printing(tmp_path, ir_file, text):
+    # The input is counted on what opt prints for it, never on its raw text.
+    source = tmp_path / "hand.ll"
+    source.write_text(text)
+    fake = helpers.write_script(tmp_path / "opt", f'[ "$2" = "{source}" ] && cat {ir_file}\n')
+    assert OptBackend(opt_path=fake).original_count(source) == 2
+    opt = shutil.which(resolve_opt_path())
+    if opt is not None:
+        assert OptBackend(opt_path=opt).original_count(source) == 2
+
+
+def test_opt_backend_original_count_is_memoized_per_file_state(tmp_path, ir_file):
+    log = tmp_path / "calls"
+    fake = helpers.write_script(tmp_path / "opt", f"echo x >> {log}\ncat {ir_file}\n")
+    backend = OptBackend(opt_path=fake)
+    source = tmp_path / "input2.ll"
+    source.write_text(SAMPLE_IR)
+    assert [backend.original_count(source) for _ in range(3)] == [2, 2, 2]
+    assert log.read_text().count("x") == 1
+    source.write_text(SAMPLE_IR + "\n")  # a new size: read again
+    assert backend.original_count(source) == 2
+    assert log.read_text().count("x") == 2
+    assert OptBackend(opt_path=fake).original_count(source) == 2  # per backend
+    assert log.read_text().count("x") == 3
+
+
+def test_opt_backend_original_count_unreadable_ll(tmp_path, ir_file):
+    fake = helpers.write_script(tmp_path / "opt", "echo 'bad input' >&2\nexit 1\n")
+    with pytest.raises(BackendUnavailable, match="opt exited 1 reading"):
+        OptBackend(opt_path=fake).original_count(ir_file)
 
 
 def test_opt_backend_original_count_disassembles_bc(tmp_path, ir_file):

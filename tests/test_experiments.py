@@ -220,7 +220,7 @@ def test_experiments_cli_rq4(tmp_path, m2, capsys):
 def test_rq4_reports_a_failed_winner_as_failed(tmp_path, capsys):
     # Every evaluation fails, so the search's winner has no count; the
     # study must not turn its failure fitness into one.
-    fake = helpers.write_script(tmp_path / "opt", "exit 1\n")
+    fake = helpers.write_script(tmp_path / "opt", helpers.FAIL_EVERY_PIPELINE)
     argv = [
         "experiment",
         "rq4",
@@ -252,9 +252,9 @@ def test_rq4_reports_a_failed_winner_as_failed(tmp_path, capsys):
     ids=["refine", "search", "rq3"],
 )
 def test_failed_reported_pipeline_exits_3(tmp_path, capsys, command, reported):
-    # An opt that always fails leaves the reported pipeline without a
-    # count; the payload is still printed, with exit code 3.
-    fake = helpers.write_script(tmp_path / "opt", "exit 1\n")
+    # An opt that fails every pipeline leaves the reported pipeline
+    # without a count; the payload is still printed, with exit code 3.
+    fake = helpers.write_script(tmp_path / "opt", helpers.FAIL_EVERY_PIPELINE)
     argv = command + [
         "--program", LOOPS_LL, "--evaluator", "opt", "--opt-path", fake, "--json",
     ]
