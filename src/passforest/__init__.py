@@ -28,6 +28,7 @@ from .errors import (
     UnknownPass,
 )
 from .evaluation import EvaluationResult, OptBackend, count_ir_instructions
+from .experiments import tune
 from .forest import (
     Leaf,
     Manager,

@@ -1,5 +1,9 @@
 """Command-line interface.
 
+A typical cycle is ``mine`` a synergy graph, then ``tune`` a program:
+the guided search, then refinement of its winner. ``search`` and
+``refine`` run one stage each and share their flags with ``tune``.
+
 Exit codes: 0 success, 1 invalid input (bad pipeline, bad file
 contents), 2 environment problems (missing opt, missing files, empty
 dataset), 3 evaluation failure, also when a command prints a result
@@ -21,12 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluation import DEFAULT_OPT_TIMEOUT, OptBackend, check_timeout
-from .experiments import (
-    run_rq3_ablation,
-    run_rq4_ablation,
-    run_structure_study,
-    table_lines,
-)
+from .experiments import run_structure_study, structure_lines, tune, tune_lines
 from .grammar import parse_pipeline, print_pipeline
 from .metrics import ProgramResult, aggregate
 from .mock import MockBackend
@@ -107,6 +106,36 @@ def _add_json_flag(parser):
     parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
+
+
+def _add_search_flags(parser):
+    """The search stage's flags, shared by search and tune."""
+    parser.add_argument("--graph", help="synergy graph JSON (omit for unguided)")
+    parser.add_argument("--population", type=int, default=50)
+    parser.add_argument("--generations", type=int, default=20)
+    parser.add_argument("--max-len", type=int, default=24)
+    parser.add_argument("--crossover-rate", type=float, default=0.9)
+    parser.add_argument("--mutation-rate", type=float, default=0.3)
+    parser.add_argument("--log", help="write per-generation JSONL log here")
+
+
+def _add_refine_flags(parser):
+    """The refine stage's flags, shared by refine and tune."""
+    parser.add_argument("--exhaustive-budget", type=int, default=4096)
+
+
+def _add_seed_flag(parser):
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the GA; tune seeds both the search and the refine GA "
+        "with it (default: %(default)s)",
+    )
+
+
+def _graph_arg(args) -> SynergyGraph:
+    return load_graph(args.graph) if args.graph else SynergyGraph.empty()
 
 
 def cmd_validate(args) -> int:
@@ -198,18 +227,26 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def cmd_search(args) -> int:
-    registry = _load_registry_arg(args)
-    backend = _backend_from_args(args)
-    graph = load_graph(args.graph) if args.graph else SynergyGraph.empty()
-    config = _search_config(args)
-    best, log = run_search(
-        args.program, graph, registry, backend, config, parallel=args.parallel
-    )
+def _refine_config(args) -> RefineConfig:
+    return RefineConfig(exhaustive_budget=args.exhaustive_budget, seed=args.seed)
+
+
+def _write_log(args, log) -> None:
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             for record in log:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def cmd_search(args) -> int:
+    registry = _load_registry_arg(args)
+    backend = _backend_from_args(args)
+    graph = _graph_arg(args)
+    config = _search_config(args)
+    best, log = run_search(
+        args.program, graph, registry, backend, config, parallel=args.parallel
+    )
+    _write_log(args, log)
     payload = {
         "best_pipeline": print_pipeline(best.forest),
         "best_fitness": best.fitness,
@@ -230,11 +267,9 @@ def cmd_refine(args) -> int:
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
     seed_forest = parse_pipeline(args.pipeline, registry)
-    config = RefineConfig(
-        exhaustive_budget=args.exhaustive_budget, seed=args.seed
-    )
     result = refine(
-        seed_forest, args.program, backend, config, parallel=args.parallel
+        seed_forest, args.program, backend, _refine_config(args),
+        parallel=args.parallel,
     )
     payload = result.to_dict()
     _emit(
@@ -248,6 +283,20 @@ def cmd_refine(args) -> int:
         ],
     )
     return _exit_status(result.refined_ic is None)
+
+
+def cmd_tune(args) -> int:
+    registry = _load_registry_arg(args)
+    backend = _backend_from_args(args)
+    graph = _graph_arg(args)
+    config, refine_config = _search_config(args), _refine_config(args)
+    result = tune(
+        args.program, graph, registry, backend, config, refine_config,
+        parallel=args.parallel,
+    )
+    _write_log(args, result["generations"])
+    _emit(args, result, tune_lines(result))
+    return _exit_status(result["search_ic"] is None or result["refined_ic"] is None)
 
 
 def cmd_evaluate(args) -> int:
@@ -337,35 +386,18 @@ def cmd_report(args) -> int:
 def cmd_experiment(args) -> int:
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
-    graph = load_graph(args.graph) if args.graph else SynergyGraph.empty()
-    if args.study == "structure":
-        if args.passes is not None:
-            groups = [
-                [name.strip() for name in group.split(",")]
-                for group in args.passes.split(";")
-            ]
-        else:
-            groups = [[e.src, e.dst] for e in graph.edges]
-        result = run_structure_study(
-            groups, args.program, registry, backend, args.parallel
-        )
+    graph = _graph_arg(args)
+    if args.passes is not None:
+        groups = [
+            [name.strip() for name in group.split(",")]
+            for group in args.passes.split(";")
+        ]
     else:
-        config = SearchConfig(
-            population_size=args.population,
-            generations=args.generations,
-            max_sequence_length=args.max_len,
-            seed=args.seed,
-        )
-        study = run_rq3_ablation if args.study == "rq3" else run_rq4_ablation
-        result = study(args.program, graph, registry, backend, config, args.parallel)
-    _emit(args, result, table_lines(result))
-    if args.study == "rq3":
-        return _exit_status(any(
-            _search_failed(backend, args.program, result[mode]["best_fitness"])
-            for mode in ("guided", "unguided")
-        ))
-    if args.study == "rq4":
-        return _exit_status(result["main_ga_ic"] is None or result["refined_ic"] is None)
+        groups = [[e.src, e.dst] for e in graph.edges]
+    result = run_structure_study(
+        groups, args.program, registry, backend, args.parallel
+    )
+    _emit(args, result, structure_lines(result))
     return EXIT_OK
 
 
@@ -406,14 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="run the evolutionary search")
     p.add_argument("--program", required=True)
-    p.add_argument("--graph", help="synergy graph JSON (omit for unguided)")
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--generations", type=int, default=20)
-    p.add_argument("--max-len", type=int, default=24)
-    p.add_argument("--crossover-rate", type=float, default=0.9)
-    p.add_argument("--mutation-rate", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log", help="write per-generation JSONL log here")
+    _add_search_flags(p)
+    _add_seed_flag(p)
     _add_registry_flag(p)
     _add_evaluator_flags(p)
     _add_json_flag(p)
@@ -422,12 +448,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="refine a pipeline's structure")
     p.add_argument("--program", required=True)
     p.add_argument("--pipeline", required=True)
-    p.add_argument("--exhaustive-budget", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
+    _add_refine_flags(p)
+    _add_seed_flag(p)
     _add_registry_flag(p)
     _add_evaluator_flags(p)
     _add_json_flag(p)
     p.set_defaults(func=cmd_refine)
+
+    p = sub.add_parser("tune", help="search, then refine the search's winner")
+    p.add_argument("--program", required=True)
+    _add_search_flags(p)
+    _add_refine_flags(p)
+    _add_seed_flag(p)
+    _add_registry_flag(p)
+    _add_evaluator_flags(p)
+    _add_json_flag(p)
+    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("evaluate", help="apply a pipeline, print the count")
     p.add_argument("--program", required=True)
@@ -443,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(p)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("experiment", help="run a desk-scale study")
-    p.add_argument("study", choices=("structure", "rq3", "rq4"))
+    p = sub.add_parser("experiment", help="run the pass-nesting study")
+    p.add_argument("study", choices=("structure",))
     p.add_argument("--program", required=True)
     p.add_argument("--graph", help="synergy graph JSON")
     p.add_argument(
@@ -453,10 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         "module,cgscc,function,loop quartet, like gvn,adce;globalopt,inline,"
         "gvn,loop-deletion (default: every edge of --graph)",
     )
-    p.add_argument("--population", type=int, default=16)
-    p.add_argument("--generations", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
     _add_registry_flag(p)
     _add_evaluator_flags(p)
     _add_json_flag(p)

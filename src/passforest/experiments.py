@@ -1,12 +1,15 @@
-"""Desk-scale experiment drivers.
+"""The tune chain, and a desk-scale study of pass nesting.
 
-Three reproducible studies over any backend: whether a pass group's
-result depends on how it is nested, what synergy guidance buys the
-search, and what the refinement stage adds on top of it. Each driver
-returns a plain dict, and ``table_lines`` renders it as a text table.
+``tune`` is the framework's whole chain on one program: the
+structure-aware search, then refinement of its winner. Run with and
+without a synergy graph it compares guided with knowledge-blind search;
+its search and refined counts show what refinement adds.
+``run_structure_study`` asks whether a pass group's result depends on
+how it is nested. Both run over any backend and return a plain dict,
+which ``tune_lines`` and ``structure_lines`` render as text.
 
-Published large-corpus averages appear in the tables as reference
-columns for context only; nothing here asserts them.
+Published large-corpus averages appear in the text as reference values
+for context only; nothing here asserts them.
 """
 
 from typing import Optional, Sequence
@@ -22,8 +25,6 @@ from .synergy import SynergyGraph
 
 # Large-corpus OverOz averages (reference display only, never asserted).
 CORPUS_REFERENCE = {
-    "guided_reduced_budget_overoz_pct": 0.76,
-    "unguided_reduced_budget_overoz_pct": -8.29,
     "main_ga_overoz_pct": 13.08,
     "full_framework_overoz_pct": 13.62,
     "microstructure_agreement_fraction": 0.997,
@@ -79,85 +80,41 @@ def run_structure_study(
     }
 
 
-def run_rq3_ablation(
+def tune(
     program,
     graph: SynergyGraph,
     registry: PassRegistry,
     backend,
     config: SearchConfig,
-    parallel: int = 1,
-) -> dict:
-    """Guided versus knowledge-blind search under one seed and budget.
-
-    The unguided run uses an empty graph, which forces uniform-random
-    initialization and mutation fallback throughout.
-    """
-    guided_best, guided_log = run_search(
-        program, graph, registry, backend, config, parallel
-    )
-    unguided_best, unguided_log = run_search(
-        program, SynergyGraph.empty(), registry, backend, config, parallel
-    )
-    return {
-        "study": "rq3_guidance",
-        "guided": {
-            "best_fitness": guided_best.fitness,
-            "best_pipeline": print_pipeline(guided_best.forest),
-            "log": guided_log,
-        },
-        "unguided": {
-            "best_fitness": unguided_best.fitness,
-            "best_pipeline": print_pipeline(unguided_best.forest),
-            "log": unguided_log,
-        },
-        "corpus_reference": {
-            "guided_overoz_pct": CORPUS_REFERENCE[
-                "guided_reduced_budget_overoz_pct"
-            ],
-            "unguided_overoz_pct": CORPUS_REFERENCE[
-                "unguided_reduced_budget_overoz_pct"
-            ],
-        },
-    }
-
-
-def run_rq4_ablation(
-    program,
-    graph: SynergyGraph,
-    registry: PassRegistry,
-    backend,
-    config: SearchConfig,
-    parallel: int = 1,
     refine_config: Optional[RefineConfig] = None,
+    parallel: int = 1,
 ) -> dict:
-    """Main search alone versus search plus structural refinement.
+    """The whole framework on one program: search, then refine its winner.
 
-    The gain is the extra percentage of the original count recovered by
-    refinement; it is never negative. When the search's winner fails to
-    evaluate, its count and the gain are None, and so is the refined
-    count unless some partition of the winner evaluates.
+    Returns each stage's pipeline and count, the decision point count k,
+    refinement's evaluation count and the search log. The gain is the
+    extra percentage of the original count recovered by refinement; it
+    is never negative. When the search's winner fails to evaluate, its
+    count and the gain are None, and so is the refined count unless some
+    partition of the winner evaluates. An empty graph gives the
+    knowledge-blind search.
     """
-    ic_orig = backend.original_count(program)
-    best, _ = run_search(program, graph, registry, backend, config, parallel)
+    best, log = run_search(program, graph, registry, backend, config, parallel)
     result = refine(best.forest, program, backend, refine_config, parallel)
-    main_ic, refined_ic = result.seed_ic, result.refined_ic
+    search_ic, refined_ic = result.seed_ic, result.refined_ic
     gain_pct = None
-    if main_ic is not None:
-        gain_pct = overoz(ic_orig, refined_ic) - overoz(ic_orig, main_ic)
+    if search_ic is not None:
+        ic_orig = backend.original_count(program)
+        gain_pct = overoz(ic_orig, refined_ic) - overoz(ic_orig, search_ic)
     return {
-        "study": "rq4_refinement",
-        "main_ga_ic": main_ic,
-        "main_ga_pipeline": print_pipeline(best.forest),
-        "refined_ic": refined_ic,
+        "search_pipeline": result.seed_pipeline,
+        "search_ic": search_ic,
         "refined_pipeline": result.refined_pipeline,
+        "refined_ic": refined_ic,
         "gain_pct": gain_pct,
         "decision_point_count": result.decision_point_count,
-        "corpus_reference": {
-            "main_ga_overoz_pct": CORPUS_REFERENCE["main_ga_overoz_pct"],
-            "full_framework_overoz_pct": CORPUS_REFERENCE[
-                "full_framework_overoz_pct"
-            ],
-        },
+        "refine_evaluations": result.evaluations_used,
+        "generations": log,
     }
 
 
@@ -165,44 +122,36 @@ def _count_or_failed(count: Optional[int]) -> str:
     return "failed" if count is None else str(count)
 
 
-def table_lines(result: dict) -> list:
-    """The text table of a study result."""
-    study = result.get("study", "study")
-    lines = [study, "=" * len(study)]
-    if study == "structure":
-        lines.append(f"original instruction count: {result['original_ic']}")
-        for case in result["cases"]:
-            lines.append(f"{','.join(case['passes'])}  agree={case['agree']}")
-            for row in case["variants"]:
-                count = row["instruction_count"]
-                shown = count if count is not None else f"failed ({row['detail']})"
-                lines.append(f"  {row['name']:<20} {shown:>8}  {row['pipeline']}")
-        lines.append(f"agreement fraction: {result['agreement_fraction']:.4f}")
-        lines.append(
-            "reference (large corpus): "
-            f"{result['corpus_reference_agreement_fraction']:.4f}"
-        )
-    elif study == "rq3_guidance":
-        for mode in ("guided", "unguided"):
-            lines.append(
-                f"{mode:9} best_fitness={result[mode]['best_fitness']} "
-                f"pipeline={result[mode]['best_pipeline']}"
-            )
-        ref = result["corpus_reference"]
-        lines.append(
-            "reference (large corpus, OverOz %): "
-            f"guided={ref['guided_overoz_pct']} "
-            f"unguided={ref['unguided_overoz_pct']}"
-        )
-    elif study == "rq4_refinement":
-        gain = result["gain_pct"]
-        lines.append(f"main GA ic:  {_count_or_failed(result['main_ga_ic'])}")
-        lines.append(f"refined ic:  {_count_or_failed(result['refined_ic'])}")
-        lines.append(f"gain:        {'failed' if gain is None else f'{gain:+.4f}%'}")
-        ref = result["corpus_reference"]
-        lines.append(
-            "reference (large corpus, OverOz %): "
-            f"main={ref['main_ga_overoz_pct']} "
-            f"full={ref['full_framework_overoz_pct']}"
-        )
+def tune_lines(result: dict) -> list:
+    """The text of a ``tune`` result."""
+    gain = result["gain_pct"]
+    return [
+        f"search:  {result['search_pipeline']} "
+        f"(ic {_count_or_failed(result['search_ic'])})",
+        f"refined: {result['refined_pipeline']} "
+        f"(ic {_count_or_failed(result['refined_ic'])})",
+        f"gain:    {'failed' if gain is None else f'{gain:+.4f}%'}",
+        f"decision points: {result['decision_point_count']}, "
+        f"refine evaluations: {result['refine_evaluations']}",
+        "reference (large corpus, OverOz %): "
+        f"main={CORPUS_REFERENCE['main_ga_overoz_pct']} "
+        f"full={CORPUS_REFERENCE['full_framework_overoz_pct']}",
+    ]
+
+
+def structure_lines(result: dict) -> list:
+    """The text table of a structure study result."""
+    lines = ["structure", "========="]
+    lines.append(f"original instruction count: {result['original_ic']}")
+    for case in result["cases"]:
+        lines.append(f"{','.join(case['passes'])}  agree={case['agree']}")
+        for row in case["variants"]:
+            count = row["instruction_count"]
+            shown = count if count is not None else f"failed ({row['detail']})"
+            lines.append(f"  {row['name']:<20} {shown:>8}  {row['pipeline']}")
+    lines.append(f"agreement fraction: {result['agreement_fraction']:.4f}")
+    lines.append(
+        "reference (large corpus): "
+        f"{result['corpus_reference_agreement_fraction']:.4f}"
+    )
     return lines

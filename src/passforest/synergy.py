@@ -144,33 +144,42 @@ def graph_from_counts(
     return SynergyGraph(edges, start_weights, meta)
 
 
+def _single_pass_counts(
+    program, registry: PassRegistry, backend, parallel: int
+) -> Dict[str, float]:
+    """Count left by each concrete pass run alone in its minimal wrap.
+
+    Failed evaluations map to +inf and are logged as warnings.
+    """
+    passes = registry.concrete_passes()
+    forests = [
+        PipelineForest((minimal_wrap(p.name, p.level),)) for p in passes
+    ]
+    results = Evaluator(backend, program, parallel).map(forests)
+    counts: Dict[str, float] = {}
+    for info, res in zip(passes, results):
+        if res.ok:
+            counts[info.name] = res.instruction_count
+        else:
+            logger.warning("skipping pass %s: %s", info.name, res.detail)
+            counts[info.name] = float("inf")
+    return counts
+
+
 def single_pass_performance(
     program,
     registry: PassRegistry,
     backend,
     parallel: int = 1,
-    ic_orig: Optional[int] = None,
 ) -> Dict[str, float]:
     """Per-pass reduction of each concrete pass run alone.
 
     Failed evaluations map to -inf, which excludes the pass from pairing,
     and are logged as warnings.
     """
-    if ic_orig is None:
-        ic_orig = backend.original_count(program)
-    passes = registry.concrete_passes()
-    forests = [
-        PipelineForest((minimal_wrap(p.name, p.level),)) for p in passes
-    ]
-    results = Evaluator(backend, program, parallel).map(forests)
-    perf: Dict[str, float] = {}
-    for info, res in zip(passes, results):
-        if res.ok:
-            perf[info.name] = ic_orig - res.instruction_count
-        else:
-            logger.warning("skipping pass %s: %s", info.name, res.detail)
-            perf[info.name] = float("-inf")
-    return perf
+    ic_orig = backend.original_count(program)
+    counts = _single_pass_counts(program, registry, backend, parallel)
+    return {name: ic_orig - count for name, count in counts.items()}
 
 
 def _program_id(ref, index: int) -> str:
@@ -187,11 +196,9 @@ def mine_program_pairs(
 ) -> Dict[Tuple[str, str], int]:
     """Synergistic ordered pairs of one program (each counted once)."""
     ic_orig = backend.original_count(program)
-    baseline = single_pass_performance(
-        program, registry, backend, parallel, ic_orig=ic_orig
-    )
+    counts = _single_pass_counts(program, registry, backend, parallel)
     usable = [
-        p for p in registry.concrete_passes() if baseline[p.name] != float("-inf")
+        p for p in registry.concrete_passes() if counts[p.name] != float("inf")
     ]
     pairs = [(p1, p2) for p1 in usable for p2 in usable]
     forests = [representative_skeleton(p1, p2) for p1, p2 in pairs]
@@ -204,7 +211,7 @@ def mine_program_pairs(
             )
             continue
         perf_combined = ic_orig - res.instruction_count
-        perf_sum = baseline[p1.name] + baseline[p2.name]
+        perf_sum = (ic_orig - counts[p1.name]) + (ic_orig - counts[p2.name])
         if perf_combined > perf_sum:
             recorded[(p1.name, p2.name)] = 1
     return recorded

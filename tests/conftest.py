@@ -6,6 +6,7 @@ from passforest import (
     MockProgram,
     default_registry,
     load_registry,
+    save_mock_program,
 )
 
 
@@ -38,6 +39,20 @@ def m2():
         pass_effects={"a": 5, "b": 5},
         coupling={("a", "b"): 7},
     )
+
+
+@pytest.fixture
+def m1_file(tmp_path, m1):
+    path = tmp_path / "m1.json"
+    save_mock_program(m1, path)
+    return str(path)
+
+
+@pytest.fixture
+def m2_file(tmp_path, m2):
+    path = tmp_path / "m2.json"
+    save_mock_program(m2, path)
+    return str(path)
 
 
 @pytest.fixture

@@ -16,20 +16,6 @@ def ab_registry_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def m1_file(tmp_path, m1):
-    path = tmp_path / "m1.json"
-    save_mock_program(m1, path)
-    return str(path)
-
-
-@pytest.fixture
-def m2_file(tmp_path, m2):
-    path = tmp_path / "m2.json"
-    save_mock_program(m2, path)
-    return str(path)
-
-
 # ---------------------------------------------------------------------------
 # validate / fmt
 # ---------------------------------------------------------------------------

@@ -153,6 +153,10 @@ _SPEC_COMMANDS = [
         "search", "--program", "prog.json",
         "--population", "3", "--generations", "1", "--max-len", "4",
     ],
+    [
+        "tune", "--program", "prog.json",
+        "--population", "3", "--generations", "1", "--max-len", "4",
+    ],
     ["experiment", "structure", "--program", "prog.json", "--passes", "gvn,adce"],
 ]
 
@@ -163,12 +167,13 @@ def test_mock_program_fuzz(argv, spec):
     _run(argv + ["--json"], {"prog.json": spec})
 
 
-@given(_file_contents(_VALID_GRAPH))
-@example(json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), 10**400)))
+@given(st.sampled_from(["search", "tune"]), _file_contents(_VALID_GRAPH))
+@example("search", json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), 10**400)))
+@example("tune", json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), 10**400)))
 @settings(max_examples=200, deadline=None)
-def test_graph_fuzz(graph):
+def test_graph_fuzz(command, graph):
     argv = [
-        "search", "--program", "prog.json", "--graph", "graph.json",
+        command, "--program", "prog.json", "--graph", "graph.json",
         "--population", "3", "--generations", "1", "--max-len", "4", "--json",
     ]
     _run(argv, {"prog.json": json.dumps(_VALID_SPEC), "graph.json": graph})
@@ -190,7 +195,7 @@ _REGISTRY_LINES = st.one_of(
         st.binary(max_size=24),
     ),
     st.sampled_from(
-        [["validate", "module(function(gvn))"], _SPEC_COMMANDS[0], _SPEC_COMMANDS[-1]]
+        [["validate", "module(function(gvn))"], _SPEC_COMMANDS[0], _SPEC_COMMANDS[3], _SPEC_COMMANDS[-1]]
     ),
 )
 @settings(max_examples=200, deadline=None)
