@@ -33,13 +33,11 @@ from .forest import (
     Leaf,
     Manager,
     PipelineForest,
-    StructuralMetrics,
     Violation,
     is_valid,
     leaf_sequence,
     minimal_wrap,
     random_forest,
-    structural_metrics,
     validate,
 )
 from .grammar import parse_pipeline, print_pipeline
@@ -90,5 +88,4 @@ from .synergy import (
     load_graph,
     mine_synergies,
     save_graph,
-    single_pass_performance,
 )

@@ -114,8 +114,6 @@ def _add_search_flags(parser):
     parser.add_argument("--population", type=int, default=50)
     parser.add_argument("--generations", type=int, default=20)
     parser.add_argument("--max-len", type=int, default=24)
-    parser.add_argument("--crossover-rate", type=float, default=0.9)
-    parser.add_argument("--mutation-rate", type=float, default=0.3)
     parser.add_argument("--log", help="write per-generation JSONL log here")
 
 
@@ -221,8 +219,6 @@ def _search_config(args) -> SearchConfig:
         population_size=args.population,
         generations=args.generations,
         max_sequence_length=args.max_len,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
         seed=args.seed,
     )
 

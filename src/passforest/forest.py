@@ -324,41 +324,6 @@ def leaf_count(forest: PipelineForest) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Structural metrics.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StructuralMetrics:
-    tree_count: int
-    max_depth: int
-    widths: Tuple[int, ...] = field(default_factory=tuple)
-
-
-def structural_metrics(forest: PipelineForest) -> StructuralMetrics:
-    """Tree count, deepest manager nesting, and per-manager child counts.
-
-    Depth counts managers along a root-to-leaf path, so a fully nested
-    module(cgscc(function(loop(..)))) tree has depth 4; same-level manager
-    nesting can push deeper.
-    """
-    widths = []
-
-    def depth(node):
-        if isinstance(node, Leaf):
-            return 0
-        widths.append(len(node.children))
-        inner = max((depth(c) for c in node.children), default=0)
-        return 1 + inner
-
-    max_depth = max((depth(tree) for tree in forest.trees), default=0)
-    return StructuralMetrics(
-        tree_count=len(forest.trees),
-        max_depth=max_depth,
-        widths=tuple(widths),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Adaptor chains.
 # ---------------------------------------------------------------------------
 

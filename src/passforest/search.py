@@ -50,10 +50,13 @@ class Individual:
     fitness: Optional[int] = None
 
 
-# Contenders per parent selection, and best individuals carried over
-# unchanged into each generation.
+# Contenders per parent selection, best individuals carried over
+# unchanged into each generation, and the chances that a pair of parents
+# is crossed over and that a child is mutated.
 TOURNAMENT_SIZE = 3
 ELITISM = 1
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.3
 
 
 @dataclass
@@ -61,8 +64,6 @@ class SearchConfig:
     population_size: int = 50
     generations: int = 20
     max_sequence_length: int = 24
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
@@ -72,9 +73,6 @@ class SearchConfig:
             raise ValueError("population_size must be >= 1")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        for rate in (self.crossover_rate, self.mutation_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must lie in [0, 1]")
 
 
 def _weighted_pick(rng: random.Random, items: Sequence, weights: Sequence[float]):
@@ -269,7 +267,7 @@ def run_search(
             parent_a = _tournament(rng, population)
             parent_b = _tournament(rng, population)
             children: Tuple[Individual, Individual] = (parent_a, parent_b)
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 swapped = crossover(
                     parent_a, parent_b, rng, config.max_sequence_length
                 )
@@ -278,7 +276,7 @@ def run_search(
             for child in children:
                 if len(next_population) >= config.population_size:
                     break
-                if rng.random() < config.mutation_rate:
+                if rng.random() < MUTATION_RATE:
                     child = mutate(child, graph, registry, rng)
                     child = Individual(
                         trim_to_length(child.forest, config.max_sequence_length)

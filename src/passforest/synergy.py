@@ -4,20 +4,23 @@ For every program, every concrete pass is first measured alone in its
 minimal wrap; every ordered pair (self-pairs included) is then evaluated
 in a single representative skeleton, and the pair is recorded as
 synergistic iff the combined reduction strictly beats the sum of the
-individual reductions. Counts aggregate across the dataset and normalize
-into edge weights and a start-pass distribution.
+individual reductions. Each program contributes its set of synergistic
+pairs once; the counts over the dataset normalize into edge weights and a
+start-pass distribution.
 
-Mining is resumable: partial per-program counts are checkpointed after
-each program, so an interrupted run restarted with the same inputs
-produces the identical graph.
+Mining is resumable: each program's pairs are checkpointed as one record,
+keyed by the program's id and, for a file, its size and modification
+time, so an interrupted run restarted with the same inputs produces the
+identical graph, and a changed file is mined again.
 """
 
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import SchemaError
 from .evaluation import Evaluator
@@ -144,77 +147,51 @@ def graph_from_counts(
     return SynergyGraph(edges, start_weights, meta)
 
 
-def _single_pass_counts(
-    program, registry: PassRegistry, backend, parallel: int
-) -> Dict[str, float]:
-    """Count left by each concrete pass run alone in its minimal wrap.
-
-    Failed evaluations map to +inf and are logged as warnings.
-    """
-    passes = registry.concrete_passes()
-    forests = [
-        PipelineForest((minimal_wrap(p.name, p.level),)) for p in passes
-    ]
-    results = Evaluator(backend, program, parallel).map(forests)
-    counts: Dict[str, float] = {}
-    for info, res in zip(passes, results):
-        if res.ok:
-            counts[info.name] = res.instruction_count
-        else:
-            logger.warning("skipping pass %s: %s", info.name, res.detail)
-            counts[info.name] = float("inf")
-    return counts
-
-
-def single_pass_performance(
-    program,
-    registry: PassRegistry,
-    backend,
-    parallel: int = 1,
-) -> Dict[str, float]:
-    """Per-pass reduction of each concrete pass run alone.
-
-    Failed evaluations map to -inf, which excludes the pass from pairing,
-    and are logged as warnings.
-    """
-    ic_orig = backend.original_count(program)
-    counts = _single_pass_counts(program, registry, backend, parallel)
-    return {name: ic_orig - count for name, count in counts.items()}
-
-
-def _program_id(ref, index: int) -> str:
-    if isinstance(ref, (str, Path)):
-        return str(ref)
-    return f"<program-{index}>"
-
-
 def mine_program_pairs(
     program,
     registry: PassRegistry,
     backend,
     parallel: int = 1,
-) -> Dict[Tuple[str, str], int]:
-    """Synergistic ordered pairs of one program (each counted once)."""
+) -> Set[Tuple[str, str]]:
+    """Synergistic ordered pairs of one program.
+
+    One ``Evaluator`` scores each concrete pass alone in its minimal wrap,
+    then every ordered pair of passes that ran alone in its representative
+    skeleton. A failed evaluation is logged as a warning and drops its
+    pass or pair.
+    """
     ic_orig = backend.original_count(program)
-    counts = _single_pass_counts(program, registry, backend, parallel)
-    usable = [
-        p for p in registry.concrete_passes() if counts[p.name] != float("inf")
-    ]
+    evaluator = Evaluator(backend, program, parallel)
+    passes = registry.concrete_passes()
+    singles = evaluator.map(
+        [PipelineForest((minimal_wrap(p.name, p.level),)) for p in passes]
+    )
+    perf: Dict[str, int] = {}
+    for info, res in zip(passes, singles):
+        if res.ok:
+            perf[info.name] = ic_orig - res.instruction_count
+        else:
+            logger.warning("skipping pass %s: %s", info.name, res.detail)
+    usable = [p for p in passes if p.name in perf]
     pairs = [(p1, p2) for p1 in usable for p2 in usable]
-    forests = [representative_skeleton(p1, p2) for p1, p2 in pairs]
-    results = Evaluator(backend, program, parallel).map(forests)
-    recorded: Dict[Tuple[str, str], int] = {}
+    results = evaluator.map([representative_skeleton(p1, p2) for p1, p2 in pairs])
+    synergistic: Set[Tuple[str, str]] = set()
     for (p1, p2), res in zip(pairs, results):
         if not res.ok:
             logger.warning(
                 "skipping pair (%s, %s): %s", p1.name, p2.name, res.detail
             )
-            continue
-        perf_combined = ic_orig - res.instruction_count
-        perf_sum = (ic_orig - counts[p1.name]) + (ic_orig - counts[p2.name])
-        if perf_combined > perf_sum:
-            recorded[(p1.name, p2.name)] = 1
-    return recorded
+        elif ic_orig - res.instruction_count > perf[p1.name] + perf[p2.name]:
+            synergistic.add((p1.name, p2.name))
+    return synergistic
+
+
+def _program_key(ref, index: int) -> Tuple[str, Optional[List[int]]]:
+    """A program's id and, for a file, its [size, mtime in ns] stamp."""
+    if isinstance(ref, (str, Path)):
+        stat = Path(ref).stat()
+        return str(ref), [stat.st_size, stat.st_mtime_ns]
+    return f"<program-{index}>", None
 
 
 def mine_synergies(
@@ -226,36 +203,38 @@ def mine_synergies(
 ) -> SynergyGraph:
     """Build the synergy graph over a dataset of program references.
 
-    With a checkpoint path, per-program counts are flushed after each
-    program and a restarted run skips programs already processed.
+    Each program's synergistic pairs are one record, and the graph sums
+    the records of the programs in ``dataset``, each program once. With
+    a checkpoint path, the records are flushed after each program; a run
+    reuses a record whose program id and file stamp still match.
     """
     if not dataset:
         raise ValueError("dataset is empty")
     registry_hash = registry.content_hash()
-    counts: Dict[Tuple[str, str], int] = {}
-    done: List[str] = []
+    records: Dict[str, Tuple[Optional[List[int]], Set[Tuple[str, str]]]] = {}
     if checkpoint_path is not None and Path(checkpoint_path).exists():
-        counts, done = _load_checkpoint(checkpoint_path, registry_hash)
-        logger.info("resuming: %d program(s) already mined", len(done))
+        records = _load_checkpoint(checkpoint_path, registry)
+        logger.info("checkpoint holds %d program record(s)", len(records))
+    current: Dict[str, Set[Tuple[str, str]]] = {}
     for index, ref in enumerate(dataset):
-        pid = _program_id(ref, index)
-        if pid in done:
-            continue
-        recorded = mine_program_pairs(ref, registry, backend, parallel)
-        for pair, n in recorded.items():
-            counts[pair] = counts.get(pair, 0) + n
-        done.append(pid)
-        if checkpoint_path is not None:
-            _save_checkpoint(checkpoint_path, registry_hash, counts, done)
+        pid, stamp = _program_key(ref, index)
+        if pid not in records or records[pid][0] != stamp:
+            pairs = mine_program_pairs(ref, registry, backend, parallel)
+            records[pid] = (stamp, pairs)
+            if checkpoint_path is not None:
+                _save_checkpoint(checkpoint_path, registry_hash, records)
+        current[pid] = records[pid][1]
+    counts = Counter(pair for pairs in current.values() for pair in pairs)
     meta = {"registry_hash": registry_hash, "dataset_size": len(dataset)}
     return graph_from_counts(counts, registry, meta)
 
 
-def _save_checkpoint(path, registry_hash, counts, done):
-    nested: Dict[str, Dict[str, int]] = {}
-    for (p1, p2), n in counts.items():
-        nested.setdefault(p1, {})[p2] = n
-    payload = {"registry_hash": registry_hash, "done": list(done), "counts": nested}
+def _save_checkpoint(path, registry_hash, records):
+    programs = {
+        pid: {"stamp": stamp, "pairs": sorted(pairs)}
+        for pid, (stamp, pairs) in records.items()
+    }
+    payload = {"registry_hash": registry_hash, "programs": programs}
     tmp = Path(str(path) + ".tmp")
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
     tmp.replace(path)
@@ -269,24 +248,37 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _load_checkpoint(path, registry_hash):
-    text = Path(path).read_text(encoding="utf-8")
+def _load_checkpoint(path, registry: PassRegistry):
+    """The program records of a checkpoint mined with ``registry``."""
     try:
+        text = Path(path).read_text(encoding="utf-8")
         payload = _expect(json.loads(text), dict, "the checkpoint")
-        counts = {
-            (p1, p2): _expect(n, int, f"count of ({p1}, {p2})")
-            for p1, inner in _expect(payload.get("counts", {}), dict, "counts").items()
-            for p2, n in _expect(inner, dict, f"counts of {p1}").items()
-        }
-        done = [
-            _expect(pid, str, "each done program")
-            for pid in _expect(payload.get("done", []), list, "done")
-        ]
+        if "counts" in payload or "done" in payload:
+            raise SchemaError(
+                f"checkpoint {path} holds merged counts from an older "
+                "passforest; delete it and mine again"
+            )
+        if payload.get("registry_hash") != registry.content_hash():
+            raise SchemaError(f"checkpoint {path} was mined with a different registry")
+        records = {}
+        for pid, record in _expect(payload.get("programs"), dict, "programs").items():
+            _expect(record, dict, f"the record of {pid}")
+            stamp = record.get("stamp")
+            if stamp is not None:
+                for n in _expect(stamp, list, f"the stamp of {pid}"):
+                    _expect(n, int, f"each stamp entry of {pid}")
+            pairs = set()
+            for pair in _expect(record.get("pairs"), list, f"the pairs of {pid}"):
+                names = _expect(pair, list, f"each pair of {pid}")
+                if len(names) != 2 or not all(
+                    isinstance(n, str) and n in registry for n in names
+                ):
+                    raise ValueError(f"{pair} of {pid} is not two registry passes")
+                pairs.add(tuple(names))
+            records[pid] = (stamp, pairs)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"checkpoint {path}: bad schema: {exc}") from exc
-    if payload.get("registry_hash") != registry_hash:
-        raise SchemaError(f"checkpoint {path} was mined with a different registry")
-    return counts, done
+    return records
 
 
 # ---------------------------------------------------------------------------

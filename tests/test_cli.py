@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from passforest.cli import main
 from passforest.skeletons import SKELETON_VARIANT_NAMES
 
 AB_REGISTRY = "a=function\nb=function\n"
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 @pytest.fixture
@@ -266,25 +268,43 @@ def test_mine_resume_identical(capsys, tmp_path, m1_file, m2_file, ab_registry_f
     assert g1["start_weights"] == g2["start_weights"]
 
 
+def _record(**fields):
+    record = {"stamp": [10, 20], "pairs": [["a", "b"]]}
+    record.update(fields)
+    return {"programs": {"a.json": record}}
+
+
 @pytest.mark.parametrize(
     "checkpoint",
     [
         [1],
-        {"counts": [1]},
-        {"counts": {"a": 1}},
-        {"counts": {"a": {"b": "1"}}},
-        {"counts": {"a": {"b": True}}},
-        {"done": "a.json"},
-        {"done": [1]},
+        {},
+        {"programs": [1]},
+        {"programs": {"a.json": 1}},
+        _record(stamp=10),
+        _record(stamp=[10, "20"]),
+        _record(stamp=[10, True]),
+        _record(pairs={"a": "b"}),
+        _record(pairs=[["a", "b", "a"]]),
+        _record(pairs=[["a", 1]]),
+        _record(pairs=[["a", "gvn"]]),
     ],
     ids=[
-        "not-object", "counts-list", "inner-not-object", "count-not-int",
-        "count-bool", "done-not-list", "done-entry-not-string",
+        "not-object", "programs-missing", "programs-list", "record-not-object",
+        "stamp-not-list", "stamp-entry-not-int", "stamp-entry-bool",
+        "pairs-not-list", "pair-not-two-passes", "pair-name-not-string",
+        "pair-unknown-pass",
     ],
 )
 def test_mine_malformed_checkpoint_is_invalid_input(
     capsys, tmp_path, m1_file, ab_registry_file, checkpoint
 ):
+    code = _mine_with_checkpoint(tmp_path, m1_file, ab_registry_file, checkpoint)
+    assert code == 1
+    _assert_one_line_error(capsys)
+
+
+def _mine_with_checkpoint(tmp_path, m1_file, ab_registry_file, checkpoint):
     from passforest import load_registry
 
     dataset = tmp_path / "ds"
@@ -294,15 +314,60 @@ def test_mine_malformed_checkpoint_is_invalid_input(
         checkpoint["registry_hash"] = load_registry(AB_REGISTRY).content_hash()
     path = tmp_path / "mine.ckpt"
     path.write_text(json.dumps(checkpoint))
-    argv = [
+    return main([
         "mine",
         "--dataset", str(dataset),
         "--out", str(tmp_path / "g.json"),
         "--checkpoint", str(path),
         "--registry", ab_registry_file,
-    ]
-    assert main(argv) == 1
-    _assert_one_line_error(capsys)
+    ])
+
+
+def test_mine_old_format_checkpoint_says_delete_it(
+    capsys, tmp_path, m1_file, ab_registry_file
+):
+    old = {"counts": {"a": {"b": 1}}, "done": [str(tmp_path / "ds" / "a.json")]}
+    assert _mine_with_checkpoint(tmp_path, m1_file, ab_registry_file, old) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(tmp_path / "mine.ckpt") in err and "delete it" in err
+
+
+def _mine_edges(dataset, out) -> int:
+    assert main(["mine", "--dataset", str(dataset), "--out", str(out)]) == 0
+    return len(json.loads(out.read_text())["edges"])
+
+
+def test_mine_another_dataset_into_same_out_sums_only_it(tmp_path):
+    tune, wide = tmp_path / "tune", tmp_path / "wide"
+    tune.mkdir()
+    wide.mkdir()
+    save_mock_program_from(BENCH_DATA / "mock_tune.json", tune / "mock_tune.json")
+    save_mock_program_from(
+        BENCH_DATA / "mock_refine_wide.json", wide / "mock_refine_wide.json"
+    )
+    out = tmp_path / "g.json"
+    assert _mine_edges(tune, out) == 90
+    assert _mine_edges(wide, out) == 150
+    assert json.loads(out.read_text())["meta"]["dataset_size"] == 1
+    fresh = tmp_path / "fresh.json"
+    _mine_edges(wide, fresh)
+    assert out.read_text() == fresh.read_text()
+
+
+def test_mine_replaced_program_file_is_mined_again(tmp_path):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    program = dataset / "p.json"
+    save_mock_program_from(BENCH_DATA / "mock_tune.json", program)
+    out = tmp_path / "g.json"
+    assert _mine_edges(dataset, out) == 90
+    save_mock_program_from(BENCH_DATA / "mock_refine_wide.json", program)
+    assert _mine_edges(dataset, out) == 150
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    save_mock_program_from(program, fresh / "p.json")
+    assert _mine_edges(fresh, tmp_path / "fresh.json") == 150
 
 
 # ---------------------------------------------------------------------------

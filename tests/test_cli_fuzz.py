@@ -1,9 +1,10 @@
 """Hostile input through every file the CLI reads.
 
 Each case writes fuzzed contents where a command expects a results file,
-a manifest, a mock program, a synergy graph or a registry, or passes
-fuzzed pipeline text, and runs the command through ``cli.main``. Every
-case must end in a documented exit code with no traceback on stderr.
+a manifest, a mock program, a synergy graph, a registry or a mining
+checkpoint, or passes fuzzed pipeline text, and runs the command through
+``cli.main``. Every case must end in a documented exit code with no
+traceback on stderr.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from passforest import PassLevel, default_registry
+from passforest import PassLevel, default_registry, load_registry
 from passforest.cli import main
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -98,16 +99,17 @@ def _file_contents(valid: dict) -> st.SearchStrategy:
 
 def _run(argv, files):
     """``main(argv)`` with ``files`` (text or bytes) written to a fresh
-    directory; names in ``argv`` that match a file name are replaced by
-    that file's path."""
+    directory, and its exit code; names in ``argv`` that match a file
+    name, or the directory part of one, are replaced by that path."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
         for name, contents in files.items():
-            paths[name] = Path(tmp) / name
+            path = Path(tmp) / name
+            path.parent.mkdir(exist_ok=True)
             if isinstance(contents, str):
                 contents = contents.encode("utf-8")
-            paths[name].write_bytes(contents)
-        argv = [str(paths.get(arg, arg)) for arg in argv]
+            path.write_bytes(contents)
+        names = set(files) | {str(Path(name).parent) for name in files} - {"."}
+        argv = [str(Path(tmp) / arg) if arg in names else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -116,6 +118,7 @@ def _run(argv, files):
                 code = exc.code
     assert code in EXIT_CODES, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    return code
 
 
 @given(
@@ -177,6 +180,65 @@ def test_graph_fuzz(command, graph):
         "--population", "3", "--generations", "1", "--max-len", "4", "--json",
     ]
     _run(argv, {"prog.json": json.dumps(_VALID_SPEC), "graph.json": graph})
+
+
+_CKPT_REGISTRY = "gvn=function\nadce=function\n"
+_CKPT_HASH = load_registry(_CKPT_REGISTRY).content_hash()
+_VALID_CHECKPOINT = {
+    "registry_hash": _CKPT_HASH,
+    "programs": {
+        "ds/prog.json": {"stamp": [1, 2], "pairs": [["gvn", "adce"]]},
+        "<program-0>": {"stamp": None, "pairs": []},
+    },
+}
+
+
+def _valid_checkpoint(contents) -> bool:
+    """Whether ``contents`` is a checkpoint ``mine`` must accept: records
+    of a stamp (null or integers) and pairs of two registry passes."""
+    if isinstance(contents, bytes):
+        try:
+            contents = contents.decode("utf-8")
+        except ValueError:
+            return False
+    try:
+        doc = json.loads(contents)
+    except ValueError:
+        return False
+    if not (isinstance(doc, dict) and "counts" not in doc and "done" not in doc
+            and doc.get("registry_hash") == _CKPT_HASH
+            and isinstance(doc.get("programs"), dict)):
+        return False
+    return all(
+        isinstance(record, dict)
+        and (record.get("stamp") is None or (
+            isinstance(record["stamp"], list)
+            and all(type(n) is int for n in record["stamp"])))
+        and isinstance(record.get("pairs"), list)
+        and all(isinstance(pair, list) and len(pair) == 2
+                and all(n in ("gvn", "adce") for n in pair)
+                for pair in record["pairs"])
+        for record in doc["programs"].values()
+    )
+
+
+@given(_file_contents(_VALID_CHECKPOINT))
+@example(json.dumps({**_VALID_CHECKPOINT, "counts": {}, "done": []}))
+@example(json.dumps(_VALID_CHECKPOINT))
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_fuzz(checkpoint):
+    files = {
+        "ds/prog.json": json.dumps(_VALID_SPEC),
+        "reg.txt": _CKPT_REGISTRY,
+        "mine.ckpt": checkpoint,
+        "graph.json": "",  # mine's --out, overwritten
+    }
+    argv = [
+        "mine", "--dataset", "ds", "--out", "graph.json",
+        "--checkpoint", "mine.ckpt", "--registry", "reg.txt", "--json",
+    ]
+    code = _run(argv, files)
+    assert code == (0 if _valid_checkpoint(checkpoint) else 1), checkpoint
 
 
 _REGISTRY_LINES = st.one_of(

@@ -18,7 +18,6 @@ from passforest import (
     print_pipeline,
     representative_skeleton,
     save_graph,
-    single_pass_performance,
 )
 from passforest.synergy import (
     INTER_LEVEL,
@@ -85,11 +84,6 @@ def test_mining_is_asymmetric(m1, ab_registry, backend):
     graph = mine_synergies([m1], ab_registry, backend)
     pairs = {(e.src, e.dst) for e in graph.edges}
     assert ("a", "b") in pairs and ("b", "a") not in pairs
-
-
-def test_single_pass_performance(m1, ab_registry, backend):
-    perf = single_pass_performance(m1, ab_registry, backend)
-    assert perf == {"a": 10, "b": 5}
 
 
 class FailsOnB(MockBackend):
@@ -306,6 +300,23 @@ def test_checkpoint_resume_matches_uninterrupted(ab_registry, backend, tmp_path,
     )
     assert resumed.edges == uninterrupted.edges
     assert resumed.start_weights == uninterrupted.start_weights
+
+
+def test_program_listed_twice_counts_once(backend, tmp_path):
+    from passforest import save_mock_program
+
+    rng = random.Random(0)
+    registry = helpers.synthetic_registry(3, rng)
+    paths = [str(tmp_path / "p1.json"), str(tmp_path / "p2.json")]
+    programs = [helpers.random_mock_program(registry, rng) for _ in paths]
+    for program, path in zip(programs, paths):
+        save_mock_program(program, path)
+    once = mine_synergies(paths, registry, backend)
+    twice = mine_synergies(paths + paths[:1], registry, backend)
+    assert (twice.edges, twice.start_weights) == (once.edges, once.start_weights)
+    # in-memory programs have no shared id, so a repeat is a second program
+    doubled = mine_synergies(programs + programs[:1], registry, backend)
+    assert doubled.start_weights != once.start_weights
 
 
 def test_checkpoint_registry_mismatch(ab_registry, backend, tmp_path, m1):
