@@ -11,6 +11,13 @@ process: a long-lived libLLVM worker (``opt_worker``) when the ``opt``
 binary links a usable libLLVM, else one ``opt`` process per call. The
 mock is pure Python and always runs serially, since threads would only
 contend for the GIL.
+
+With workers, ``OptBackend`` cuts each forest into units, the children
+of its module managers (``module_units``), and resumes each evaluation
+from the longest leading run of units whose module state a worker has
+saved before: ``opt_pool.StateIndex`` keeps those states as files,
+keyed by the input's path, size and modification time and the printed
+units, and every worker of the backend reads them.
 """
 
 import math
@@ -24,8 +31,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .errors import BackendUnavailable, MalformedIR
-from .forest import PipelineForest
+from .forest import Manager, PipelineForest
 from .grammar import print_pipeline
+from .registry import PassLevel
 
 OPT_PATH_ENV_VAR = "PASSFOREST_OPT"
 DEFAULT_OPT_TIMEOUT = 60.0
@@ -129,12 +137,48 @@ def count_ir_instructions(ir_text: str) -> int:
     return count
 
 
+def module_units(forest: PipelineForest) -> List[str]:
+    """The printed children of the forest's module managers, in order.
+
+    A module manager runs its children one after another, each over the
+    whole module, so ``module(A,B),module(C)`` runs as
+    ``module(A),module(B),module(C)`` does. A nested module manager is
+    cut into its own children. The module after any leading run of units
+    depends only on the input and those units' text.
+    """
+    units: List[str] = []
+
+    def cut(nodes) -> None:
+        for node in nodes:
+            if node.__class__ is Manager and node.level == PassLevel.MODULE:
+                cut(node.children)
+            else:
+                units.append(node.text)
+
+    cut(forest.trees)
+    return units
+
+
 def resolve_opt_path(explicit: Optional[str] = None) -> str:
     return explicit or os.environ.get(OPT_PATH_ENV_VAR) or "opt"
 
 
 def _failed(detail: str) -> EvaluationResult:
     return EvaluationResult(instruction_count=None, status="failed", detail=detail)
+
+
+def result_of(proc: subprocess.CompletedProcess) -> EvaluationResult:
+    """The result of one ``opt -S`` run: its output's count, or why it failed."""
+    if proc.returncode != 0:
+        # An abort prints its diagnostic first and stack frames after it.
+        lines = [line.strip() for line in proc.stderr.splitlines()]
+        first = next((line for line in lines if line), "")
+        return _failed(f"opt exited {proc.returncode}: {first}")
+    try:
+        count = count_ir_instructions(proc.stdout)
+    except MalformedIR as exc:
+        return _failed(str(exc))
+    return EvaluationResult(instruction_count=count, status="ok")
 
 
 def check_timeout(timeout: float) -> None:
@@ -157,7 +201,11 @@ class OptBackend:
     long-lived ``opt_worker`` processes that load it, started on the
     first evaluation and killed with the backend; otherwise each
     evaluation runs one ``opt`` process. Both give the same counts and
-    failure details. ``timeout`` must be a finite number of seconds > 0.
+    failure details. With workers, ``evaluate`` resumes from the longest
+    leading run of ``module_units`` whose state is saved, and saves the
+    state after a run it reaches the second time; the states live in
+    files that are deleted with the backend. ``timeout`` must be a finite
+    number of seconds > 0.
     """
 
     opt_path: Optional[str] = None
@@ -168,6 +216,7 @@ class OptBackend:
         check_timeout(self.timeout)
         self._lock = threading.Lock()
         self._pool = None
+        self._states = None
         self._pool_resolved = False
         # original_count's memo: (path, size, mtime in ns) -> count
         self._counts: Dict[tuple, int] = {}
@@ -196,7 +245,9 @@ class OptBackend:
                 library = opt_pool.linked_libllvm(opt)
                 if library is not None:
                     self._pool = opt_pool.WorkerPool(opt, library)
+                    self._states = opt_pool.StateIndex()
                     weakref.finalize(self, self._pool.close)
+                    weakref.finalize(self, self._states.close)
         return self._pool if self._pool is not None and self._pool.usable else None
 
     def _apply(self, pipeline: str, path: str) -> subprocess.CompletedProcess:
@@ -205,6 +256,38 @@ class OptBackend:
         proc = pool.run(path, pipeline, self.timeout) if pool is not None else None
         return proc if proc is not None else self._run(f"-passes={pipeline}", path)
 
+    def _apply_units(self, forest: PipelineForest, path: str, stamp: tuple):
+        """``_apply(print_pipeline(forest), path)``, resumed from a saved state.
+
+        ``stamp`` is the input's (size, modification time in ns). The
+        worker starts from the longest saved prefix of the forest's
+        units and saves the states ``StateIndex.plan`` asks for. A state
+        that does not parse is dropped, and the whole pipeline runs from
+        the input instead.
+        """
+        pipeline = print_pipeline(forest)
+        pool = self._workers()
+        if pool is None:
+            return self._apply(pipeline, path)
+        units = module_units(forest)
+        states = self._states
+        keys = states.keys(path, stamp, units)
+        done, state, saves = states.plan(keys)
+        saved = [(key, number) for key, number in zip(keys[done:], saves) if number is not None]
+        steps = None
+        if state or saved:
+            steps = [(unit, "" if number is None else states.file(number))
+                     for unit, number in zip(units[done:], saves)]
+        try:
+            proc = pool.run(path, pipeline, self.timeout, state, steps)
+        finally:
+            states.add(saved)
+        if proc is not None:
+            return proc
+        if pool.usable:  # the state did not parse
+            states.drop(keys[done - 1], state)
+        return self._apply(pipeline, path)
+
     def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
         """Apply the pipeline as ``opt -S -passes=<pipeline>`` does; count output.
 
@@ -212,22 +295,15 @@ class OptBackend:
         come back as failed results.
         """
         path = Path(program)
-        if not path.exists():
+        try:
+            stat = path.stat()
+        except (OSError, ValueError):
             return _failed(f"input file not found: {path}")
         try:
-            proc = self._apply(print_pipeline(forest), str(path))
+            proc = self._apply_units(forest, str(path), (stat.st_size, stat.st_mtime_ns))
         except subprocess.TimeoutExpired as exc:
             return _failed(f"timeout after {self.timeout:g}s: {' '.join(exc.cmd)}")
-        if proc.returncode != 0:
-            # An abort prints its diagnostic first and stack frames after it.
-            lines = [line.strip() for line in proc.stderr.splitlines()]
-            first = next((line for line in lines if line), "")
-            return _failed(f"opt exited {proc.returncode}: {first}")
-        try:
-            count = count_ir_instructions(proc.stdout)
-        except MalformedIR as exc:
-            return _failed(str(exc))
-        return EvaluationResult(instruction_count=count, status="ok")
+        return result_of(proc)
 
     def original_count(self, program) -> int:
         """Instruction count of the input as ``opt -S`` prints it.

@@ -43,6 +43,7 @@ plan only when two calls in a row share program and sequence.
 """
 
 import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -451,8 +452,10 @@ class MockBackend:
     """Evaluation backend over mock programs; pure and thread-safe.
 
     Program references may be MockProgram instances or paths to JSON
-    spec files (cached after first load). Each program compiles its
-    lookup tables on its first evaluation and reuses them afterwards.
+    spec files, cached after the first load while the file keeps its
+    size and modification time (the stamp rule of ``OptBackend``). Each
+    program compiles its lookup tables on its first evaluation and
+    reuses them afterwards.
     ``Evaluator.map`` runs this backend serially: it is pure Python, so
     threads would only contend for the GIL.
 
@@ -472,7 +475,8 @@ class MockBackend:
     name = "mock"
 
     def __init__(self):
-        self._cache: Dict[str, MockProgram] = {}
+        # path -> ((size, mtime in ns), program) of the last load
+        self._cache: Dict[str, Tuple[Tuple[int, int], MockProgram]] = {}
         # (program, leaf names, plan or None) of the last call
         self._last = (None, (), None)
 
@@ -480,9 +484,12 @@ class MockBackend:
         if isinstance(program, MockProgram):
             return program
         key = str(program)
-        if key not in self._cache:
-            self._cache[key] = load_mock_program(key)
-        return self._cache[key]
+        stat = os.stat(key)
+        stamp = (stat.st_size, stat.st_mtime_ns)
+        cached = self._cache.get(key)
+        if cached is None or cached[0] != stamp:
+            cached = self._cache[key] = (stamp, load_mock_program(key))
+        return cached[1]
 
     def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
         program = self.resolve(program)

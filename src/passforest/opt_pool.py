@@ -1,12 +1,16 @@
-"""The parent's side of ``opt_worker``: finding libLLVM, and a worker pool.
+"""The parent's side of ``opt_worker``: finding libLLVM, a worker pool, states.
 
 ``OptBackend`` imports this module on its first evaluation. When
 ``linked_libllvm`` finds the shared libLLVM that the ``opt`` binary
 links, a ``WorkerPool`` runs its requests in long-lived ``opt_worker``
 processes that load it; each request goes to an idle worker, or to a
-new one when none is idle.
+new one when none is idle. A ``StateIndex`` records the module states
+that workers printed to files after a pipeline's leading units, so that
+any worker can resume a later pipeline that starts with the same units.
 """
 
+import hashlib
+import itertools
 import os
 import select
 import shutil
@@ -16,12 +20,21 @@ import sys
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .opt_worker import HEADER, write_frame
 
 _WORKER_SCRIPT = str(Path(__file__).with_name("opt_worker.py"))
+
+# Bytes of state files a StateIndex keeps before it evicts the least
+# recently used. A state of bench/data/checksum.ll is about 5 KB.
+STATE_BUDGET_BYTES = 64 << 20
+# Keys a StateIndex keeps in each of its tables, states and prefixes seen
+# once, so that its memory stays under about 2 MB for small states too.
+# A fresh opt-tune tune reaches about 700 prefixes.
+KEY_LIMIT = 1 << 13
 
 
 def linked_libllvm(opt: str) -> Optional[str]:
@@ -130,8 +143,8 @@ class _Worker:
             os.close(reply_end)
         self.replies = replies
 
-    def request(self, path: str, pipeline: str, timeout: float) -> Tuple[bytes, bytes]:
-        """Send one request and wait for its reply frame.
+    def request(self, kind: bytes, payload: bytes, timeout: float) -> Tuple[bytes, bytes]:
+        """Send one request frame and wait for its reply frame.
 
         A worker that dies first gives (``E``, ``<exit code>\\n<stderr>``)
         with the stderr it wrote during this request. Past ``timeout``
@@ -139,7 +152,7 @@ class _Worker:
         """
         offset = os.fstat(self.stderr.fileno()).st_size
         try:
-            write_frame(self.proc.stdin.fileno(), b"P", f"{path}\0{pipeline}".encode("utf-8"))
+            write_frame(self.proc.stdin.fileno(), kind, payload)
         except BrokenPipeError:
             pass  # it died already; the reply pipe is at end-of-file
         reply = self._read_reply(time.monotonic() + timeout)
@@ -191,17 +204,29 @@ class WorkerPool:
         self._lock = threading.Lock()
 
     def run(
-        self, path: str, pipeline: str, timeout: float
+        self,
+        path: str,
+        pipeline: str,
+        timeout: float,
+        state: str = "",
+        steps: Optional[Iterable[Tuple[str, str]]] = None,
     ) -> Optional[subprocess.CompletedProcess]:
         """What ``opt -S -passes=<pipeline> <path> -o -`` would give.
 
-        None when the library turned out unusable. A timeout raises
-        TimeoutExpired naming that command.
+        With ``steps``, the worker resumes from ``state`` (the input
+        when empty) and runs the remaining (unit, file to save to) pairs,
+        as ``opt_worker`` describes. None when the library turned out
+        unusable or ``state`` could not be read; ``usable`` tells which.
+        A timeout raises TimeoutExpired naming the command.
         """
         cmd = [self.opt, "-S", f"-passes={pipeline}", path, "-o", "-"]
+        if steps is None:
+            request, fields = b"P", [path, pipeline]
+        else:
+            request, fields = b"S", [path, pipeline, state, *itertools.chain.from_iterable(steps)]
         worker = self._acquire()
         try:
-            kind, payload = worker.request(path, pipeline, timeout)
+            kind, payload = worker.request(request, "\0".join(fields).encode("utf-8"), timeout)
         except TimeoutError:
             self._discard(worker)
             raise subprocess.TimeoutExpired(cmd, timeout) from None
@@ -217,6 +242,8 @@ class WorkerPool:
                 self._idle.append(worker)
         else:
             self._discard(worker)
+        if kind == b"R":
+            return None
         text = payload.decode("utf-8", "replace")
         if kind == b"O":
             return subprocess.CompletedProcess(cmd, 0, text, "")
@@ -243,3 +270,117 @@ class WorkerPool:
             workers, self._live, self._idle = list(self._live), set(), []
         for worker in workers:
             worker.close()
+
+
+class StateIndex:
+    """Module states after leading units, as files in a directory of its own.
+
+    A key stands for (input path, size, modification time in ns, printed
+    prefix units), hashed to 16 bytes so the index stays small; its value
+    is the file a worker printed that module to. A prefix is saved on its
+    second sighting: most prefixes are never reached again, and each one
+    saved costs a print and a file. The files stay under
+    ``STATE_BUDGET_BYTES`` in total and ``KEY_LIMIT`` in number: adding
+    one evicts the least recently used, and evicting deletes the file. The index is the parent's, and
+    every worker reads and writes the files, so the states outlive any
+    worker and are shared by all of them. ``close`` deletes the directory.
+    """
+
+    def __init__(self):
+        self.directory = tempfile.mkdtemp(prefix="passforest-states-")
+        self._numbers = itertools.count()
+        # key -> (file number, size in bytes), least recently used first
+        self._files: "OrderedDict[bytes, Tuple[int, int]]" = OrderedDict()
+        # keys seen once and not saved, least recently seen first
+        self._seen: "OrderedDict[bytes, None]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def keys(path: str, stamp: Tuple[int, int], units: Sequence[str]) -> List[bytes]:
+        """The key of each leading run of ``units``, shortest first."""
+        digest = hashlib.blake2b(f"{path}\0{stamp[0]}\0{stamp[1]}".encode("utf-8"), digest_size=16)
+        keys = []
+        for unit in units:
+            digest.update(f"\0{unit}".encode("utf-8"))
+            keys.append(digest.digest())
+        return keys
+
+    def file(self, number: int) -> str:
+        return os.path.join(self.directory, str(number))
+
+    def plan(self, keys: Sequence[bytes]) -> Tuple[int, str, List[Optional[int]]]:
+        """Where a run of the units behind ``keys`` resumes, and what it saves.
+
+        Returns (i, file, saves): the longest prefix ``keys[:i]`` with a
+        state and its file, (0, "") if none, and for each key after it
+        the number of a new file to save that state to, or None for a
+        key not seen before, which is only remembered.
+        """
+        with self._lock:
+            done, state = 0, ""
+            for i in range(len(keys), 0, -1):
+                entry = self._files.get(keys[i - 1])
+                if entry is not None:
+                    self._files.move_to_end(keys[i - 1])
+                    done, state = i, self.file(entry[0])
+                    break
+            saves: List[Optional[int]] = []
+            for key in keys[done:]:
+                if key in self._seen:
+                    del self._seen[key]
+                    saves.append(next(self._numbers))
+                else:
+                    self._seen[key] = None
+                    if len(self._seen) > KEY_LIMIT:
+                        self._seen.popitem(last=False)
+                    saves.append(None)
+        return done, state, saves
+
+    def add(self, saved: Iterable[Tuple[bytes, int]]) -> None:
+        """Index each (key, file number) whose file a worker wrote.
+
+        A file that does not exist is skipped; one whose key another
+        request indexed first is deleted.
+        """
+        for key, number in saved:
+            try:
+                size = os.stat(self.file(number)).st_size
+            except OSError:
+                continue
+            with self._lock:
+                if key in self._files:
+                    evicted = [number]
+                else:
+                    self._files[key] = (number, size)
+                    self._bytes += size
+                    evicted = []
+                    while self._bytes > STATE_BUDGET_BYTES or len(self._files) > KEY_LIMIT:
+                        old, old_size = self._files.popitem(last=False)[1]
+                        self._bytes -= old_size
+                        evicted.append(old)
+            for old in evicted:
+                _unlink(self.file(old))
+
+    def drop(self, key: bytes, name: str) -> None:
+        """Forget ``key`` if it still names the file ``name``, and delete that file."""
+        with self._lock:
+            entry = self._files.get(key)
+            if entry is not None and self.file(entry[0]) == name:
+                del self._files[key]
+                self._bytes -= entry[1]
+        _unlink(name)
+
+    def close(self) -> None:
+        """Delete every state and the directory; runs with the backend's finalizer."""
+        with self._lock:
+            self._files.clear()
+            self._bytes = 0
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+
+def _unlink(name: str) -> None:
+    try:
+        os.unlink(name)
+    except OSError:
+        pass

@@ -17,10 +17,29 @@ Run as a script::
 
 Requests arrive on standard input and replies leave on the reply file
 descriptor, both as frames: one kind byte, a 4-byte big-endian length,
-then the payload. A request (``P``) is ``<path>\\0<pipeline>``. The
-replies are ``O`` (the printed module), ``E`` (``<exit code>\\n<stderr
-text>``) and ``U`` (the library is unusable; the worker then exits).
-The worker exits on end-of-file on standard input.
+then the payload. There are two requests:
+
+* ``P``, ``<path>\\0<pipeline>``: run the whole pipeline from the input.
+* ``S``, ``<path>\\0<pipeline>\\0<state>\\0<unit>\\0<save>...``: the
+  same pipeline, resumed part way. ``<state>`` names a file holding the
+  module after the pipeline's leading units, as the worker printed it,
+  or is empty to start from the input. Each remaining unit (a module
+  manager's child, see ``evaluation.module_units``) comes with a file
+  name to print the module to once that unit has run, or an empty one.
+  The worker runs the units one ``LLVMRunPasses`` call each up to the
+  last one it must save after, and the rest in one call. Each file is
+  written under a temporary name and renamed, so a file that exists is
+  whole. A state is read from a memory buffer named after the input
+  path, so the printed module reads as the input's, and is not verified
+  again, as ``opt`` does not verify between passes. Whenever the request
+  takes more than one call, the whole pipeline is first parsed on an
+  empty module, so a pass name ``opt`` rejects fails before any pass
+  runs, as in ``opt``.
+
+The replies are ``O`` (the printed module), ``E`` (``<exit code>\\n<stderr
+text>``), ``R`` (the state file could not be read or parsed; nothing
+ran) and ``U`` (the library is unusable; the worker then exits). The
+worker exits on end-of-file on standard input.
 """
 
 import os
@@ -81,6 +100,8 @@ def _signatures():
         "LLVMContextCreate": ([], ref),
         "LLVMContextDispose": ([ref], None),
         "LLVMCreateMemoryBufferWithContentsOfFile": ([text, out, out], flag),
+        "LLVMCreateMemoryBufferWithMemoryRangeCopy": ([text, ctypes.c_size_t, text], ref),
+        "LLVMModuleCreateWithNameInContext": ([text, ref], ref),
         "LLVMParseIRInContext": ([ref, ref, out, out], flag),
         "LLVMVerifyModule": ([ref, flag, out], flag),
         "LLVMGetTarget": ([ref], text),
@@ -92,6 +113,7 @@ def _signatures():
         "LLVMGetErrorMessage": ([ref], ref),
         "LLVMDisposeErrorMessage": ([ref], None),
         "LLVMPrintModuleToString": ([ref], ref),
+        "LLVMPrintModuleToFile": ([ref, text, out], flag),
         "LLVMDisposeMessage": ([ref], None),
         "LLVMDisposeModule": ([ref], None),
     }
@@ -135,34 +157,58 @@ class _Library:
         # no CPU or features, CodeGenOpt::None, default reloc and code model
         return self.CreateTargetMachine(target, triple, b"", b"", 0, 0, 0) or None
 
-    def run(self, opt: str, path: bytes, pipeline: bytes) -> tuple[bytes, bytes]:
-        """One request: (``O``, printed module) or (``E``, exit code and stderr)."""
+    def run(self, opt: str, path: bytes, pipeline: bytes, state: bytes = b"",
+            steps: list | None = None) -> tuple[bytes, bytes]:
+        """One request: (``O``, printed module), (``E``, exit code and stderr)
+        or (``R``, empty) when ``state`` cannot be read or parsed.
+
+        Without ``steps`` the whole pipeline runs from the input in one
+        call; with them, the (unit, file to save to) pairs that remain
+        after ``state``, or after the input when ``state`` is empty.
+        """
         shown = path.decode("utf-8", "replace")
         context = self.ContextCreate()
         try:
             buffer, module, text = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()
-            read = self.CreateMemoryBufferWithContentsOfFile
-            if read(path, ctypes.byref(buffer), ctypes.byref(text)):
-                reason = self.message(text)
-                return _exited(1, f"{opt}: {shown}: error: Could not open input file: {reason}")
-            if self.ParseIRInContext(context, buffer, ctypes.byref(module), ctypes.byref(text)):
-                return _exited(1, f"{opt}: {self.message(text)}")
+            if state:
+                buffer = self._state_buffer(state, path)
+                if not buffer or self.ParseIRInContext(
+                        context, buffer, ctypes.byref(module), ctypes.byref(text)):
+                    self.message(text)
+                    return b"R", b""
+            else:
+                read = self.CreateMemoryBufferWithContentsOfFile
+                if read(path, ctypes.byref(buffer), ctypes.byref(text)):
+                    reason = self.message(text)
+                    return _exited(1, f"{opt}: {shown}: error: Could not open input file: {reason}")
+                if self.ParseIRInContext(context, buffer, ctypes.byref(module), ctypes.byref(text)):
+                    return _exited(1, f"{opt}: {self.message(text)}")
             try:
-                return self._optimize(opt, shown, module, pipeline)
+                if not state:
+                    broken = self.VerifyModule(module, _RETURN_STATUS_ACTION, ctypes.byref(text))
+                    details = self.message(text)
+                    if broken:
+                        return _exited(1, f"{details}{opt}: {shown}: error: input module is broken!")
+                return self._optimize(opt, context, module, pipeline, steps)
             finally:
                 self.DisposeModule(module)
         finally:
             self.ContextDispose(context)
 
-    def _optimize(self, opt: str, shown: str, module, pipeline: bytes) -> tuple[bytes, bytes]:
-        text = ctypes.c_void_p()
-        broken = self.VerifyModule(module, _RETURN_STATUS_ACTION, ctypes.byref(text))
-        details = self.message(text)
-        if broken:
-            return _exited(1, f"{details}{opt}: {shown}: error: input module is broken!")
+    def _state_buffer(self, state: bytes, path: bytes):
+        """A copy of the state file in a buffer named ``path``; None if unreadable."""
+        try:
+            with open(state, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return None
+        return self.CreateMemoryBufferWithMemoryRangeCopy(data, len(data), path)
+
+    def _optimize(self, opt: str, context, module, pipeline: bytes,
+                  steps: list | None) -> tuple[bytes, bytes]:
         machine = self.target_machine(self.GetTarget(module))
         try:
-            error = self.RunPasses(module, pipeline, machine, self.options)
+            error = self._run_passes(context, module, pipeline, steps, machine)
         finally:
             if machine:
                 self.DisposeTargetMachine(machine)
@@ -176,7 +222,61 @@ class _Library:
         pointer = ctypes.c_void_p(self.PrintModuleToString(module))
         printed = ctypes.string_at(pointer.value)
         self.DisposeMessage(pointer)
+        if steps and steps[-1][1]:
+            _save(steps[-1][1], lambda part: _write(part, printed))
         return b"O", printed
+
+    def _run_passes(self, context, module, pipeline: bytes, steps: list | None, machine):
+        """Run the passes; the error of the first call that fails, or None."""
+        if steps is None:
+            return self.RunPasses(module, pipeline, machine, self.options)
+        # Units up to the last intermediate save run one call each.
+        cut = max((i + 1 for i, (_, save) in enumerate(steps[:-1]) if save), default=0)
+        if cut:
+            empty = self.ModuleCreateWithNameInContext(b"", context)
+            try:
+                error = self.RunPasses(empty, pipeline, machine, self.options)
+            finally:
+                self.DisposeModule(empty)
+            if error:
+                return error
+        for unit, save in steps[:cut]:
+            error = self.RunPasses(module, b"module(" + unit + b")", machine, self.options)
+            if error:
+                return error
+            if save:
+                _save(save, lambda part: self._print_to_file(module, part))
+        rest = [unit for unit, _ in steps[cut:]]
+        if not rest:
+            return None
+        return self.RunPasses(module, b"module(" + b",".join(rest) + b")", machine, self.options)
+
+    def _print_to_file(self, module, name: bytes) -> bool:
+        text = ctypes.c_void_p()
+        failed = self.PrintModuleToFile(module, name, ctypes.byref(text))
+        self.message(text)
+        return not failed
+
+
+def _write(name: bytes, data: bytes) -> bool:
+    try:
+        with open(name, "wb") as fh:
+            fh.write(data)
+    except OSError:
+        return False
+    return True
+
+
+def _save(name: bytes, write) -> None:
+    """``write(<name>.part)``, then rename it to ``name`` if it succeeded."""
+    part = name + b".part"
+    try:
+        if write(part):
+            os.rename(part, name)
+        else:
+            os.unlink(part)
+    except OSError:
+        pass
 
 
 def _exited(code: int, stderr: str) -> tuple[bytes, bytes]:
@@ -197,8 +297,14 @@ def main(argv) -> int:
         frame = read_frame(0)
         if frame is None:
             return 0
-        path, pipeline = frame[1].split(b"\0", 1)
-        write_frame(reply, *llvm.run(opt, path, pipeline))
+        kind, payload = frame
+        if kind == b"S":
+            path, pipeline, state, *rest = payload.split(b"\0")
+            steps = list(zip(rest[::2], rest[1::2]))
+            write_frame(reply, *llvm.run(opt, path, pipeline, state, steps))
+        else:
+            path, pipeline = payload.split(b"\0", 1)
+            write_frame(reply, *llvm.run(opt, path, pipeline))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ time, so an interrupted run restarted with the same inputs produces the
 identical graph, and a changed file is mined again.
 """
 
+import hashlib
 import json
 import logging
 import math
@@ -187,11 +188,17 @@ def mine_program_pairs(
 
 
 def _program_key(ref, index: int) -> Tuple[str, Optional[List[int]]]:
-    """A program's id and, for a file, its [size, mtime in ns] stamp."""
+    """A program's id and, for a file, its [size, mtime in ns] stamp.
+
+    An in-memory program has no stamp; its id holds its position in the
+    dataset and a hash of its repr, which for a ``MockProgram`` spells
+    out its whole content, so a record is reused only for equal content.
+    """
     if isinstance(ref, (str, Path)):
         stat = Path(ref).stat()
         return str(ref), [stat.st_size, stat.st_mtime_ns]
-    return f"<program-{index}>", None
+    digest = hashlib.sha256(repr(ref).encode("utf-8")).hexdigest()[:16]
+    return f"<program-{index}-{digest}>", None
 
 
 def mine_synergies(

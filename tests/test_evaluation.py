@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import shutil
 import threading
 from collections import Counter
@@ -28,7 +29,7 @@ from passforest import (
     save_mock_program,
     schedule_of,
 )
-from passforest.evaluation import Evaluator, EvaluationResult, resolve_opt_path
+from passforest.evaluation import Evaluator, EvaluationResult, module_units, resolve_opt_path
 from passforest.refine import _all_chromosomes, decision_points, decode
 
 SAMPLE_IR = """\
@@ -285,6 +286,19 @@ def test_mock_backend_loads_spec_files(m1, tmp_path, ab_registry):
     assert backend.original_count(str(path)) == 100
 
 
+def test_mock_backend_reloads_a_spec_file_rewritten_in_place(m1, m2, tmp_path, ab_registry):
+    path = tmp_path / "program.json"
+    save_mock_program(m1, path)
+    backend = MockBackend()
+    forest = parse_pipeline("module(function(a,b))", ab_registry)
+    assert backend.evaluate(str(path), forest) == mock_evaluate(m1, forest)
+    save_mock_program(m2, path)
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+    assert backend.evaluate(str(path), forest) == mock_evaluate(m2, forest)
+    assert backend.original_count(str(path)) == 100
+
+
 def test_mock_backend_plan_never_serves_another_program(m1, m2, ab_registry):
     # m1 and m2 share the passes a and b; a plan compiled for one program
     # must not score the other's forests with the same leaf sequence.
@@ -351,6 +365,18 @@ def test_mock_backend_plan_scores_nested_module_managers(with_class_2):
 # ---------------------------------------------------------------------------
 # opt subprocess backend (via fake opt executables)
 # ---------------------------------------------------------------------------
+
+def test_module_units_cut_every_module_manager(registry):
+    forest = parse_pipeline(
+        "module(globalopt,function(gvn),module(cgscc(inline),module(function(adce)))),"
+        "module(function(adce,loop(loop-deletion)))",
+        registry,
+    )
+    assert module_units(forest) == [
+        "globalopt", "function(gvn)", "cgscc(inline)", "function(adce)",
+        "function(adce,loop(loop-deletion))",
+    ]
+
 
 @pytest.fixture
 def ir_file(tmp_path):

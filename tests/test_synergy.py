@@ -319,6 +319,18 @@ def test_program_listed_twice_counts_once(backend, tmp_path):
     assert doubled.start_weights != once.start_weights
 
 
+def test_checkpoint_never_serves_another_in_memory_program(ab_registry, backend, tmp_path, m1, m2):
+    checkpoint = tmp_path / "mine.ckpt"
+    fresh = mine_synergies([m2], ab_registry, backend)
+    assert fresh.edges == ()
+    mine_synergies([m1], ab_registry, backend, checkpoint_path=checkpoint)
+    resumed = mine_synergies([m2], ab_registry, backend, checkpoint_path=checkpoint)
+    assert (resumed.edges, resumed.start_weights) == (fresh.edges, fresh.start_weights)
+    # an equal program at the same position reuses its record
+    again = mine_synergies([m1], ab_registry, FailsOnB(), checkpoint_path=checkpoint)
+    assert again.edges == (SynergyEdge("a", "b", INTRA_LEVEL, 1.0),)
+
+
 def test_checkpoint_registry_mismatch(ab_registry, backend, tmp_path, m1):
     checkpoint = tmp_path / "mine.ckpt"
     mine_synergies([m1], ab_registry, backend, checkpoint_path=checkpoint)
