@@ -41,9 +41,13 @@ EXIT_EVALUATION = 3
 
 
 def _load_registry_arg(args):
-    if args.registry:
-        return load_registry(Path(args.registry).read_text(encoding="utf-8"))
-    return default_registry()
+    if not args.registry:
+        return default_registry()
+    try:
+        source = Path(args.registry).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{args.registry}: {exc}") from exc
+    return load_registry(source)
 
 
 def _backend_from_args(args):

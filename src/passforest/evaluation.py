@@ -253,7 +253,7 @@ class OptBackend:
     def _apply(self, pipeline: str, path: str) -> subprocess.CompletedProcess:
         """``opt -S -passes=<pipeline> <path> -o -``, in a worker if possible."""
         pool = self._workers()
-        proc = pool.run(path, pipeline, self.timeout) if pool is not None else None
+        proc = pool.run(path, pipeline, "", [], self.timeout) if pool is not None else None
         return proc if proc is not None else self._run(f"-passes={pipeline}", path)
 
     def _apply_units(self, forest: PipelineForest, path: str, stamp: tuple):
@@ -268,18 +268,16 @@ class OptBackend:
         pipeline = print_pipeline(forest)
         pool = self._workers()
         if pool is None:
-            return self._apply(pipeline, path)
+            return self._run(f"-passes={pipeline}", path)
         units = module_units(forest)
         states = self._states
         keys = states.keys(path, stamp, units)
         done, state, saves = states.plan(keys)
         saved = [(key, number) for key, number in zip(keys[done:], saves) if number is not None]
-        steps = None
-        if state or saved:
-            steps = [(unit, "" if number is None else states.file(number))
-                     for unit, number in zip(units[done:], saves)]
+        steps = [(unit, "" if number is None else states.file(number))
+                 for unit, number in zip(units[done:], saves)]
         try:
-            proc = pool.run(path, pipeline, self.timeout, state, steps)
+            proc = pool.run(path, pipeline, state, steps, self.timeout)
         finally:
             states.add(saved)
         if proc is not None:

@@ -434,7 +434,7 @@ def load_mock_program(path: Union[str, Path]) -> MockProgram:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also text that is not UTF-8
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return mock_program_from_dict(spec)

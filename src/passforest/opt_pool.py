@@ -2,11 +2,14 @@
 
 ``OptBackend`` imports this module on its first evaluation. When
 ``linked_libllvm`` finds the shared libLLVM that the ``opt`` binary
-links, a ``WorkerPool`` runs its requests in long-lived ``opt_worker``
-processes that load it; each request goes to an idle worker, or to a
-new one when none is idle. A ``StateIndex`` records the module states
-that workers printed to files after a pipeline's leading units, so that
-any worker can resume a later pipeline that starts with the same units.
+links (``ldd`` names it), a ``WorkerPool`` runs its requests in
+long-lived ``opt_worker`` processes that load it; each request goes to
+an idle worker, or to a new one when none is idle. Every request has
+one form: the pipeline, the state to resume from and the units that
+remain, each with the file to save its state to. A ``StateIndex``
+records the module states that workers printed to files after a
+pipeline's leading units, so that any worker can resume a later
+pipeline that starts with the same units.
 """
 
 import hashlib
@@ -14,7 +17,6 @@ import itertools
 import os
 import select
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
@@ -40,81 +42,27 @@ KEY_LIMIT = 1 << 13
 def linked_libllvm(opt: str) -> Optional[str]:
     """The libLLVM shared library that the ``opt`` executable links, if any.
 
-    Reads the ELF dynamic section: the first ``DT_NEEDED`` entry named
-    ``libLLVM*``, found in the ``DT_RUNPATH``/``DT_RPATH`` directories
-    (``$ORIGIN`` expanded) or else left to the dynamic loader's search.
-    A script, a statically linked binary or a missing file gives None.
+    Asks ``ldd``, which runs the loader that ``opt`` itself runs, so
+    RUNPATH, ``$ORIGIN`` and the loader cache resolve as they do for
+    ``opt``: the first ``libLLVM*`` entry that resolves to an absolute
+    path. A script, a statically linked binary, a missing file, a
+    library the loader cannot find or no ``ldd`` on PATH gives None.
     """
-    exe = shutil.which(opt)
-    if exe is None:
+    exe, ldd = shutil.which(opt), shutil.which("ldd")
+    if exe is None or ldd is None:
         return None
-    exe = os.path.realpath(exe)
     try:
-        with open(exe, "rb") as fh:
-            needed, paths = _dynamic_entries(fh)
-    except (OSError, struct.error, ValueError, StopIteration):
-        return None  # not a readable ELF file with a string table
-    name = next((n for n in needed if n.startswith("libLLVM")), None)
-    if name is None:
+        listing = subprocess.run([ldd, os.path.realpath(exe)], capture_output=True,
+                                 encoding="utf-8", errors="replace", timeout=60).stdout
+    except (OSError, subprocess.SubprocessError):
         return None
-    origin = os.path.dirname(exe)
-    for entry in paths:
-        for directory in entry.split(":"):
-            directory = directory.replace("${ORIGIN}", origin).replace("$ORIGIN", origin)
-            candidate = os.path.join(directory, name)
-            if directory and os.path.exists(candidate):
-                return candidate
-    return name
-
-
-def _dynamic_entries(fh):
-    """(DT_NEEDED names, DT_RUNPATH/DT_RPATH strings) of an ELF file.
-
-    Program header types: PT_LOAD 1, PT_DYNAMIC 2. Dynamic tags:
-    DT_NEEDED 1, DT_STRTAB 5, DT_RPATH 15, DT_RUNPATH 29.
-    """
-    ident = fh.read(16)
-    if ident[:4] != b"\x7fELF":
-        raise ValueError("not an ELF file")
-    wide = ident[4] == 2
-    order = "<" if ident[5] == 1 else ">"
-    word = "Q" if wide else "I"
-    header = fh.read(48 if wide else 36)
-    if wide:
-        phoff, = struct.unpack_from(order + "Q", header, 16)
-        phentsize, phnum = struct.unpack_from(order + "HH", header, 38)
-    else:
-        phoff, = struct.unpack_from(order + "I", header, 12)
-        phentsize, phnum = struct.unpack_from(order + "HH", header, 26)
-    # (type, file offset, virtual address, file size) per program header
-    fields = order + ("IIQQQQ" if wide else "IIIII")
-    segments = []
-    for i in range(phnum):
-        fh.seek(phoff + i * phentsize)
-        raw = struct.unpack(fields, fh.read(struct.calcsize(fields)))
-        if wide:
-            segments.append((raw[0], raw[2], raw[3], raw[5]))
-        else:
-            segments.append((raw[0], raw[1], raw[2], raw[4]))
-    dynamic = next(((off, size) for kind, off, _, size in segments if kind == 2), None)
-    if dynamic is None:
-        return [], []
-    fh.seek(dynamic[0])
-    entry = struct.Struct(order + ("q" if wide else "i") + word)
-    table = fh.read(dynamic[1])
-    tags = [entry.unpack_from(table, i)
-            for i in range(0, len(table) - entry.size + 1, entry.size)]
-    strtab = next(value for tag, value in tags if tag == 5)
-    base = next(off + strtab - vaddr for kind, off, vaddr, size in segments
-                if kind == 1 and vaddr <= strtab < vaddr + size)
-
-    def string(offset):
-        fh.seek(base + offset)
-        return fh.read(4096).split(b"\0", 1)[0].decode("utf-8", "replace")
-
-    needed = [string(value) for tag, value in tags if tag == 1]
-    paths = [string(value) for tag, value in tags if tag in (15, 29)]
-    return needed, paths
+    for line in listing.splitlines():
+        # "<name> => <path> (<address>)", "<name> => not found" or "<path> (<address>)"
+        name, arrow, found = line.strip().partition(" => ")
+        path = (found if arrow else name).split(" (")[0]
+        if os.path.basename(name).startswith("libLLVM") and os.path.isabs(path):
+            return path
+    return None
 
 
 class _Worker:
@@ -143,7 +91,7 @@ class _Worker:
             os.close(reply_end)
         self.replies = replies
 
-    def request(self, kind: bytes, payload: bytes, timeout: float) -> Tuple[bytes, bytes]:
+    def request(self, payload: bytes, timeout: float) -> Tuple[bytes, bytes]:
         """Send one request frame and wait for its reply frame.
 
         A worker that dies first gives (``E``, ``<exit code>\\n<stderr>``)
@@ -152,7 +100,7 @@ class _Worker:
         """
         offset = os.fstat(self.stderr.fileno()).st_size
         try:
-            write_frame(self.proc.stdin.fileno(), kind, payload)
+            write_frame(self.proc.stdin.fileno(), b"S", payload)
         except BrokenPipeError:
             pass  # it died already; the reply pipe is at end-of-file
         reply = self._read_reply(time.monotonic() + timeout)
@@ -207,26 +155,24 @@ class WorkerPool:
         self,
         path: str,
         pipeline: str,
+        state: str,
+        steps: Sequence[Tuple[str, str]],
         timeout: float,
-        state: str = "",
-        steps: Optional[Iterable[Tuple[str, str]]] = None,
     ) -> Optional[subprocess.CompletedProcess]:
         """What ``opt -S -passes=<pipeline> <path> -o -`` would give.
 
-        With ``steps``, the worker resumes from ``state`` (the input
-        when empty) and runs the remaining (unit, file to save to) pairs,
-        as ``opt_worker`` describes. None when the library turned out
-        unusable or ``state`` could not be read; ``usable`` tells which.
-        A timeout raises TimeoutExpired naming the command.
+        The worker resumes from ``state`` (the input when empty) and runs
+        the remaining (unit, file to save to) pairs of ``steps``, as
+        ``opt_worker`` describes; without steps, the whole pipeline from
+        the input. None when the library turned out unusable or ``state``
+        could not be read; ``usable`` tells which. A timeout raises
+        TimeoutExpired naming the command.
         """
         cmd = [self.opt, "-S", f"-passes={pipeline}", path, "-o", "-"]
-        if steps is None:
-            request, fields = b"P", [path, pipeline]
-        else:
-            request, fields = b"S", [path, pipeline, state, *itertools.chain.from_iterable(steps)]
+        fields = [path, pipeline, state, *itertools.chain.from_iterable(steps)]
         worker = self._acquire()
         try:
-            kind, payload = worker.request(request, "\0".join(fields).encode("utf-8"), timeout)
+            kind, payload = worker.request("\0".join(fields).encode("utf-8"), timeout)
         except TimeoutError:
             self._discard(worker)
             raise subprocess.TimeoutExpired(cmd, timeout) from None

@@ -17,24 +17,23 @@ Run as a script::
 
 Requests arrive on standard input and replies leave on the reply file
 descriptor, both as frames: one kind byte, a 4-byte big-endian length,
-then the payload. There are two requests:
-
-* ``P``, ``<path>\\0<pipeline>``: run the whole pipeline from the input.
-* ``S``, ``<path>\\0<pipeline>\\0<state>\\0<unit>\\0<save>...``: the
-  same pipeline, resumed part way. ``<state>`` names a file holding the
-  module after the pipeline's leading units, as the worker printed it,
-  or is empty to start from the input. Each remaining unit (a module
-  manager's child, see ``evaluation.module_units``) comes with a file
-  name to print the module to once that unit has run, or an empty one.
-  The worker runs the units one ``LLVMRunPasses`` call each up to the
-  last one it must save after, and the rest in one call. Each file is
-  written under a temporary name and renamed, so a file that exists is
-  whole. A state is read from a memory buffer named after the input
-  path, so the printed module reads as the input's, and is not verified
-  again, as ``opt`` does not verify between passes. Whenever the request
-  takes more than one call, the whole pipeline is first parsed on an
-  empty module, so a pass name ``opt`` rejects fails before any pass
-  runs, as in ``opt``.
+then the payload. A request (kind ``S``) carries
+``<path>\\0<pipeline>\\0<state>`` followed by ``(\\0<unit>\\0<save>)*``.
+``<state>`` names a file holding the module after the pipeline's leading
+units, as the worker printed it, or is empty to start from the input.
+Each remaining unit (a module manager's child, see
+``evaluation.module_units``) comes with a file name to print the module
+to once that unit has run, or an empty one. The worker runs the whole
+pipeline in one ``LLVMRunPasses`` call unless it resumes from a state or
+saves before the last unit. Then it runs the units one call each up to
+the last one it must save after, and the rest in one call. Each file is
+written under a temporary name and renamed, so a file that exists is
+whole. A state is read from a memory buffer named after the input path,
+so the printed module reads as the input's, and is not verified again,
+as ``opt`` does not verify between passes. Whenever the request takes
+more than one call, the whole pipeline is first parsed on an empty
+module, so a pass name ``opt`` rejects fails before any pass runs, as in
+``opt``.
 
 The replies are ``O`` (the printed module), ``E`` (``<exit code>\\n<stderr
 text>``), ``R`` (the state file could not be read or parsed; nothing
@@ -113,7 +112,6 @@ def _signatures():
         "LLVMGetErrorMessage": ([ref], ref),
         "LLVMDisposeErrorMessage": ([ref], None),
         "LLVMPrintModuleToString": ([ref], ref),
-        "LLVMPrintModuleToFile": ([ref, text, out], flag),
         "LLVMDisposeMessage": ([ref], None),
         "LLVMDisposeModule": ([ref], None),
     }
@@ -157,14 +155,13 @@ class _Library:
         # no CPU or features, CodeGenOpt::None, default reloc and code model
         return self.CreateTargetMachine(target, triple, b"", b"", 0, 0, 0) or None
 
-    def run(self, opt: str, path: bytes, pipeline: bytes, state: bytes = b"",
-            steps: list | None = None) -> tuple[bytes, bytes]:
+    def run(self, opt: str, path: bytes, pipeline: bytes, state: bytes,
+            steps: list) -> tuple[bytes, bytes]:
         """One request: (``O``, printed module), (``E``, exit code and stderr)
         or (``R``, empty) when ``state`` cannot be read or parsed.
 
-        Without ``steps`` the whole pipeline runs from the input in one
-        call; with them, the (unit, file to save to) pairs that remain
-        after ``state``, or after the input when ``state`` is empty.
+        ``steps`` are the (unit, file to save to) pairs that remain after
+        ``state``, or after the input when ``state`` is empty.
         """
         shown = path.decode("utf-8", "replace")
         context = self.ContextCreate()
@@ -189,7 +186,7 @@ class _Library:
                     details = self.message(text)
                     if broken:
                         return _exited(1, f"{details}{opt}: {shown}: error: input module is broken!")
-                return self._optimize(opt, context, module, pipeline, steps)
+                return self._optimize(opt, context, module, pipeline, bool(state), steps)
             finally:
                 self.DisposeModule(module)
         finally:
@@ -204,11 +201,11 @@ class _Library:
             return None
         return self.CreateMemoryBufferWithMemoryRangeCopy(data, len(data), path)
 
-    def _optimize(self, opt: str, context, module, pipeline: bytes,
-                  steps: list | None) -> tuple[bytes, bytes]:
+    def _optimize(self, opt: str, context, module, pipeline: bytes, resumed: bool,
+                  steps: list) -> tuple[bytes, bytes]:
         machine = self.target_machine(self.GetTarget(module))
         try:
-            error = self._run_passes(context, module, pipeline, steps, machine)
+            error = self._run_passes(context, module, pipeline, resumed, steps, machine)
         finally:
             if machine:
                 self.DisposeTargetMachine(machine)
@@ -219,19 +216,18 @@ class _Library:
             return _exited(1, f"{opt}: {reason}")
         # A broken result aborts here, as opt's closing verifier pass does.
         self.VerifyModule(module, _ABORT_PROCESS_ACTION, None)
-        pointer = ctypes.c_void_p(self.PrintModuleToString(module))
-        printed = ctypes.string_at(pointer.value)
-        self.DisposeMessage(pointer)
+        printed = self._print(module)
         if steps and steps[-1][1]:
-            _save(steps[-1][1], lambda part: _write(part, printed))
+            _save(steps[-1][1], printed)
         return b"O", printed
 
-    def _run_passes(self, context, module, pipeline: bytes, steps: list | None, machine):
+    def _run_passes(self, context, module, pipeline: bytes, resumed: bool, steps: list,
+                    machine):
         """Run the passes; the error of the first call that fails, or None."""
-        if steps is None:
-            return self.RunPasses(module, pipeline, machine, self.options)
         # Units up to the last intermediate save run one call each.
         cut = max((i + 1 for i, (_, save) in enumerate(steps[:-1]) if save), default=0)
+        if not (resumed or cut):
+            return self.RunPasses(module, pipeline, machine, self.options)
         if cut:
             empty = self.ModuleCreateWithNameInContext(b"", context)
             try:
@@ -245,38 +241,31 @@ class _Library:
             if error:
                 return error
             if save:
-                _save(save, lambda part: self._print_to_file(module, part))
+                _save(save, self._print(module))
         rest = [unit for unit, _ in steps[cut:]]
         if not rest:
             return None
         return self.RunPasses(module, b"module(" + b",".join(rest) + b")", machine, self.options)
 
-    def _print_to_file(self, module, name: bytes) -> bool:
-        text = ctypes.c_void_p()
-        failed = self.PrintModuleToFile(module, name, ctypes.byref(text))
-        self.message(text)
-        return not failed
+    def _print(self, module) -> bytes:
+        pointer = ctypes.c_void_p(self.PrintModuleToString(module))
+        printed = ctypes.string_at(pointer.value)
+        self.DisposeMessage(pointer)
+        return printed
 
 
-def _write(name: bytes, data: bytes) -> bool:
-    try:
-        with open(name, "wb") as fh:
-            fh.write(data)
-    except OSError:
-        return False
-    return True
-
-
-def _save(name: bytes, write) -> None:
-    """``write(<name>.part)``, then rename it to ``name`` if it succeeded."""
+def _save(name: bytes, printed: bytes) -> None:
+    """Write ``printed`` to ``<name>.part``, then rename it to ``name``."""
     part = name + b".part"
     try:
-        if write(part):
-            os.rename(part, name)
-        else:
-            os.unlink(part)
+        with open(part, "wb") as fh:
+            fh.write(printed)
+        os.rename(part, name)
     except OSError:
-        pass
+        try:
+            os.unlink(part)
+        except OSError:
+            pass
 
 
 def _exited(code: int, stderr: str) -> tuple[bytes, bytes]:
@@ -297,14 +286,9 @@ def main(argv) -> int:
         frame = read_frame(0)
         if frame is None:
             return 0
-        kind, payload = frame
-        if kind == b"S":
-            path, pipeline, state, *rest = payload.split(b"\0")
-            steps = list(zip(rest[::2], rest[1::2]))
-            write_frame(reply, *llvm.run(opt, path, pipeline, state, steps))
-        else:
-            path, pipeline = payload.split(b"\0", 1)
-            write_frame(reply, *llvm.run(opt, path, pipeline))
+        path, pipeline, state, *rest = frame[1].split(b"\0")
+        steps = list(zip(rest[::2], rest[1::2]))
+        write_frame(reply, *llvm.run(opt, path, pipeline, state, steps))
 
 
 if __name__ == "__main__":

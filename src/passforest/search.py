@@ -79,6 +79,15 @@ def _weighted_pick(rng: random.Random, items: Sequence, weights: Sequence[float]
     return rng.choices(list(items), weights=list(weights), k=1)[0]
 
 
+def _known_successors(graph: SynergyGraph, registry: PassRegistry, name: str) -> list:
+    """The graph's edges out of ``name`` to passes of ``registry`` with a level, in order."""
+    return [
+        e
+        for e in graph.successors(name)
+        if e.dst in registry and registry.level_of(e.dst) is not None
+    ]
+
+
 def _place_after_anchor(
     forest: PipelineForest,
     anchor_path: Tuple[int, ...],
@@ -122,11 +131,7 @@ def weighted_walk_init(
         )
     walk = [_weighted_pick(rng, names, [graph.start_weights[n] for n in names])]
     while len(walk) < config.max_sequence_length:
-        successors = [
-            e
-            for e in graph.successors(walk[-1])
-            if e.dst in registry and registry.level_of(e.dst) is not None
-        ]
+        successors = _known_successors(graph, registry, walk[-1])
         if not successors:
             break
         edge = _weighted_pick(rng, successors, [e.weight for e in successors])
@@ -185,11 +190,7 @@ def mutate(
     """
     forest = individual.forest
     anchor_path, anchor = leaf_at(forest, rng.randrange(leaf_count(forest)))
-    successors = [
-        e
-        for e in graph.successors(anchor.name)
-        if e.dst in registry and registry.level_of(e.dst) is not None
-    ]
+    successors = _known_successors(graph, registry, anchor.name)
     if successors:
         edge = _weighted_pick(rng, successors, [e.weight for e in successors])
         partner = edge.dst

@@ -310,7 +310,7 @@ def save_graph(graph: SynergyGraph, sink: Union[str, Path]) -> None:
 def load_graph(source: Union[str, Path]) -> SynergyGraph:
     try:
         payload = json.loads(Path(source).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also text that is not UTF-8
         raise SchemaError(f"{source}: not valid JSON: {exc}") from exc
     try:
         _expect(payload, dict, "the graph")

@@ -507,6 +507,17 @@ def test_graph_invariant_errors_name_the_file(
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--registry", "--program", "--graph"])
+def test_a_file_that_is_not_utf8_names_itself(capsys, tmp_path, m1_file, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{")
+    # the last --program given wins
+    argv = ["search", "--program", m1_file, "--generations", "1", flag, str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["search", "evaluate"])
 @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "-inf", "nan"])
 def test_timeout_must_be_finite_and_positive(capsys, tmp_path, command, timeout):

@@ -212,9 +212,9 @@ def _restored_from(backend, monkeypatch) -> list:
     states = []
     run = backend._pool.run
 
-    def spy(path, pipeline, timeout, state="", steps=None):
+    def spy(path, pipeline, state, steps, timeout):
         states.append(state)
-        return run(path, pipeline, timeout, state, steps)
+        return run(path, pipeline, state, steps, timeout)
 
     monkeypatch.setattr(backend._pool, "run", spy)
     return states
@@ -375,6 +375,43 @@ def test_no_library_for_scripts_and_missing_binaries(tmp_path):
     assert linked_libllvm(helpers.write_script(tmp_path / "opt", "exit 0\n")) is None
     assert linked_libllvm(str(tmp_path / "missing")) is None
     assert linked_libllvm(sys.executable) is None
+
+
+@pytest.mark.parametrize(
+    "listing, library",
+    [
+        ("\tlinux-vdso.so.1 (0x00007ffd5a1f2000)\n"
+         "\tlibLLVM-18.so.1 => /opt/llvm/lib/libLLVM-18.so.1 (0x00007f131d600000)\n"
+         "\tlibc.so.6 => /lib/x86_64-linux-gnu/libc.so.6 (0x00007f131d41e000)\n",
+         "/opt/llvm/lib/libLLVM-18.so.1"),
+        ("\tlibLLVM-18.so.1 => not found\n"
+         "\tlibc.so.6 => /lib/x86_64-linux-gnu/libc.so.6 (0x00007f131d41e000)\n",
+         None),
+    ],
+    ids=["resolved", "not-found"],
+)
+def test_the_library_is_the_libllvm_line_that_ldd_resolves(
+        tmp_path, monkeypatch, listing, library):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    helpers.write_script(bin_dir / "ldd", f"cat <<'EOF'\n{listing}EOF\n")
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    assert linked_libllvm(helpers.write_script(tmp_path / "opt", "exit 0\n")) == library
+
+
+def test_no_ldd_on_path_gives_no_library(tmp_path, monkeypatch):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    assert linked_libllvm(sys.executable) is None
+
+
+def test_the_real_opt_links_an_existing_absolute_libllvm():
+    opt = resolve_opt_path()
+    if shutil.which(opt) is None:
+        pytest.skip("no opt found")
+    library = linked_libllvm(opt)
+    assert library is not None and os.path.isabs(library) and os.path.exists(library)
 
 
 def test_a_fake_opt_runs_as_a_subprocess(tmp_path, registry):
