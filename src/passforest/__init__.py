@@ -33,7 +33,6 @@ from .forest import (
     Leaf,
     Manager,
     PipelineForest,
-    Violation,
     is_valid,
     leaf_sequence,
     minimal_wrap,
@@ -53,7 +52,6 @@ from .mock import (
 )
 from .refine import (
     PartitionChromosome,
-    PartitionProblem,
     RefineConfig,
     RefinementResult,
     decision_points,
@@ -76,11 +74,7 @@ from .search import (
     run_search,
     weighted_walk_init,
 )
-from .skeletons import (
-    build_skeleton_variant,
-    pair_structure_variants,
-    representative_skeleton,
-)
+from .skeletons import build_skeleton_variant, representative_skeleton
 from .synergy import (
     SynergyEdge,
     SynergyGraph,

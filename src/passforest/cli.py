@@ -21,6 +21,7 @@ from . import __version__
 from .errors import (
     BackendUnavailable,
     MalformedIR,
+    ParseError,
     PassForestError,
     SchemaError,
 )
@@ -44,10 +45,11 @@ def _load_registry_arg(args):
     if not args.registry:
         return default_registry()
     try:
-        source = Path(args.registry).read_text(encoding="utf-8")
+        return load_registry(Path(args.registry).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{args.registry}: {exc}") from exc
-    return load_registry(source)
+    except ParseError as exc:
+        raise type(exc)(f"{args.registry}: {exc}") from exc
 
 
 def _backend_from_args(args):
@@ -330,13 +332,15 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _count(row: dict, key: str) -> int:
+def _count(row: dict, key: str, positive: bool = False) -> int:
     # bool is an int subclass; floats, even whole or infinite, are not counts
     value = row[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} {value!r} is not an integer")
     if value < 0:
         raise ValueError(f"{key} {value} is negative")
+    if positive and value == 0:
+        raise ValueError(f"{key} 0 of program {row['program']!r} cannot anchor a percentage")
     return value
 
 
@@ -351,7 +355,7 @@ def cmd_report(args) -> int:
         results = [
             ProgramResult(
                 program_id=str(row["program"]),
-                ic_oz=_count(row, "ic_oz"),
+                ic_oz=_count(row, "ic_oz", positive=True),
                 ic_tuned=_count(row, "ic_tuned"),
                 dataset=str(
                     row.get("dataset") or labels.get(str(row["program"]), "default")

@@ -13,11 +13,12 @@ mock is pure Python and always runs serially, since threads would only
 contend for the GIL.
 
 With workers, ``OptBackend`` cuts each forest into units, the children
-of its module managers (``module_units``), and resumes each evaluation
-from the longest leading run of units whose module state a worker has
-saved before: ``opt_pool.StateIndex`` keeps those states as files,
-keyed by the input's path, size and modification time and the printed
-units, and every worker of the backend reads them.
+of its module managers (``module_units``), and hands them to the
+``opt_pool.WorkerPool``. The pool resumes each evaluation from the
+longest leading run of units whose module state a worker has saved
+before; its ``StateIndex`` keeps those states as files, keyed by the
+input's path and ``file_stamp`` and the printed units, and every worker
+of the pool reads them.
 """
 
 import math
@@ -28,7 +29,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BackendUnavailable, MalformedIR
 from .forest import Manager, PipelineForest
@@ -159,6 +160,16 @@ def module_units(forest: PipelineForest) -> List[str]:
     return units
 
 
+def file_stamp(path) -> Tuple[int, int]:
+    """A file's (size, modification time in ns), which changes when it is rewritten.
+
+    Every cache of a file's content is keyed by it. Raises OSError when
+    the file cannot be read and ValueError for a path the system rejects.
+    """
+    stat = os.stat(path)
+    return stat.st_size, stat.st_mtime_ns
+
+
 def resolve_opt_path(explicit: Optional[str] = None) -> str:
     return explicit or os.environ.get(OPT_PATH_ENV_VAR) or "opt"
 
@@ -201,11 +212,11 @@ class OptBackend:
     long-lived ``opt_worker`` processes that load it, started on the
     first evaluation and killed with the backend; otherwise each
     evaluation runs one ``opt`` process. Both give the same counts and
-    failure details. With workers, ``evaluate`` resumes from the longest
-    leading run of ``module_units`` whose state is saved, and saves the
-    state after a run it reaches the second time; the states live in
-    files that are deleted with the backend. ``timeout`` must be a finite
-    number of seconds > 0.
+    failure details. With workers, the pool resumes each evaluation from
+    the longest leading run of ``module_units`` whose state is saved, and
+    saves the state after a run it reaches the second time; the states
+    live in files that are deleted with the backend. ``timeout`` must be
+    a finite number of seconds > 0.
     """
 
     opt_path: Optional[str] = None
@@ -216,7 +227,6 @@ class OptBackend:
         check_timeout(self.timeout)
         self._lock = threading.Lock()
         self._pool = None
-        self._states = None
         self._pool_resolved = False
         # original_count's memo: (path, size, mtime in ns) -> count
         self._counts: Dict[tuple, int] = {}
@@ -245,46 +255,8 @@ class OptBackend:
                 library = opt_pool.linked_libllvm(opt)
                 if library is not None:
                     self._pool = opt_pool.WorkerPool(opt, library)
-                    self._states = opt_pool.StateIndex()
                     weakref.finalize(self, self._pool.close)
-                    weakref.finalize(self, self._states.close)
         return self._pool if self._pool is not None and self._pool.usable else None
-
-    def _apply(self, pipeline: str, path: str) -> subprocess.CompletedProcess:
-        """``opt -S -passes=<pipeline> <path> -o -``, in a worker if possible."""
-        pool = self._workers()
-        proc = pool.run(path, pipeline, "", [], self.timeout) if pool is not None else None
-        return proc if proc is not None else self._run(f"-passes={pipeline}", path)
-
-    def _apply_units(self, forest: PipelineForest, path: str, stamp: tuple):
-        """``_apply(print_pipeline(forest), path)``, resumed from a saved state.
-
-        ``stamp`` is the input's (size, modification time in ns). The
-        worker starts from the longest saved prefix of the forest's
-        units and saves the states ``StateIndex.plan`` asks for. A state
-        that does not parse is dropped, and the whole pipeline runs from
-        the input instead.
-        """
-        pipeline = print_pipeline(forest)
-        pool = self._workers()
-        if pool is None:
-            return self._run(f"-passes={pipeline}", path)
-        units = module_units(forest)
-        states = self._states
-        keys = states.keys(path, stamp, units)
-        done, state, saves = states.plan(keys)
-        saved = [(key, number) for key, number in zip(keys[done:], saves) if number is not None]
-        steps = [(unit, "" if number is None else states.file(number))
-                 for unit, number in zip(units[done:], saves)]
-        try:
-            proc = pool.run(path, pipeline, state, steps, self.timeout)
-        finally:
-            states.add(saved)
-        if proc is not None:
-            return proc
-        if pool.usable:  # the state did not parse
-            states.drop(keys[done - 1], state)
-        return self._apply(pipeline, path)
 
     def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
         """Apply the pipeline as ``opt -S -passes=<pipeline>`` does; count output.
@@ -292,13 +264,18 @@ class OptBackend:
         A missing input, a timeout, a nonzero exit and unbalanced output
         come back as failed results.
         """
-        path = Path(program)
+        path = str(Path(program))
         try:
-            stat = path.stat()
+            stamp = file_stamp(path)
         except (OSError, ValueError):
             return _failed(f"input file not found: {path}")
+        pipeline = print_pipeline(forest)
+        pool = self._workers()
         try:
-            proc = self._apply_units(forest, str(path), (stat.st_size, stat.st_mtime_ns))
+            proc = None if pool is None else pool.run(
+                path, stamp, pipeline, module_units(forest), self.timeout)
+            if proc is None:
+                proc = self._run(f"-passes={pipeline}", path)
         except subprocess.TimeoutExpired as exc:
             return _failed(f"timeout after {self.timeout:g}s: {' '.join(exc.cmd)}")
         return result_of(proc)
@@ -314,10 +291,10 @@ class OptBackend:
         ``opt`` for it once.
         """
         path = Path(program)
-        if not path.exists():
-            raise BackendUnavailable(f"input file not found: {path}")
-        stat = path.stat()
-        key = (str(path), stat.st_size, stat.st_mtime_ns)
+        try:
+            key = (str(path), *file_stamp(path))
+        except (OSError, ValueError) as exc:
+            raise BackendUnavailable(f"input file not found: {path}") from exc
         count = self._counts.get(key)
         if count is None:
             what = "disassembling" if path.suffix == ".bc" else "reading"

@@ -43,16 +43,16 @@ plan only when two calls in a row share program and sequence.
 """
 
 import json
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from itertools import accumulate, chain
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple, Union
 
 from .errors import SchemaError
-from .evaluation import EvaluationResult
+from .evaluation import EvaluationResult, file_stamp
 from .forest import Leaf, Manager, PipelineForest
 from .registry import PassLevel
 
@@ -119,31 +119,14 @@ class MockProgram:
             raise SchemaError("pair synergy bonuses must be nonnegative")
         if any(v < 0 for v in self.coupling.values()):
             raise SchemaError("coupling bonuses must be nonnegative")
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        out: Dict[str, List[str]] = {}
+        callees: Dict[str, List[str]] = {}
         for caller, callee in self.call_edges:
-            out.setdefault(caller, []).append(callee)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {f.name: WHITE for f in self.functions}
-        # Iterative depth-first search: call chains may be thousands deep.
-        for root in color:
-            if color[root] != WHITE:
-                continue
-            color[root] = GRAY
-            stack = [(root, iter(out.get(root, ())))]
-            while stack:
-                node, callees = stack[-1]
-                nxt = next(callees, None)
-                if nxt is None:
-                    color[node] = BLACK
-                    stack.pop()
-                elif color[nxt] == GRAY:
-                    raise SchemaError("call graph has a cycle")
-                elif color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(out.get(nxt, ()))))
+            callees.setdefault(caller, []).append(callee)
+        try:
+            # prepare() finds any cycle, self-calls included, without recursing
+            TopologicalSorter(callees).prepare()
+        except CycleError:
+            raise SchemaError("call graph has a cycle") from None
 
     @cached_property
     def _index(self) -> _ProgramIndex:
@@ -484,8 +467,7 @@ class MockBackend:
         if isinstance(program, MockProgram):
             return program
         key = str(program)
-        stat = os.stat(key)
-        stamp = (stat.st_size, stat.st_mtime_ns)
+        stamp = file_stamp(key)
         cached = self._cache.get(key)
         if cached is None or cached[0] != stamp:
             cached = self._cache[key] = (stamp, load_mock_program(key))

@@ -6,10 +6,11 @@ links (``ldd`` names it), a ``WorkerPool`` runs its requests in
 long-lived ``opt_worker`` processes that load it; each request goes to
 an idle worker, or to a new one when none is idle. Every request has
 one form: the pipeline, the state to resume from and the units that
-remain, each with the file to save its state to. A ``StateIndex``
-records the module states that workers printed to files after a
-pipeline's leading units, so that any worker can resume a later
-pipeline that starts with the same units.
+remain, each with the file to save its state to. The pool's
+``StateIndex`` records the module states that workers printed to files
+after a pipeline's leading units, so that any worker can resume a later
+pipeline that starts with the same units; ``WorkerPool.run`` decides
+where each request resumes and what it saves.
 """
 
 import hashlib
@@ -135,18 +136,20 @@ class _Worker:
 
 
 class WorkerPool:
-    """Idle ``opt_worker`` processes of one backend, started on demand.
+    """Idle ``opt_worker`` processes of one backend and the states they saved.
 
     Each request takes an idle worker or starts one, so there are never
     more workers than concurrent requests. A worker that dies or times
     out is discarded, and the next request starts a fresh one. A worker
-    that cannot use the library marks the pool unusable.
+    that cannot use the library marks the pool unusable. ``states`` is
+    the pool's ``StateIndex``; ``close`` deletes it with the workers.
     """
 
     def __init__(self, opt: str, library: str):
         self.opt = opt
         self.library = library
         self.usable = True
+        self.states = StateIndex()
         self._idle: List[_Worker] = []
         self._live = set()
         self._lock = threading.Lock()
@@ -154,22 +157,47 @@ class WorkerPool:
     def run(
         self,
         path: str,
+        stamp: Tuple[int, int],
         pipeline: str,
-        state: str,
-        steps: Sequence[Tuple[str, str]],
+        units: Sequence[str],
         timeout: float,
     ) -> Optional[subprocess.CompletedProcess]:
         """What ``opt -S -passes=<pipeline> <path> -o -`` would give.
 
-        The worker resumes from ``state`` (the input when empty) and runs
-        the remaining (unit, file to save to) pairs of ``steps``, as
-        ``opt_worker`` describes; without steps, the whole pipeline from
-        the input. None when the library turned out unusable or ``state``
-        could not be read; ``usable`` tells which. A timeout raises
-        TimeoutExpired naming the command.
+        ``stamp`` is the input's (size, modification time in ns) and
+        ``units`` are the pipeline's ``module_units``. The worker resumes
+        from the longest leading run of units with a saved state and
+        saves the states ``StateIndex.plan`` asks for; with no units it
+        runs the whole pipeline from the input and saves nothing. A state
+        the worker cannot read is dropped, and the whole pipeline runs
+        again from the input. None only when the library turned out
+        unusable. A timeout raises TimeoutExpired naming the command.
         """
         cmd = [self.opt, "-S", f"-passes={pipeline}", path, "-o", "-"]
-        fields = [path, pipeline, state, *itertools.chain.from_iterable(steps)]
+        states = self.states
+        keys = states.keys(path, stamp, units)
+        done, state, saves = states.plan(keys)
+        fields = [path, pipeline, state]
+        for unit, number in zip(units[done:], saves):
+            fields += [unit, "" if number is None else states.file(number)]
+        try:
+            kind, payload = self._request(cmd, fields, timeout)
+        finally:
+            states.add((key, n) for key, n in zip(keys[done:], saves) if n is not None)
+        if kind == b"R":
+            states.drop(keys[done - 1], state)
+            kind, payload = self._request(cmd, [path, pipeline, ""], timeout)
+        if kind == b"U":
+            return None
+        text = payload.decode("utf-8", "replace")
+        if kind == b"O":
+            return subprocess.CompletedProcess(cmd, 0, text, "")
+        code, _, stderr = text.partition("\n")
+        return subprocess.CompletedProcess(cmd, int(code), "", stderr)
+
+    def _request(self, cmd: List[str], fields: Sequence[str],
+                 timeout: float) -> Tuple[bytes, bytes]:
+        """The reply to one request from an idle or new worker; ``U`` marks the pool unusable."""
         worker = self._acquire()
         try:
             kind, payload = worker.request("\0".join(fields).encode("utf-8"), timeout)
@@ -181,20 +209,12 @@ class WorkerPool:
             raise
         if kind == b"U":
             self.usable = False
-            self._discard(worker)
-            return None
-        if worker.proc.returncode is None:
+        if kind != b"U" and worker.proc.returncode is None:
             with self._lock:
                 self._idle.append(worker)
         else:
             self._discard(worker)
-        if kind == b"R":
-            return None
-        text = payload.decode("utf-8", "replace")
-        if kind == b"O":
-            return subprocess.CompletedProcess(cmd, 0, text, "")
-        code, _, stderr = text.partition("\n")
-        return subprocess.CompletedProcess(cmd, int(code), "", stderr)
+        return kind, payload
 
     def _acquire(self) -> _Worker:
         with self._lock:
@@ -211,11 +231,12 @@ class WorkerPool:
         worker.close()
 
     def close(self) -> None:
-        """Kill and reap every worker; runs when the backend is collected or at exit."""
+        """Kill the workers and delete the states, when the backend is collected or at exit."""
         with self._lock:
             workers, self._live, self._idle = list(self._live), set(), []
         for worker in workers:
             worker.close()
+        self.states.close()
 
 
 class StateIndex:
@@ -227,9 +248,10 @@ class StateIndex:
     second sighting: most prefixes are never reached again, and each one
     saved costs a print and a file. The files stay under
     ``STATE_BUDGET_BYTES`` in total and ``KEY_LIMIT`` in number: adding
-    one evicts the least recently used, and evicting deletes the file. The index is the parent's, and
-    every worker reads and writes the files, so the states outlive any
-    worker and are shared by all of them. ``close`` deletes the directory.
+    one evicts the least recently used, and evicting deletes the file.
+    The index lives in the parent, and every worker of the pool reads and
+    writes the files, so the states outlive any worker and are shared by
+    all of them. ``close`` deletes the directory.
     """
 
     def __init__(self):
@@ -318,7 +340,7 @@ class StateIndex:
         _unlink(name)
 
     def close(self) -> None:
-        """Delete every state and the directory; runs with the backend's finalizer."""
+        """Delete every state and the directory; runs with the pool's ``close``."""
         with self._lock:
             self._files.clear()
             self._bytes = 0

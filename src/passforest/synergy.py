@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import SchemaError
-from .evaluation import Evaluator
+from .evaluation import Evaluator, file_stamp
 from .forest import PipelineForest, minimal_wrap
 from .registry import PassInfo, PassRegistry
 from .skeletons import representative_skeleton
@@ -195,8 +195,7 @@ def _program_key(ref, index: int) -> Tuple[str, Optional[List[int]]]:
     out its whole content, so a record is reused only for equal content.
     """
     if isinstance(ref, (str, Path)):
-        stat = Path(ref).stat()
-        return str(ref), [stat.st_size, stat.st_mtime_ns]
+        return str(ref), list(file_stamp(ref))
     digest = hashlib.sha256(repr(ref).encode("utf-8")).hexdigest()[:16]
     return f"<program-{index}-{digest}>", None
 

@@ -507,10 +507,22 @@ def test_graph_invariant_errors_name_the_file(
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--registry", "--program", "--graph"])
-def test_a_file_that_is_not_utf8_names_itself(capsys, tmp_path, m1_file, flag):
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--registry", b"\xff\xfe{"),
+        ("--program", b"\xff\xfe{"),
+        ("--graph", b"\xff\xfe{"),
+        ("--registry", b"gvn\n"),
+        ("--registry", b"gvn=function\ngvn=function\n"),
+        ("--registry", b"gvn=nowhere\n"),
+    ],
+    ids=["--registry", "--program", "--graph",
+         "--registry-no-level", "--registry-repeated-pass", "--registry-unknown-level"],
+)
+def test_a_file_that_is_not_utf8_names_itself(capsys, tmp_path, m1_file, flag, content):
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"\xff\xfe{")
+    bad.write_bytes(content)
     # the last --program given wins
     argv = ["search", "--program", m1_file, "--generations", "1", flag, str(bad)]
     assert main(argv) == 1
@@ -691,15 +703,23 @@ def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifes
     _assert_one_line_error(capsys)
 
 
-@pytest.mark.parametrize("key", ["ic_oz", "ic_tuned"])
-def test_report_refuses_negative_counts(capsys, tmp_path, key):
-    row = dict({"program": "p", "ic_oz": 100, "ic_tuned": 90}, **{key: -5})
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("ic_oz", -5, "ic_oz -5 is negative"),
+        ("ic_tuned", -5, "ic_tuned -5 is negative"),
+        ("ic_oz", 0, "ic_oz 0 of program 'p' cannot anchor a percentage"),
+    ],
+    ids=["ic_oz", "ic_tuned", "ic_oz-zero"],
+)
+def test_report_refuses_negative_counts(capsys, tmp_path, key, value, message):
+    row = dict({"program": "p", "ic_oz": 100, "ic_tuned": 90}, **{key: value})
     results = tmp_path / "results.json"
     results.write_text(json.dumps([row]))
     assert main(["report", "--results", str(results)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {results}: ") and err.count("\n") == 1
-    assert f"{key} -5 is negative" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("bad", ["results", "manifest"])

@@ -28,7 +28,7 @@ from passforest import (
     run_search,
 )
 from passforest import evaluation, opt_pool
-from passforest.evaluation import module_units, resolve_opt_path, result_of
+from passforest.evaluation import file_stamp, module_units, resolve_opt_path, result_of
 from passforest.opt_pool import StateIndex, linked_libllvm
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -55,10 +55,14 @@ def real_opt():
     if linked_libllvm(resolve_opt_path()) is None:
         pytest.skip("no opt linking a shared libLLVM found")
     backend = OptBackend()
-    backend._apply("module(function(instcombine))", NO_TRIPLE)
-    if backend._workers() is None:
+    if _apply(backend, "module(function(instcombine))", NO_TRIPLE) is None:
         pytest.skip("the libLLVM that opt links has no LLVMRunPasses")
     return backend
+
+
+def _apply(backend, pipeline: str, path: str):
+    """The whole pipeline run from the input in one worker request, saving nothing."""
+    return backend._workers().run(path, file_stamp(path), pipeline, [], backend.timeout)
 
 
 def _reference(pipeline: str, path: str) -> subprocess.CompletedProcess:
@@ -81,7 +85,7 @@ def test_worker_prints_what_opt_prints(real_opt, path):
     # slp-vectorizer keeps @div4 scalar only with an x86-64 TargetMachine
     pipelines.append("module(function(slp-vectorizer))")
     for pipeline in pipelines:
-        got = real_opt._apply(pipeline, path)
+        got = _apply(real_opt, pipeline, path)
         want = _reference(pipeline, path)
         assert got.returncode == want.returncode, pipeline
         assert got.stdout == want.stdout, pipeline
@@ -89,7 +93,7 @@ def test_worker_prints_what_opt_prints(real_opt, path):
 
 
 def test_worker_builds_the_target_machine_from_the_triple(real_opt):
-    printed = real_opt._apply("module(function(slp-vectorizer))", X86_TRIPLE).stdout
+    printed = _apply(real_opt, "module(function(slp-vectorizer))", X86_TRIPLE).stdout
     assert printed.count("sdiv i32") == 4 and "add <4 x i32>" in printed
 
 
@@ -175,8 +179,8 @@ def test_no_worker_outlives_its_interpreter(real_opt):
         "forest = parse_pipeline('module(function(gvn))', default_registry())\n"
         f"assert backend.evaluate({NO_TRIPLE!r}, forest).ok\n"
         f"assert backend.evaluate({NO_TRIPLE!r}, forest).ok\n"
-        "assert os.listdir(backend._states.directory)\n"
-        "print(backend._states.directory)\n"
+        "assert os.listdir(backend._pool.states.directory)\n"
+        "print(backend._pool.states.directory)\n"
         "print(' '.join(str(w.proc.pid) for w in backend._pool._live))\n"
     )
     proc = subprocess.run(
@@ -204,27 +208,27 @@ def test_parallel_requests_use_at_most_that_many_workers(real_opt, registry):
 
 def _whole(real_opt, forest, path) -> evaluation.EvaluationResult:
     """The result of the whole pipeline run from the input in one call."""
-    return result_of(real_opt._apply(print_pipeline(forest), path))
+    return result_of(_apply(real_opt, print_pipeline(forest), path))
 
 
 def _restored_from(backend, monkeypatch) -> list:
     """The state file each later request of ``backend`` resumes from ("" for none)."""
     states = []
-    run = backend._pool.run
+    request = backend._pool._request
 
-    def spy(path, pipeline, state, steps, timeout):
-        states.append(state)
-        return run(path, pipeline, state, steps, timeout)
+    def spy(cmd, fields, timeout):
+        states.append(fields[2])  # path, pipeline, state, then the steps
+        return request(cmd, fields, timeout)
 
-    monkeypatch.setattr(backend._pool, "run", spy)
+    monkeypatch.setattr(backend._pool, "_request", spy)
     return states
 
 
 def _saved(backend, path, forest) -> int:
     """How many leading units of ``forest`` have a saved state."""
-    stat = os.stat(path)
-    keys = StateIndex.keys(path, (stat.st_size, stat.st_mtime_ns), module_units(forest))
-    return max((i + 1 for i, key in enumerate(keys) if key in backend._states._files), default=0)
+    keys = StateIndex.keys(path, file_stamp(path), module_units(forest))
+    return max((i + 1 for i, key in enumerate(keys) if key in backend._pool.states._files),
+               default=0)
 
 
 @pytest.mark.parametrize("path", [NO_TRIPLE, X86_TRIPLE], ids=["no-triple", "x86-triple"])
@@ -269,16 +273,26 @@ def test_an_abort_mid_pipeline_keeps_the_states_saved_before_it(real_opt, regist
     assert len(restored) == 1 and restored[0]
 
 
-def test_a_state_that_does_not_parse_falls_back_to_the_input(real_opt, registry):
+@pytest.mark.parametrize(
+    "damage",
+    # a deleted state is what an eviction racing another request leaves
+    [lambda state: state.write_text("not IR\n"), Path.unlink],
+    ids=["corrupted", "deleted"],
+)
+def test_a_state_that_does_not_parse_falls_back_to_the_input(
+        real_opt, registry, monkeypatch, damage):
     backend = OptBackend()
     for _ in range(2):
         backend.evaluate(NO_TRIPLE, parse_pipeline("module(function(gvn))", registry))
-    ((number, _),) = backend._states._files.values()
-    state = Path(backend._states.file(number))
-    state.write_text("not IR\n")
+    states = backend._pool.states
+    ((number, _),) = states._files.values()
+    state = Path(states.file(number))
+    damage(state)
+    restored = _restored_from(backend, monkeypatch)
     longer = parse_pipeline("module(function(gvn),function(instcombine))", registry)
     assert backend.evaluate(NO_TRIPLE, longer) == _whole(real_opt, longer, NO_TRIPLE)
-    assert not state.exists() and not backend._states._files
+    assert not state.exists() and not states._files
+    assert restored == [str(state), ""]  # the pool itself runs it again from the input
 
 
 def test_a_file_changed_in_place_is_never_resumed_from_old_states(
@@ -302,7 +316,7 @@ def test_collecting_the_backend_deletes_its_states(real_opt, gvn):
     backend = OptBackend()
     backend.evaluate(NO_TRIPLE, gvn)
     backend.evaluate(NO_TRIPLE, gvn)
-    directory = backend._states.directory
+    directory = backend._pool.states.directory
     assert os.listdir(directory)
     del backend
     assert not os.path.exists(directory)
