@@ -338,7 +338,7 @@ def _count(row: dict, key: str, positive: bool = False) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} {value!r} is not an integer")
     if value < 0:
-        raise ValueError(f"{key} {value} is negative")
+        raise ValueError(f"program {row['program']!r}: {key} {value} is negative")
     if positive and value == 0:
         raise ValueError(f"{key} 0 of program {row['program']!r} cannot anchor a percentage")
     return value
@@ -363,11 +363,13 @@ def cmd_report(args) -> int:
             )
             for row in rows
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SchemaError(
             f"{args.results}: each row needs program, ic_oz and ic_tuned "
             f"({type(exc).__name__}: {exc})"
         ) from exc
+    except ValueError as exc:  # a count out of range
+        raise SchemaError(f"{args.results}: {exc}") from exc
     try:
         report = aggregate(results)
     except OverflowError as exc:

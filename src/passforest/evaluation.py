@@ -14,11 +14,14 @@ contend for the GIL.
 
 With workers, ``OptBackend`` cuts each forest into units, the children
 of its module managers (``module_units``), and hands them to the
-``opt_pool.WorkerPool``. The pool resumes each evaluation from the
-longest leading run of units whose module state a worker has saved
-before; its ``StateIndex`` keeps those states as files, keyed by the
-input's path and ``file_stamp`` and the printed units, and every worker
-of the pool reads them.
+``opt_pool.WorkerPool``, whose reply is already counted: a worker runs
+the line rule (``opt_worker.instruction_count``) on what it printed and
+sends back the count and a digest of the module, not its text. The
+pool's ``StateIndex`` is keyed by module content. Starting from the
+input's path and ``file_stamp``, it knows which module each run of units
+printed, the count of each final module and the files workers saved
+modules to. A forest whose every step is known is answered without a
+worker; any other resumes from the deepest known module with a file.
 """
 
 import math
@@ -38,6 +41,9 @@ from .registry import PassLevel
 
 OPT_PATH_ENV_VAR = "PASSFOREST_OPT"
 DEFAULT_OPT_TIMEOUT = 60.0
+# Read by module_units on every evaluation: an enum member lookup costs
+# ten times a global.
+_MODULE = PassLevel.MODULE
 
 
 @dataclass(frozen=True)
@@ -105,36 +111,16 @@ class Evaluator:
 def count_ir_instructions(ir_text: str) -> int:
     """Count instruction lines in textual IR as printed by ``opt -S``.
 
-    A line counts iff it is inside a ``define ... { ... }`` body and,
-    after stripping whitespace and any trailing ``;`` comment, is not
-    blank, not a label (ends with ``:``), not the ``define`` line, and
-    not the closing ``}``. Unbalanced bodies raise MalformedIR. The rule
-    is frozen so counts are comparable across runs.
+    The frozen line rule is ``opt_worker.instruction_count``, which the
+    workers run on what they print; unbalanced bodies raise MalformedIR.
     """
-    count = 0
-    in_body = False
-    for raw in ir_text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        opens_body = line.startswith("define") and line.endswith("{")
-        if not in_body:
-            if opens_body:
-                in_body = True
-            elif line == "}":
-                raise MalformedIR("'}' outside any function body")
-            continue
-        if opens_body:
-            raise MalformedIR("'define' inside an open function body")
-        if line == "}":
-            in_body = False
-            continue
-        code = line.split(";", 1)[0].strip()
-        if not code or code.endswith(":"):
-            continue
-        count += 1
-    if in_body:
-        raise MalformedIR("unterminated function body")
+    # Imported here, so that importing passforest does not compile the
+    # worker module (about 3 ms when no bytecode is cached).
+    from .opt_worker import instruction_count
+
+    count = instruction_count(ir_text)
+    if count.__class__ is str:
+        raise MalformedIR(count)
     return count
 
 
@@ -151,7 +137,7 @@ def module_units(forest: PipelineForest) -> List[str]:
 
     def cut(nodes) -> None:
         for node in nodes:
-            if node.__class__ is Manager and node.level == PassLevel.MODULE:
+            if node.__class__ is Manager and node.level == _MODULE:
                 cut(node.children)
             else:
                 units.append(node.text)
@@ -178,13 +164,18 @@ def _failed(detail: str) -> EvaluationResult:
     return EvaluationResult(instruction_count=None, status="failed", detail=detail)
 
 
+def exit_detail(code: int, stderr: str) -> str:
+    """The failure detail of an ``opt`` run that exited ``code``."""
+    # An abort prints its diagnostic first and stack frames after it.
+    lines = [line.strip() for line in stderr.splitlines()]
+    first = next((line for line in lines if line), "")
+    return f"opt exited {code}: {first}"
+
+
 def result_of(proc: subprocess.CompletedProcess) -> EvaluationResult:
     """The result of one ``opt -S`` run: its output's count, or why it failed."""
     if proc.returncode != 0:
-        # An abort prints its diagnostic first and stack frames after it.
-        lines = [line.strip() for line in proc.stderr.splitlines()]
-        first = next((line for line in lines if line), "")
-        return _failed(f"opt exited {proc.returncode}: {first}")
+        return _failed(exit_detail(proc.returncode, proc.stderr))
     try:
         count = count_ir_instructions(proc.stdout)
     except MalformedIR as exc:
@@ -212,11 +203,12 @@ class OptBackend:
     long-lived ``opt_worker`` processes that load it, started on the
     first evaluation and killed with the backend; otherwise each
     evaluation runs one ``opt`` process. Both give the same counts and
-    failure details. With workers, the pool resumes each evaluation from
-    the longest leading run of ``module_units`` whose state is saved, and
-    saves the state after a run it reaches the second time; the states
-    live in files that are deleted with the backend. ``timeout`` must be
-    a finite number of seconds > 0.
+    failure details. With workers, the pool answers a forest whose every
+    step from the input it has seen before, resumes any other from the
+    deepest saved module its ``module_units`` reach, and saves the state
+    after a run it reaches the second time; the states live in files that
+    are deleted with the backend. ``timeout`` must be a finite number of
+    seconds > 0.
     """
 
     opt_path: Optional[str] = None
@@ -272,13 +264,15 @@ class OptBackend:
         pipeline = print_pipeline(forest)
         pool = self._workers()
         try:
-            proc = None if pool is None else pool.run(
+            outcome = None if pool is None else pool.run(
                 path, stamp, pipeline, module_units(forest), self.timeout)
-            if proc is None:
-                proc = self._run(f"-passes={pipeline}", path)
+            if outcome is None:
+                return result_of(self._run(f"-passes={pipeline}", path))
         except subprocess.TimeoutExpired as exc:
             return _failed(f"timeout after {self.timeout:g}s: {' '.join(exc.cmd)}")
-        return result_of(proc)
+        if outcome.__class__ is str:
+            return _failed(outcome)
+        return EvaluationResult(instruction_count=outcome, status="ok")
 
     def original_count(self, program) -> int:
         """Instruction count of the input as ``opt -S`` prints it.

@@ -115,6 +115,10 @@ class PipelineForest:
         return print_pipeline(self)
 
 
+# Read in per-candidate code: an enum member lookup costs ten times a global.
+_MODULE, _CGSCC, _FUNCTION, _LOOP = (
+    PassLevel.MODULE, PassLevel.CGSCC, PassLevel.FUNCTION, PassLevel.LOOP)
+
 # Child kinds admitted by each manager level: leaves of the same level,
 # plus the manager levels listed here.
 _CHILD_MANAGER_LEVELS = {
@@ -171,7 +175,7 @@ def validate(
     if not forest.trees:
         violations.append(Violation("R1", (), "pipeline has no trees"))
     for i, tree in enumerate(forest.trees):
-        if not isinstance(tree, Manager) or tree.level != PassLevel.MODULE:
+        if not isinstance(tree, Manager) or tree.level != _MODULE:
             violations.append(
                 Violation(
                     "R1",
@@ -340,14 +344,14 @@ def adaptor_chain(outer: PassLevel, inner: PassLevel) -> List[PassLevel]:
     chain: List[PassLevel] = []
     if inner == outer:
         return chain
-    if inner == PassLevel.CGSCC:
-        chain.append(PassLevel.CGSCC)
-    elif inner == PassLevel.FUNCTION:
-        chain.append(PassLevel.FUNCTION)
-    elif inner == PassLevel.LOOP:
-        if outer <= PassLevel.CGSCC:
-            chain.append(PassLevel.FUNCTION)
-        chain.append(PassLevel.LOOP)
+    if inner == _CGSCC:
+        chain.append(_CGSCC)
+    elif inner == _FUNCTION:
+        chain.append(_FUNCTION)
+    elif inner == _LOOP:
+        if outer <= _CGSCC:
+            chain.append(_FUNCTION)
+        chain.append(_LOOP)
     return chain
 
 

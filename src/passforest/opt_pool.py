@@ -6,11 +6,14 @@ links (``ldd`` names it), a ``WorkerPool`` runs its requests in
 long-lived ``opt_worker`` processes that load it; each request goes to
 an idle worker, or to a new one when none is idle. Every request has
 one form: the pipeline, the state to resume from and the units that
-remain, each with the file to save its state to. The pool's
-``StateIndex`` records the module states that workers printed to files
-after a pipeline's leading units, so that any worker can resume a later
-pipeline that starts with the same units; ``WorkerPool.run`` decides
-where each request resumes and what it saves.
+remain, each with the file to save its state to. A worker replies
+with the digest and the instruction count of the module it printed,
+never the module itself. The pool's ``StateIndex`` is keyed by module
+content: which module each run of units turned a known module into,
+the count of each final module, and the files that workers saved
+modules to. ``WorkerPool.run`` walks it, so a pipeline whose every step
+is known costs no worker call, and any other pipeline resumes in any
+worker from the deepest module on its walk with a saved file.
 """
 
 import hashlib
@@ -25,8 +28,9 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .evaluation import exit_detail
 from .opt_worker import HEADER, write_frame
 
 _WORKER_SCRIPT = str(Path(__file__).with_name("opt_worker.py"))
@@ -34,9 +38,9 @@ _WORKER_SCRIPT = str(Path(__file__).with_name("opt_worker.py"))
 # Bytes of state files a StateIndex keeps before it evicts the least
 # recently used. A state of bench/data/checksum.ll is about 5 KB.
 STATE_BUDGET_BYTES = 64 << 20
-# Keys a StateIndex keeps in each of its tables, states and prefixes seen
-# once, so that its memory stays under about 2 MB for small states too.
-# A fresh opt-tune tune reaches about 700 prefixes.
+# Keys a StateIndex keeps in each of its tables (segments, counts, files
+# and segments seen once), so that its memory stays under about 8 MB for
+# small states too. A fresh opt-tune tune fills about 700 keys of seen.
 KEY_LIMIT = 1 << 13
 
 
@@ -161,39 +165,54 @@ class WorkerPool:
         pipeline: str,
         units: Sequence[str],
         timeout: float,
-    ) -> Optional[subprocess.CompletedProcess]:
-        """What ``opt -S -passes=<pipeline> <path> -o -`` would give.
+    ) -> Union[int, str, None]:
+        """What ``opt -S -passes=<pipeline> <path> -o -`` would give, counted.
 
         ``stamp`` is the input's (size, modification time in ns) and
-        ``units`` are the pipeline's ``module_units``. The worker resumes
-        from the longest leading run of units with a saved state and
-        saves the states ``StateIndex.plan`` asks for; with no units it
-        runs the whole pipeline from the input and saves nothing. A state
-        the worker cannot read is dropped, and the whole pipeline runs
-        again from the input. None only when the library turned out
-        unusable. A timeout raises TimeoutExpired naming the command.
+        ``units`` are the pipeline's ``module_units``. Returns the
+        instruction count, or the detail of the failure (``opt exited
+        <code>: <first stderr line>``, or why the output is malformed).
+        When ``StateIndex.plan`` knows every step of the units from the
+        input, the index answers and no worker runs. Otherwise a worker
+        resumes from the deepest known module with a saved state, saves
+        the states the plan asks for and replies with the digest and
+        count of the module it printed, and the index learns the steps.
+        A state the worker cannot read is dropped, and the whole
+        pipeline runs again from the input. None only when the library
+        turned out unusable. A timeout raises TimeoutExpired naming the
+        command.
         """
         cmd = [self.opt, "-S", f"-passes={pipeline}", path, "-o", "-"]
         states = self.states
-        keys = states.keys(path, stamp, units)
-        done, state, saves = states.plan(keys)
-        fields = [path, pipeline, state]
-        for unit, number in zip(units[done:], saves):
+        origin = states.origin(path, stamp)
+        plan = states.plan(origin, units)
+        if plan.answer is not None:
+            return plan.answer
+        fields = [path, pipeline, plan.state]
+        for unit, number in zip(units[plan.start:], plan.saves):
             fields += [unit, "" if number is None else states.file(number)]
         try:
             kind, payload = self._request(cmd, fields, timeout)
-        finally:
-            states.add((key, n) for key, n in zip(keys[done:], saves) if n is not None)
+        except subprocess.TimeoutExpired:
+            states.learn(plan, units)  # the states saved before it
+            raise
         if kind == b"R":
-            states.drop(keys[done - 1], state)
+            states.drop(plan.node, plan.state)
+            plan = Plan(None, 0, origin, "", [None] * len(units))
             kind, payload = self._request(cmd, [path, pipeline, ""], timeout)
         if kind == b"U":
             return None
-        text = payload.decode("utf-8", "replace")
         if kind == b"O":
-            return subprocess.CompletedProcess(cmd, 0, text, "")
-        code, _, stderr = text.partition("\n")
-        return subprocess.CompletedProcess(cmd, int(code), "", stderr)
+            text = payload[16:].decode("utf-8", "replace")
+            outcome = int(text) if text.isdigit() else text
+            states.learn(plan, units, payload[:16], outcome)
+            return outcome
+        code, _, stderr = payload.decode("utf-8", "replace").partition("\n")
+        detail = exit_detail(int(code), stderr)
+        # opt fails the same way every time when it exits 1 or aborts
+        # (licm); a kill or a crash by another signal may not recur.
+        states.learn(plan, units, None, detail if code in ("1", "-6") else None)
+        return detail
 
     def _request(self, cmd: List[str], fields: Sequence[str],
                  timeout: float) -> Tuple[bytes, bytes]:
@@ -239,35 +258,70 @@ class WorkerPool:
         self.states.close()
 
 
-class StateIndex:
-    """Module states after leading units, as files in a directory of its own.
+class Plan(NamedTuple):
+    """How ``WorkerPool.run`` gets the result of some units: from the index
+    (``answer``), or from a worker that resumes in ``state`` (the file of
+    the module ``node`` after the first ``start`` units, or "" and the
+    input's origin) and saves after each remaining unit to the file of
+    that number in ``saves``, or nowhere for None."""
 
-    A key stands for (input path, size, modification time in ns, printed
-    prefix units), hashed to 16 bytes so the index stays small; its value
-    is the file a worker printed that module to. A prefix is saved on its
-    second sighting: most prefixes are never reached again, and each one
-    saved costs a print and a file. The files stay under
-    ``STATE_BUDGET_BYTES`` in total and ``KEY_LIMIT`` in number: adding
-    one evicts the least recently used, and evicting deletes the file.
-    The index lives in the parent, and every worker of the pool reads and
-    writes the files, so the states outlive any worker and are shared by
-    all of them. ``close`` deletes the directory.
+    answer: Union[int, str, None]
+    start: int
+    node: bytes
+    state: str
+    saves: List[Optional[int]]
+
+
+class StateIndex:
+    """What workers found, keyed by the content of the modules they printed.
+
+    The walk of a pipeline starts at its input's origin, a hash of (path,
+    size, modification time in ns), so a file changed in place starts a
+    new walk. Four tables, each of at most ``KEY_LIMIT`` keys, least
+    recently used first:
+
+    - segments: (an origin or a module digest, the printed units run
+      from it) hashed to 16 bytes, to the digest of the module those
+      units printed, or to the detail of a failure they end in. A
+      failure is kept only when ``opt`` gives it every time;
+    - counts: a module digest to its instruction count, or to why it is
+      malformed;
+    - files: a module digest to the file a worker printed it to. Two
+      prefixes that reach the same module share one file. The files stay
+      under ``STATE_BUDGET_BYTES`` in total, and evicting one deletes it;
+    - seen: the segments reached once and not saved. A state is saved on
+      its second sighting: most prefixes are never reached again, and
+      each one saved costs a print and a file. A pipeline the index
+      answers counts as a sighting too.
+
+    A module gets a digest only where a worker saved it or ended, so a
+    walk moves from one such point to the next. The index lives in the
+    parent and every worker of the pool reads and writes the files, so
+    the states outlive any worker and are shared by all of them.
+    ``close`` deletes the directory.
     """
 
     def __init__(self):
         self.directory = tempfile.mkdtemp(prefix="passforest-states-")
         self._numbers = itertools.count()
-        # key -> (file number, size in bytes), least recently used first
+        self._segments: "OrderedDict[bytes, Union[bytes, str]]" = OrderedDict()
+        self._counts: "OrderedDict[bytes, Union[int, str]]" = OrderedDict()
+        # digest -> (file number, size in bytes)
         self._files: "OrderedDict[bytes, Tuple[int, int]]" = OrderedDict()
-        # keys seen once and not saved, least recently seen first
         self._seen: "OrderedDict[bytes, None]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
 
     @staticmethod
-    def keys(path: str, stamp: Tuple[int, int], units: Sequence[str]) -> List[bytes]:
-        """The key of each leading run of ``units``, shortest first."""
-        digest = hashlib.blake2b(f"{path}\0{stamp[0]}\0{stamp[1]}".encode("utf-8"), digest_size=16)
+    def origin(path: str, stamp: Tuple[int, int]) -> bytes:
+        """Where the walk of every pipeline on this input starts."""
+        text = f"{path}\0{stamp[0]}\0{stamp[1]}".encode("utf-8")
+        return hashlib.blake2b(text, digest_size=16).digest()
+
+    @staticmethod
+    def keys(node: bytes, units: Sequence[str]) -> List[bytes]:
+        """The segment key of each leading run of ``units`` from ``node``, shortest first."""
+        digest = hashlib.blake2b(node, digest_size=16)
         keys = []
         for unit in units:
             digest.update(f"\0{unit}".encode("utf-8"))
@@ -277,65 +331,123 @@ class StateIndex:
     def file(self, number: int) -> str:
         return os.path.join(self.directory, str(number))
 
-    def plan(self, keys: Sequence[bytes]) -> Tuple[int, str, List[Optional[int]]]:
-        """Where a run of the units behind ``keys`` resumes, and what it saves.
+    def _walk(self, origin: bytes, units: Sequence[str]):
+        """Follow the known segments of ``units`` from ``origin``.
 
-        Returns (i, file, saves): the longest prefix ``keys[:i]`` with a
-        state and its file, (0, "") if none, and for each key after it
-        the number of a new file to save that state to, or None for a
-        key not seen before, which is only remembered.
+        Returns (nodes, keys, failure): the digest of the module after
+        ``units[:i]`` for each i a walk reaches (0 gives ``origin``), the
+        segment key of ``units[:i]`` from the last node before i, for i
+        from 1 to ``len(units)`` (``keys[0]`` is unused), and the failure
+        detail the units end in when a segment from a node knows it.
+        Call it with the lock held.
+        """
+        n = len(units)
+        nodes, keys, failure = {0: origin}, [b""] * (n + 1), None
+        for i in range(n):
+            node = nodes.get(i)
+            if node is None:
+                continue
+            for j, key in enumerate(self.keys(node, units[i:]), i + 1):
+                keys[j] = key
+                found = self._segments.get(key)
+                if found is None:
+                    continue
+                self._segments.move_to_end(key)
+                if found.__class__ is bytes:
+                    nodes.setdefault(j, found)
+                elif j == n:  # a failure answers only the units that end in it
+                    failure = found
+        return nodes, keys, failure
+
+    def plan(self, origin: bytes, units: Sequence[str]) -> Plan:
+        """How to get the result of ``units`` run from ``origin``.
+
+        The answer when the walk reaches the last unit's module and its
+        count is known, or a failure the units end in; else the deepest
+        node of the walk with a file to resume from (the input when none
+        has), and for each unit after it the number of a new file to
+        save that state to, on the state's second sighting, or None.
         """
         with self._lock:
-            done, state = 0, ""
-            for i in range(len(keys), 0, -1):
-                entry = self._files.get(keys[i - 1])
-                if entry is not None:
-                    self._files.move_to_end(keys[i - 1])
-                    done, state = i, self.file(entry[0])
-                    break
+            nodes, keys, answer = self._walk(origin, units)
+            last = nodes.get(len(units))
+            if answer is None and last is not None and last in self._counts:
+                self._counts.move_to_end(last)
+                answer = self._counts[last]
+            start = max((i for i, node in nodes.items() if i and node in self._files), default=0)
+            state = ""
+            if start:
+                self._files.move_to_end(nodes[start])
+                state = self.file(self._files[nodes[start]][0])
             saves: List[Optional[int]] = []
-            for key in keys[done:]:
-                if key in self._seen:
+            for key in keys[start + 1:]:
+                if answer is None and key in self._seen:
                     del self._seen[key]
                     saves.append(next(self._numbers))
                 else:
                     self._seen[key] = None
-                    if len(self._seen) > KEY_LIMIT:
-                        self._seen.popitem(last=False)
+                    self._seen.move_to_end(key)
                     saves.append(None)
-        return done, state, saves
+            while len(self._seen) > KEY_LIMIT:
+                self._seen.popitem(last=False)
+        return Plan(answer, start, nodes[start], state, saves)
 
-    def add(self, saved: Iterable[Tuple[bytes, int]]) -> None:
-        """Index each (key, file number) whose file a worker wrote.
+    def learn(self, plan: Plan, units: Sequence[str], digest: Optional[bytes] = None,
+              outcome: Union[int, str, None] = None) -> None:
+        """Index what a request made by ``plan`` left.
 
-        A file that does not exist is skipped; one whose key another
-        request indexed first is deleted.
+        Each state it saved whose file exists becomes that module's file,
+        unless the module has one already, and the segment to it from the
+        previous saved state (or ``plan.node``) is learned. Then the last
+        segment: to the printed module ``digest``, whose count or
+        malformed message is ``outcome``, or with no digest to the
+        failure detail ``outcome``; nothing for None.
         """
-        for key, number in saved:
-            try:
-                size = os.stat(self.file(number)).st_size
-            except OSError:
-                continue
-            with self._lock:
-                if key in self._files:
-                    evicted = [number]
-                else:
-                    self._files[key] = (number, size)
-                    self._bytes += size
-                    evicted = []
-                    while self._bytes > STATE_BUDGET_BYTES or len(self._files) > KEY_LIMIT:
-                        old, old_size = self._files.popitem(last=False)[1]
-                        self._bytes -= old_size
-                        evicted.append(old)
-            for old in evicted:
-                _unlink(self.file(old))
-
-    def drop(self, key: bytes, name: str) -> None:
-        """Forget ``key`` if it still names the file ``name``, and delete that file."""
+        saved = []
+        for i, number in enumerate(plan.saves, plan.start + 1):
+            if number is not None:
+                try:
+                    data = Path(self.file(number)).read_bytes()
+                except OSError:
+                    continue
+                saved.append((i, hashlib.blake2b(data, digest_size=16).digest(), number, len(data)))
+        evicted = []
         with self._lock:
-            entry = self._files.get(key)
+            node, done = plan.node, plan.start
+            for i, module, number, size in saved:
+                self._remember(self._segments, self.keys(node, units[done:i])[-1], module)
+                if module in self._files:
+                    evicted.append(number)
+                else:
+                    self._files[module] = (number, size)
+                    self._bytes += size
+                node, done = module, i
+            if outcome is not None:
+                if done < len(units):
+                    end = outcome if digest is None else digest
+                    self._remember(self._segments, self.keys(node, units[done:])[-1], end)
+                if digest is not None:
+                    self._remember(self._counts, digest, outcome)
+            while self._bytes > STATE_BUDGET_BYTES or len(self._files) > KEY_LIMIT:
+                old, old_size = self._files.popitem(last=False)[1]
+                self._bytes -= old_size
+                evicted.append(old)
+        for number in evicted:
+            _unlink(self.file(number))
+
+    @staticmethod
+    def _remember(table: OrderedDict, key: bytes, value) -> None:
+        table[key] = value
+        table.move_to_end(key)
+        if len(table) > KEY_LIMIT:
+            table.popitem(last=False)
+
+    def drop(self, digest: bytes, name: str) -> None:
+        """Forget the file of ``digest`` if it is still ``name``, and delete that file."""
+        with self._lock:
+            entry = self._files.get(digest)
             if entry is not None and self.file(entry[0]) == name:
-                del self._files[key]
+                del self._files[digest]
                 self._bytes -= entry[1]
         _unlink(name)
 

@@ -35,19 +35,24 @@ more than one call, the whole pipeline is first parsed on an empty
 module, so a pass name ``opt`` rejects fails before any pass runs, as in
 ``opt``.
 
-The replies are ``O`` (the printed module), ``E`` (``<exit code>\\n<stderr
-text>``), ``R`` (the state file could not be read or parsed; nothing
-ran) and ``U`` (the library is unusable; the worker then exits). The
-worker exits on end-of-file on standard input.
+The replies are ``O`` (the 16-byte BLAKE2b digest of the printed
+module, then what ``instruction_count`` gives for it: the count in
+decimal, or why the text is malformed), ``E``
+(``<exit code>\\n<stderr text>``), ``R`` (the state file could not be
+read or parsed; nothing ran) and ``U`` (the library is unusable; the
+worker then exits). The module text itself only reaches the files the
+request names. The worker exits on end-of-file on standard input.
 """
 
 import os
 import struct
 import sys
 
-# ctypes is imported by main(): the parent process imports this module
-# for the frame format and loads no native code. typing is not imported
-# at all, since it would add about 10 ms to every worker start.
+# ctypes and blake2b are imported by main(): the parent process imports
+# this module for the frame format and the count and loads no native
+# code. typing is not imported at all, since it would add about 10 ms to
+# every worker start, nor hashlib, whose blake2b is _blake2's but which
+# also loads OpenSSL, about 5 ms more.
 
 HEADER = struct.Struct(">cI")
 
@@ -62,6 +67,45 @@ _TARGETS = (
 
 _RETURN_STATUS_ACTION = 2  # LLVMVerifierFailureAction
 _ABORT_PROCESS_ACTION = 0
+
+
+def instruction_count(ir_text: str):
+    """Count instruction lines in textual IR as printed by ``opt -S``.
+
+    A line counts iff it is inside a ``define ... { ... }`` body and,
+    after stripping whitespace and any trailing ``;`` comment, is not
+    blank, not a label (ends with ``:``), not the ``define`` line, and
+    not the closing ``}``. Unbalanced bodies give the reason as a str
+    instead of a count (``evaluation.count_ir_instructions`` raises
+    MalformedIR with it). The rule is frozen so counts are comparable
+    across runs; this is its one definition, run by the worker and by
+    the parent alike.
+    """
+    count = 0
+    in_body = False
+    for raw in ir_text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith(";"):
+            continue
+        opens_body = line.startswith("define") and line.endswith("{")
+        if not in_body:
+            if opens_body:
+                in_body = True
+            elif line == "}":
+                return "'}' outside any function body"
+            continue
+        if opens_body:
+            return "'define' inside an open function body"
+        if line == "}":
+            in_body = False
+            continue
+        code = line.split(";", 1)[0].strip()
+        if not code or code.endswith(":"):
+            continue
+        count += 1
+    if in_body:
+        return "unterminated function body"
+    return count
 
 
 def write_frame(fd: int, kind: bytes, payload: bytes) -> None:
@@ -157,8 +201,9 @@ class _Library:
 
     def run(self, opt: str, path: bytes, pipeline: bytes, state: bytes,
             steps: list) -> tuple[bytes, bytes]:
-        """One request: (``O``, printed module), (``E``, exit code and stderr)
-        or (``R``, empty) when ``state`` cannot be read or parsed.
+        """One request: (``O``, digest and count of the printed module),
+        (``E``, exit code and stderr) or (``R``, empty) when ``state``
+        cannot be read or parsed.
 
         ``steps`` are the (unit, file to save to) pairs that remain after
         ``state``, or after the input when ``state`` is empty.
@@ -219,7 +264,8 @@ class _Library:
         printed = self._print(module)
         if steps and steps[-1][1]:
             _save(steps[-1][1], printed)
-        return b"O", printed
+        count = instruction_count(printed.decode("utf-8", "replace"))
+        return b"O", blake2b(printed, digest_size=16).digest() + str(count).encode("utf-8")
 
     def _run_passes(self, context, module, pipeline: bytes, resumed: bool, steps: list,
                     machine):
@@ -273,8 +319,9 @@ def _exited(code: int, stderr: str) -> tuple[bytes, bytes]:
 
 
 def main(argv) -> int:
-    global ctypes
+    global blake2b, ctypes
     import ctypes
+    from _blake2 import blake2b
 
     opt, library, reply = argv[1], argv[2], int(argv[3])
     try:

@@ -43,6 +43,9 @@ from .grammar import print_pipeline
 from .registry import PassLevel, PassRegistry
 from .synergy import SynergyGraph
 
+# Read in _admits: an enum member lookup costs ten times a global.
+_MODULE = PassLevel.MODULE
+
 
 @dataclass(frozen=True)
 class Individual:
@@ -171,7 +174,7 @@ def _admits(forest: PipelineForest, path: Tuple[int, ...], node: Manager) -> boo
     """Whether ``node`` may stand at ``path``: a module manager at top
     level, else a child its parent manager admits."""
     if len(path) == 1:
-        return node.level == PassLevel.MODULE
+        return node.level == _MODULE
     return allowed_child(get_node(forest, path[:-1]).level, node)
 
 

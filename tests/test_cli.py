@@ -719,7 +719,8 @@ def test_report_refuses_negative_counts(capsys, tmp_path, key, value, message):
     assert main(["report", "--results", str(results)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {results}: ") and err.count("\n") == 1
-    assert message in err
+    assert message in err and "'p'" in err
+    assert "each row needs" not in err
 
 
 @pytest.mark.parametrize("bad", ["results", "manifest"])

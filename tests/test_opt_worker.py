@@ -5,6 +5,7 @@ then PATH) or when its libLLVM lacks ``LLVMRunPasses``. The rest run
 everywhere and pin when the subprocess path is chosen.
 """
 
+import hashlib
 import os
 import random
 import shutil
@@ -30,6 +31,7 @@ from passforest import (
 from passforest import evaluation, opt_pool
 from passforest.evaluation import file_stamp, module_units, resolve_opt_path, result_of
 from passforest.opt_pool import StateIndex, linked_libllvm
+from passforest.opt_worker import instruction_count
 
 DATA = Path(__file__).resolve().parent / "data"
 NO_TRIPLE = str(DATA / "loops.ll")
@@ -55,14 +57,37 @@ def real_opt():
     if linked_libllvm(resolve_opt_path()) is None:
         pytest.skip("no opt linking a shared libLLVM found")
     backend = OptBackend()
-    if _apply(backend, "module(function(instcombine))", NO_TRIPLE) is None:
+    backend.evaluate(NO_TRIPLE, parse_pipeline("module(function(instcombine))", default_registry()))
+    if not backend._pool.usable:
         pytest.skip("the libLLVM that opt links has no LLVMRunPasses")
     return backend
 
 
-def _apply(backend, pipeline: str, path: str):
-    """The whole pipeline run from the input in one worker request, saving nothing."""
-    return backend._workers().run(path, file_stamp(path), pipeline, [], backend.timeout)
+def _apply(backend, forest, path: str) -> subprocess.CompletedProcess:
+    """The whole pipeline run from the input in one worker request, as ``opt -S`` output.
+
+    The request saves only the final module, to a file read back here;
+    the reply's digest and count must be those of that file.
+    """
+    pool = backend._workers()
+    pipeline = print_pipeline(forest)
+    cmd = [pool.opt, "-S", f"-passes={pipeline}", path, "-o", "-"]
+    save = os.path.join(pool.states.directory, "whole")
+    fields = [path, pipeline, ""]
+    for unit in module_units(forest):
+        fields += [unit, ""]
+    fields[-1] = save
+    kind, payload = pool._request(cmd, fields, backend.timeout)
+    if kind == b"E":
+        code, _, stderr = payload.decode("utf-8").partition("\n")
+        return subprocess.CompletedProcess(cmd, int(code), "", stderr)
+    assert kind == b"O"
+    printed = Path(save).read_bytes()
+    os.unlink(save)
+    assert payload[:16] == hashlib.blake2b(printed, digest_size=16).digest()
+    text = printed.decode("utf-8")
+    assert payload[16:].decode("utf-8") == str(instruction_count(text))
+    return subprocess.CompletedProcess(cmd, 0, text, "")
 
 
 def _reference(pipeline: str, path: str) -> subprocess.CompletedProcess:
@@ -81,19 +106,21 @@ def _first_line(text: str) -> str:
 def test_worker_prints_what_opt_prints(real_opt, path):
     registry = default_registry()
     rng = random.Random(2024)
-    pipelines = [print_pipeline(random_forest(rng, registry, max_leaves=10)) for _ in range(24)]
+    forests = [random_forest(rng, registry, max_leaves=10) for _ in range(24)]
     # slp-vectorizer keeps @div4 scalar only with an x86-64 TargetMachine
-    pipelines.append("module(function(slp-vectorizer))")
-    for pipeline in pipelines:
-        got = _apply(real_opt, pipeline, path)
+    forests.append(parse_pipeline("module(function(slp-vectorizer))", registry))
+    for forest in forests:
+        pipeline = print_pipeline(forest)
+        got = _apply(real_opt, forest, path)
         want = _reference(pipeline, path)
         assert got.returncode == want.returncode, pipeline
         assert got.stdout == want.stdout, pipeline
         assert _first_line(got.stderr) == _first_line(want.stderr), pipeline
 
 
-def test_worker_builds_the_target_machine_from_the_triple(real_opt):
-    printed = _apply(real_opt, "module(function(slp-vectorizer))", X86_TRIPLE).stdout
+def test_worker_builds_the_target_machine_from_the_triple(real_opt, registry):
+    forest = parse_pipeline("module(function(slp-vectorizer))", registry)
+    printed = _apply(real_opt, forest, X86_TRIPLE).stdout
     assert printed.count("sdiv i32") == 4 and "add <4 x i32>" in printed
 
 
@@ -131,27 +158,81 @@ def gvn(registry):
     return parse_pipeline("module(function(gvn))", registry)
 
 
-def test_timeout_kills_the_worker_and_the_next_call_succeeds(real_opt, gvn):
+@pytest.fixture
+def reassociate(registry):
+    return parse_pipeline("module(function(reassociate))", registry)
+
+
+def test_timeout_kills_the_worker_and_the_next_call_succeeds(real_opt, gvn, reassociate):
     backend = OptBackend()
     assert backend.evaluate(NO_TRIPLE, gvn).ok
     (pid,) = _pids(backend)
     backend.timeout = 1e-6
-    result = backend.evaluate(NO_TRIPLE, gvn)
+    result = backend.evaluate(NO_TRIPLE, reassociate)  # the index knows gvn's result
     assert result.detail.startswith("timeout after ")
     assert not _alive(pid) and not _pids(backend)
     backend.timeout = 60.0
-    assert backend.evaluate(NO_TRIPLE, gvn) == real_opt.evaluate(NO_TRIPLE, gvn)
+    assert backend.evaluate(NO_TRIPLE, reassociate) == real_opt.evaluate(NO_TRIPLE, reassociate)
 
 
-def test_abort_kills_one_worker_and_the_next_call_gets_a_fresh_one(real_opt, registry, gvn):
+def test_abort_kills_one_worker_and_the_next_call_gets_a_fresh_one(
+        real_opt, registry, gvn, reassociate):
     backend = OptBackend()
     assert backend.evaluate(NO_TRIPLE, gvn).ok
     (pid,) = _pids(backend)
     licm = parse_pipeline("module(function(loop(licm)))", registry)
     assert backend.evaluate(NO_TRIPLE, licm).detail.startswith("opt exited -6: ")
     assert not _alive(pid)
-    assert backend.evaluate(NO_TRIPLE, gvn).ok
+    assert backend.evaluate(NO_TRIPLE, reassociate).ok
     assert _pids(backend) and pid not in _pids(backend)
+
+
+def test_a_repeated_abort_is_answered_and_a_timeout_is_retried(
+        real_opt, registry, reassociate, monkeypatch):
+    backend = OptBackend()
+    licm = parse_pipeline("module(function(loop(licm)))", registry)
+    aborted = backend.evaluate(NO_TRIPLE, licm)
+    assert aborted.detail.startswith("opt exited -6: ") and not _pids(backend)
+    requests = _restored_from(backend, monkeypatch)
+    assert backend.evaluate(NO_TRIPLE, licm) == aborted
+    assert requests == [] and not _pids(backend)  # no worker was started
+    backend.timeout = 1e-6
+    assert backend.evaluate(NO_TRIPLE, reassociate).detail.startswith("timeout after ")
+    backend.timeout = 60.0
+    assert backend.evaluate(NO_TRIPLE, reassociate) == _whole(real_opt, reassociate, NO_TRIPLE)
+    assert requests == ["", ""]
+
+
+def test_a_forest_evaluated_twice_makes_one_worker_request(real_opt, registry, monkeypatch):
+    backend = OptBackend()
+    requests = _restored_from(backend, monkeypatch)
+    forest = parse_pipeline("module(function(gvn),cgscc(inline))", registry)
+    first = backend.evaluate(NO_TRIPLE, forest)
+    assert first.ok and backend.evaluate(NO_TRIPLE, forest) == first
+    assert first == _whole(real_opt, forest, NO_TRIPLE)
+    assert requests == [""]
+
+
+def test_the_parent_receives_a_digest_and_a_count_not_the_module(
+        real_opt, registry, monkeypatch):
+    forest = parse_pipeline("module(function(gvn),cgscc(inline))", registry)
+    want = _whole(real_opt, forest, NO_TRIPLE)
+    backend = OptBackend()
+    replies = []
+    request = backend._workers()._request
+
+    def spy(cmd, fields, timeout):
+        replies.append(request(cmd, fields, timeout))
+        return replies[-1]
+
+    def no_count(text):
+        raise AssertionError("the parent counted module text")
+
+    monkeypatch.setattr(backend._pool, "_request", spy)
+    monkeypatch.setattr(evaluation, "count_ir_instructions", no_count)
+    assert backend.evaluate(NO_TRIPLE, forest) == want
+    ((kind, payload),) = replies
+    assert kind == b"O" and payload[16:] == str(want.instruction_count).encode("utf-8")
 
 
 def test_worker_exits_on_end_of_file(real_opt, gvn):
@@ -177,8 +258,10 @@ def test_no_worker_outlives_its_interpreter(real_opt):
         "from passforest import OptBackend, default_registry, parse_pipeline\n"
         "backend = OptBackend()\n"
         "forest = parse_pipeline('module(function(gvn))', default_registry())\n"
+        "longer = parse_pipeline('module(function(gvn),function(reassociate))',"
+        " default_registry())\n"
         f"assert backend.evaluate({NO_TRIPLE!r}, forest).ok\n"
-        f"assert backend.evaluate({NO_TRIPLE!r}, forest).ok\n"
+        f"assert backend.evaluate({NO_TRIPLE!r}, longer).ok\n"
         "assert os.listdir(backend._pool.states.directory)\n"
         "print(backend._pool.states.directory)\n"
         "print(' '.join(str(w.proc.pid) for w in backend._pool._live))\n"
@@ -208,13 +291,13 @@ def test_parallel_requests_use_at_most_that_many_workers(real_opt, registry):
 
 def _whole(real_opt, forest, path) -> evaluation.EvaluationResult:
     """The result of the whole pipeline run from the input in one call."""
-    return result_of(_apply(real_opt, print_pipeline(forest), path))
+    return result_of(_apply(real_opt, forest, path))
 
 
 def _restored_from(backend, monkeypatch) -> list:
     """The state file each later request of ``backend`` resumes from ("" for none)."""
     states = []
-    request = backend._pool._request
+    request = backend._workers()._request
 
     def spy(cmd, fields, timeout):
         states.append(fields[2])  # path, pipeline, state, then the steps
@@ -225,14 +308,15 @@ def _restored_from(backend, monkeypatch) -> list:
 
 
 def _saved(backend, path, forest) -> int:
-    """How many leading units of ``forest`` have a saved state."""
-    keys = StateIndex.keys(path, file_stamp(path), module_units(forest))
-    return max((i + 1 for i, key in enumerate(keys) if key in backend._pool.states._files),
-               default=0)
+    """How many leading units of ``forest`` end, at most, in a module the index has a file of."""
+    states = backend._pool.states
+    with states._lock:
+        nodes = states._walk(states.origin(path, file_stamp(path)), module_units(forest))[0]
+    return max((i for i, node in nodes.items() if i and node in states._files), default=0)
 
 
 @pytest.mark.parametrize("path", [NO_TRIPLE, X86_TRIPLE], ids=["no-triple", "x86-triple"])
-def test_resumed_evaluations_match_whole_pipelines(real_opt, registry, path):
+def test_resumed_evaluations_match_whole_pipelines(real_opt, registry, path, monkeypatch):
     rng = random.Random(18)
     heads = [random_forest(rng, registry, max_leaves=6) for _ in range(8)]
     forests = heads + [
@@ -241,13 +325,21 @@ def test_resumed_evaluations_match_whole_pipelines(real_opt, registry, path):
     ]
     wanted = [_whole(real_opt, forest, path) for forest in forests]
     backend = OptBackend()
-    # A state is saved when its prefix is reached the second time, so the
-    # third round resumes every forest from its own state.
-    for _ in range(3):
+    restored = _restored_from(backend, monkeypatch)
+    # A state is saved when its prefix is reached the second time, so each
+    # head's first longer forest saves the head's states and the second
+    # resumes from them. The later rounds are answered by the index.
+    for round in range(3):
+        if round == 1:
+            requests = len(restored)
         for forest, want in zip(forests, wanted):
             assert backend.evaluate(path, forest) == want, print_pipeline(forest)
-    assert all(_saved(backend, path, forest) == len(module_units(forest))
-               for forest, want in zip(forests, wanted) if want.ok)
+    assert len(restored) == requests
+    resumable = [head for head, want, first in zip(heads, wanted, wanted[len(heads)::2])
+                 if want.ok and first.ok]
+    assert resumable and all(_saved(backend, path, head) == len(module_units(head))
+                             for head in resumable)
+    assert "" in restored and sum(map(bool, restored)) >= len(resumable)
 
 
 def test_search_results_do_not_depend_on_parallelism(real_opt, registry):
@@ -266,6 +358,10 @@ def test_an_abort_mid_pipeline_keeps_the_states_saved_before_it(real_opt, regist
     licm = parse_pipeline(f"{head},module(function(loop(licm)))", registry)
     assert backend.evaluate(NO_TRIPLE, licm) == _whole(real_opt, licm, NO_TRIPLE)
     assert backend.evaluate(NO_TRIPLE, licm).detail.startswith("opt exited -6: ")
+    # The index answered that; a longer forest reaches the prefixes a
+    # second time in a worker, which saves them and aborts in licm.
+    longer = parse_pipeline(f"{head},module(function(loop(licm)),globalopt)", registry)
+    assert backend.evaluate(NO_TRIPLE, longer) == _whole(real_opt, longer, NO_TRIPLE)
     assert _saved(backend, NO_TRIPLE, licm) == 2
     restored = _restored_from(backend, monkeypatch)
     after = parse_pipeline(f"{head},module(function(instcombine))", registry)
@@ -282,8 +378,9 @@ def test_an_abort_mid_pipeline_keeps_the_states_saved_before_it(real_opt, regist
 def test_a_state_that_does_not_parse_falls_back_to_the_input(
         real_opt, registry, monkeypatch, damage):
     backend = OptBackend()
-    for _ in range(2):
-        backend.evaluate(NO_TRIPLE, parse_pipeline("module(function(gvn))", registry))
+    # the second forest reaches gvn the second time and saves its state
+    for pipeline in ("module(function(gvn))", "module(function(gvn),function(reassociate))"):
+        backend.evaluate(NO_TRIPLE, parse_pipeline(pipeline, registry))
     states = backend._pool.states
     ((number, _),) = states._files.values()
     state = Path(states.file(number))
@@ -301,10 +398,14 @@ def test_a_file_changed_in_place_is_never_resumed_from_old_states(
     shutil.copy(NO_TRIPLE, path)
     backend = OptBackend()
     forest = parse_pipeline("module(function(gvn),function(instcombine))", registry)
-    for _ in range(2):
-        assert backend.evaluate(str(path), forest) == _whole(real_opt, forest, NO_TRIPLE)
+    longer = parse_pipeline("module(function(gvn),function(instcombine),function(reassociate))",
+                            registry)
+    for each in (forest, longer):  # the longer one saves the states of forest's units
+        assert backend.evaluate(str(path), each) == _whole(real_opt, each, NO_TRIPLE)
     assert _saved(backend, str(path), forest) == 2
     restored = _restored_from(backend, monkeypatch)
+    assert backend.evaluate(str(path), forest) == _whole(real_opt, forest, NO_TRIPLE)
+    assert restored == []  # the index knows every step of forest
     shutil.copy(X86_TRIPLE, path)
     stat = path.stat()
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
@@ -312,73 +413,187 @@ def test_a_file_changed_in_place_is_never_resumed_from_old_states(
     assert restored == [""]
 
 
-def test_collecting_the_backend_deletes_its_states(real_opt, gvn):
+def test_two_prefixes_that_print_the_same_module_share_one_state(
+        real_opt, registry, monkeypatch):
+    # memcpyopt and vector-combine leave loops.ll as opt prints it
+    backend = OptBackend()
+    heads = ("function(memcpyopt)", "function(vector-combine)")
+    for head in heads:
+        # the second forest reaches the head the second time and saves its state
+        for tail in ("function(gvn)", "function(instcombine)"):
+            forest = parse_pipeline(f"module({head},{tail})", registry)
+            assert backend.evaluate(NO_TRIPLE, forest) == _whole(real_opt, forest, NO_TRIPLE)
+    states = backend._pool.states
+    ((number, _),) = states._files.values()
+    assert os.listdir(states.directory) == [str(number)]
+    restored = _restored_from(backend, monkeypatch)
+    for head, tail in zip(heads, ("function(reassociate)", "function(adce)")):
+        forest = parse_pipeline(f"module({head},{tail})", registry)
+        assert backend.evaluate(NO_TRIPLE, forest) == _whole(real_opt, forest, NO_TRIPLE)
+    assert restored == [states.file(number)] * 2
+    # reassociate's result from that module is known, whichever head reached it
+    forest = parse_pipeline(f"module({heads[1]},function(reassociate))", registry)
+    assert backend.evaluate(NO_TRIPLE, forest) == _whole(real_opt, forest, NO_TRIPLE)
+    assert len(restored) == 2
+
+
+def test_collecting_the_backend_deletes_its_states(real_opt, registry, gvn):
     backend = OptBackend()
     backend.evaluate(NO_TRIPLE, gvn)
-    backend.evaluate(NO_TRIPLE, gvn)
+    longer = parse_pipeline("module(function(gvn),function(reassociate))", registry)
+    backend.evaluate(NO_TRIPLE, longer)
     directory = backend._pool.states.directory
     assert os.listdir(directory)
     del backend
     assert not os.path.exists(directory)
 
 
+def _digest(module: bytes) -> bytes:
+    return hashlib.blake2b(module, digest_size=16).digest()
+
+
+def _play(states, origin, units, modules):
+    """Plan ``units`` and, unless the index answers, act as a worker.
+
+    The worker prints ``modules[i]`` after ``units[i]``: it writes the
+    states the plan saves, and the index learns them and the last module,
+    whose count is its first byte. Returns the plan.
+    """
+    plan = states.plan(origin, units)
+    if plan.answer is None:
+        for i, number in enumerate(plan.saves, plan.start):
+            if number is not None:
+                Path(states.file(number)).write_bytes(modules[i])
+        states.learn(plan, units, _digest(modules[-1]), modules[-1][0])
+    return plan
+
+
+def _saved_after(states, origin, unit, module) -> str:
+    """Reach ``unit`` twice, so that the index saves its state ``module``; the file."""
+    _play(states, origin, [unit, "function(adce)"], [module, b"end"])
+    return states.file(_play(states, origin, [unit, "function(dse)"], [module, b"end"]).saves[0])
+
+
 def test_state_index_saves_on_the_second_sighting_and_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(opt_pool, "STATE_BUDGET_BYTES", 250)
     states = StateIndex()
-    a, ab = StateIndex.keys("in.ll", (1, 2), ["globalopt", "function(gvn)"])
-    ac = StateIndex.keys("in.ll", (1, 2), ["globalopt", "cgscc(inline)"])[1]
-
-    def write(number, size=100):
-        Path(states.file(number)).write_bytes(b"x" * size)
-
-    assert states.plan([a, ab]) == (0, "", [None, None])
-    done, state, (first, second) = states.plan([a, ab])
-    write(first), write(second)
-    states.add([(a, first), (ab, second)])
-    assert states.plan([a]) == (1, states.file(first), [])  # a is now the most recent
-    assert states.plan([a, ac]) == (1, states.file(first), [None])
-    (third,) = states.plan([a, ac])[2]
-    write(third)
-    states.add([(ac, third)])  # 300 bytes: evicts ab
-    assert not os.path.exists(states.file(second))
-    assert states.plan([a, ab]) == (1, states.file(first), [None])
-    assert states.plan([a, ac]) == (2, states.file(third), [])
-    (loser,) = states.plan([a, ab])[2]
-    write(loser)
-    states.add([(a, loser), (ab, 12345)])  # a lost a race; no file was written for ab
-    assert not os.path.exists(states.file(loser))
-    assert states.plan([a, ab]) == (1, states.file(first), [None])
+    origin = StateIndex.origin("in.ll", (1, 2))
+    a, b, c = (letter * 100 for letter in (b"a", b"b", b"c"))
+    units = ["globalopt", "function(gvn)"]
+    assert _play(states, origin, units, [a, b]) == (None, 0, origin, "", [None, None])
+    assert states.plan(origin, units).answer == b[0]  # nothing runs or is saved
+    plan = _play(states, origin, ["globalopt", "cgscc(inline)"], [a, c])
+    (first, last) = plan.saves  # globalopt's second sighting
+    assert first is not None and last is None
+    a_file = states.file(first)
+    assert states.plan(origin, ["globalopt", "strip"]) == (None, 1, _digest(a), a_file, [None])
+    # strip prints the same module as globalopt, so its state shares that file
+    for tail in ("function(gvn)", "cgscc(inline)"):
+        plan = _play(states, origin, ["strip", tail], [a, c])
+    assert plan.saves[0] is not None and not os.path.exists(states.file(plan.saves[0]))
+    assert os.listdir(states.directory) == [str(first)]
+    assert states.plan(origin, ["strip", "function(sroa)"])[1:4] == (1, _digest(a), a_file)
+    # 300 bytes of states evict the least recently used one
+    b_file = _saved_after(states, origin, "function(sroa)", b)
+    states.plan(origin, ["globalopt"])  # a is now more recent than b
+    c_file = _saved_after(states, origin, "function(gvn)", c)
+    assert not os.path.exists(b_file) and os.path.exists(a_file) and os.path.exists(c_file)
     states.close()
     assert not os.path.exists(states.directory)
+
+
+def test_state_index_counts_an_answered_pipeline_as_a_sighting():
+    states = StateIndex()
+    origin = StateIndex.origin("in.ll", (1, 2))
+    a, ac = b"a" * 10, b"c" * 10
+    _play(states, origin, ["globalopt", "strip"], [a, b"b"])
+    _play(states, origin, ["globalopt", "function(gvn)"], [a, ac])  # saves a
+    # The index answers this from a's state; it is the first sighting of
+    # gvn after a, so the worker that next runs gvn after a saves its state.
+    assert _play(states, origin, ["globalopt", "function(gvn)"], [a, ac]).answer == ac[0]
+    plan = _play(states, origin, ["globalopt", "function(gvn)", "function(adce)"],
+                 [a, ac, b"d"])
+    assert plan.start == 1 and plan.saves[0] is not None
+    assert states.plan(origin, ["globalopt", "function(gvn)", "strip"])[1:3] == (2, _digest(ac))
+    states.close()
+
+
+@pytest.mark.parametrize("code, kept", [(1, True), (-6, True), (-9, False), (-11, False)])
+def test_only_failures_that_opt_repeats_are_answered(code, kept, monkeypatch):
+    pool = opt_pool.WorkerPool("opt", "libLLVM.so")
+    requests = []
+
+    def fake(cmd, fields, timeout):
+        requests.append(fields)
+        return b"E", f"{code}\nLLVM ERROR: boom\n".encode("utf-8")
+
+    monkeypatch.setattr(pool, "_request", fake)
+    for _ in range(2):
+        outcome = pool.run("in.ll", (1, 2), "module(globalopt)", ["globalopt"], 60.0)
+        assert outcome == f"opt exited {code}: LLVM ERROR: boom"
+    assert len(requests) == (1 if kept else 2)
+    pool.close()
+
+
+def test_state_index_keeps_failures_that_recur_and_answers_only_where_they_end():
+    states = StateIndex()
+    origin = StateIndex.origin("in.ll", (1, 2))
+    aborts = ["function(gvn)", "function(loop(licm))"]
+    detail = "opt exited -6: LLVM ERROR: LICM requires MemorySSA (loop-mssa)"
+    states.learn(states.plan(origin, aborts), aborts, None, detail)
+    assert states.plan(origin, aborts).answer == detail
+    # A pass after the abort could fail first when opt parses the
+    # pipeline. gvn's second sighting in a worker saves its state, but
+    # that worker aborts in gvn and writes no file: the failure is
+    # learned from the origin.
+    longer = aborts + ["strip"]
+    plan = states.plan(origin, longer)
+    assert plan.answer is None and plan.saves[0] is not None
+    states.learn(plan, longer, None, detail)
+    assert states.plan(origin, longer)[:2] == (detail, 0) and not states._files
+    timeout = ["function(sroa)"]
+    states.learn(states.plan(origin, timeout), timeout)  # nothing to keep
+    assert states.plan(origin, timeout).answer is None
+    states.close()
 
 
 def test_state_index_keeps_at_most_key_limit_keys_per_table(monkeypatch):
     monkeypatch.setattr(opt_pool, "KEY_LIMIT", 1)
     states = StateIndex()
-    a, b = (StateIndex.keys("in.ll", (1, 2), [unit])[0] for unit in ("globalopt", "strip"))
-    for key in (a, b, a):  # seeing b forgets a
-        assert states.plan([key]) == (0, "", [None])
-    numbers = []
-    for key in (a, b, b):
-        (number,) = states.plan([key])[2]
-        if number is not None:
-            Path(states.file(number)).write_bytes(b"x")
-            states.add([(key, number)])  # b's state evicts a's
-            numbers.append(number)
-    assert len(numbers) == 2 and not os.path.exists(states.file(numbers[0]))
-    assert states.plan([b])[:2] == (1, states.file(numbers[1]))
-    assert states.plan([a]) == (0, "", [None])
+    origin = StateIndex.origin("in.ll", (1, 2))
+    for unit in ("globalopt", "strip", "globalopt"):  # seeing strip forgets globalopt
+        assert states.plan(origin, [unit]).saves == [None]
+
+    def save(unit, module):
+        number = next(states._numbers)
+        Path(states.file(number)).write_bytes(module)
+        states.learn(opt_pool.Plan(None, 0, origin, "", [number]), [unit])
+        return states.file(number)
+
+    first = save("globalopt", b"o")
+    second = save("strip", b"s")  # evicts globalopt's segment and file
+    assert not os.path.exists(first) and os.path.exists(second)
+    assert states.plan(origin, ["strip"]).start == 1
+    assert states.plan(origin, ["globalopt"]).start == 0
+    for count, unit in enumerate(("function(gvn)", "function(sroa)")):
+        states.learn(states.plan(origin, [unit]), [unit], _digest(unit.encode()), count)
+    assert states.plan(origin, ["function(sroa)"]).answer == 1
+    assert states.plan(origin, ["function(gvn)"]).answer is None
+    assert all(len(table) == 1 for table in (
+        states._segments, states._counts, states._files, states._seen))
     states.close()
 
 
 def test_state_keys_name_the_input_its_stamp_and_each_prefix():
-    units = ["globalopt", "function(gvn)"]
-    keys = StateIndex.keys("in.ll", (1, 2), units)
-    assert len(set(keys)) == 2
-    assert StateIndex.keys("in.ll", (1, 2), units[:1]) == keys[:1]
+    origin = StateIndex.origin("in.ll", (1, 2))
     for path, stamp in (("other.ll", (1, 2)), ("in.ll", (1, 3)), ("in.ll", (2, 2))):
-        assert not set(StateIndex.keys(path, stamp, units)) & set(keys)
-    assert StateIndex.keys("in.ll", (1, 2), ["function(gvn)", "globalopt"])[1] != keys[1]
+        assert StateIndex.origin(path, stamp) != origin
+    units = ["globalopt", "function(gvn)"]
+    keys = StateIndex.keys(origin, units)
+    assert len(set(keys)) == 2
+    assert StateIndex.keys(origin, units[:1]) == keys[:1]
+    assert not set(StateIndex.keys(_digest(b"a module"), units)) & set(keys)
+    assert StateIndex.keys(origin, ["function(gvn)", "globalopt"])[1] != keys[1]
 
 
 # ---------------------------------------------------------------------------
