@@ -474,9 +474,17 @@ def _saved_after(states, origin, unit, module) -> str:
     return states.file(_play(states, origin, [unit, "function(dse)"], [module, b"end"]).saves[0])
 
 
-def test_state_index_saves_on_the_second_sighting_and_evicts_least_recently_used(monkeypatch):
+@pytest.fixture
+def states():
+    """A StateIndex, closed even when the test fails."""
+    index = StateIndex()
+    yield index
+    index.close()
+
+
+def test_state_index_saves_on_the_second_sighting_and_evicts_least_recently_used(
+        states, monkeypatch):
     monkeypatch.setattr(opt_pool, "STATE_BUDGET_BYTES", 250)
-    states = StateIndex()
     origin = StateIndex.origin("in.ll", (1, 2))
     a, b, c = (letter * 100 for letter in (b"a", b"b", b"c"))
     units = ["globalopt", "function(gvn)"]
@@ -502,8 +510,7 @@ def test_state_index_saves_on_the_second_sighting_and_evicts_least_recently_used
     assert not os.path.exists(states.directory)
 
 
-def test_state_index_counts_an_answered_pipeline_as_a_sighting():
-    states = StateIndex()
+def test_state_index_counts_an_answered_pipeline_as_a_sighting(states):
     origin = StateIndex.origin("in.ll", (1, 2))
     a, ac = b"a" * 10, b"c" * 10
     _play(states, origin, ["globalopt", "strip"], [a, b"b"])
@@ -515,7 +522,6 @@ def test_state_index_counts_an_answered_pipeline_as_a_sighting():
                  [a, ac, b"d"])
     assert plan.start == 1 and plan.saves[0] is not None
     assert states.plan(origin, ["globalopt", "function(gvn)", "strip"])[1:3] == (2, _digest(ac))
-    states.close()
 
 
 @pytest.mark.parametrize("code, kept", [(1, True), (-6, True), (-9, False), (-11, False)])
@@ -528,15 +534,16 @@ def test_only_failures_that_opt_repeats_are_answered(code, kept, monkeypatch):
         return b"E", f"{code}\nLLVM ERROR: boom\n".encode("utf-8")
 
     monkeypatch.setattr(pool, "_request", fake)
-    for _ in range(2):
-        outcome = pool.run("in.ll", (1, 2), "module(globalopt)", ["globalopt"], 60.0)
-        assert outcome == f"opt exited {code}: LLVM ERROR: boom"
+    try:
+        for _ in range(2):
+            outcome = pool.run("in.ll", (1, 2), "module(globalopt)", ["globalopt"], 60.0)
+            assert outcome == f"opt exited {code}: LLVM ERROR: boom"
+    finally:
+        pool.close()
     assert len(requests) == (1 if kept else 2)
-    pool.close()
 
 
-def test_state_index_keeps_failures_that_recur_and_answers_only_where_they_end():
-    states = StateIndex()
+def test_state_index_keeps_failures_that_recur_and_answers_only_where_they_end(states):
     origin = StateIndex.origin("in.ll", (1, 2))
     aborts = ["function(gvn)", "function(loop(licm))"]
     detail = "opt exited -6: LLVM ERROR: LICM requires MemorySSA (loop-mssa)"
@@ -554,12 +561,10 @@ def test_state_index_keeps_failures_that_recur_and_answers_only_where_they_end()
     timeout = ["function(sroa)"]
     states.learn(states.plan(origin, timeout), timeout)  # nothing to keep
     assert states.plan(origin, timeout).answer is None
-    states.close()
 
 
-def test_state_index_keeps_at_most_key_limit_keys_per_table(monkeypatch):
+def test_state_index_keeps_at_most_key_limit_keys_per_table(states, monkeypatch):
     monkeypatch.setattr(opt_pool, "KEY_LIMIT", 1)
-    states = StateIndex()
     origin = StateIndex.origin("in.ll", (1, 2))
     for unit in ("globalopt", "strip", "globalopt"):  # seeing strip forgets globalopt
         assert states.plan(origin, [unit]).saves == [None]
@@ -581,7 +586,6 @@ def test_state_index_keeps_at_most_key_limit_keys_per_table(monkeypatch):
     assert states.plan(origin, ["function(gvn)"]).answer is None
     assert all(len(table) == 1 for table in (
         states._segments, states._counts, states._files, states._seen))
-    states.close()
 
 
 def test_state_keys_name_the_input_its_stamp_and_each_prefix():
