@@ -12,16 +12,17 @@ binary links a usable libLLVM, else one ``opt`` process per call. The
 mock is pure Python and always runs serially, since threads would only
 contend for the GIL.
 
-With workers, ``OptBackend`` cuts each forest into units, the children
-of its module managers (``module_units``), and hands them to the
-``opt_pool.WorkerPool``, whose reply is already counted: a worker runs
-the line rule (``opt_worker.instruction_count``) on what it printed and
-sends back the count and a digest of the module, not its text. The
-pool's ``StateIndex`` is keyed by module content. Starting from the
-input's path and ``file_stamp``, it knows which module each run of units
-printed, the count of each final module and the files workers saved
-modules to. A forest whose every step is known is answered without a
-worker; any other resumes from the deepest known module with a file.
+With workers, ``OptBackend`` hands the texts of the forest's
+module-level steps (``forest.module_steps``) to the
+``opt_pool.WorkerPool``, since ``opt -passes=module(<steps>)`` prints
+what ``opt -passes=<pipeline>`` prints. The reply is already counted: a
+worker runs the line rule (``opt_worker.instruction_count``) on what it
+printed and sends back the count and a digest of the module, not its
+text. The pool's ``StateIndex`` is keyed by module content. Starting
+from the input's path and ``file_stamp``, it knows which module each run
+of steps printed, the count of each final module and the files workers
+saved modules to. A forest whose every step is known is answered without
+a worker; any other resumes from the deepest known module with a file.
 """
 
 import math
@@ -35,15 +36,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BackendUnavailable, MalformedIR
-from .forest import Manager, PipelineForest
+from .forest import PipelineForest, module_steps
 from .grammar import print_pipeline
-from .registry import PassLevel
 
 OPT_PATH_ENV_VAR = "PASSFOREST_OPT"
 DEFAULT_OPT_TIMEOUT = 60.0
-# Read by module_units on every evaluation: an enum member lookup costs
-# ten times a global.
-_MODULE = PassLevel.MODULE
 
 
 @dataclass(frozen=True)
@@ -124,28 +121,6 @@ def count_ir_instructions(ir_text: str) -> int:
     return count
 
 
-def module_units(forest: PipelineForest) -> List[str]:
-    """The printed children of the forest's module managers, in order.
-
-    A module manager runs its children one after another, each over the
-    whole module, so ``module(A,B),module(C)`` runs as
-    ``module(A),module(B),module(C)`` does. A nested module manager is
-    cut into its own children. The module after any leading run of units
-    depends only on the input and those units' text.
-    """
-    units: List[str] = []
-
-    def cut(nodes) -> None:
-        for node in nodes:
-            if node.__class__ is Manager and node.level == _MODULE:
-                cut(node.children)
-            else:
-                units.append(node.text)
-
-    cut(forest.trees)
-    return units
-
-
 def file_stamp(path) -> Tuple[int, int]:
     """A file's (size, modification time in ns), which changes when it is rewritten.
 
@@ -203,11 +178,12 @@ class OptBackend:
     long-lived ``opt_worker`` processes that load it, started on the
     first evaluation and killed with the backend; otherwise each
     evaluation runs one ``opt`` process. Both give the same counts and
-    failure details. With workers, the pool answers a forest whose every
-    step from the input it has seen before, resumes any other from the
-    deepest saved module its ``module_units`` reach, and saves the state
-    after a run it reaches the second time; the states live in files that
-    are deleted with the backend. ``timeout`` must be a finite number of
+    failure details, a timeout's included. With workers, the pool
+    receives the forest's ``module_steps``: it answers a forest whose
+    every step from the input it has seen before, resumes any other from
+    the deepest saved module its steps reach, and saves the state after a
+    run it reaches the second time; the states live in files that are
+    deleted with the backend. ``timeout`` must be a finite number of
     seconds > 0.
     """
 
@@ -223,16 +199,19 @@ class OptBackend:
         # original_count's memo: (path, size, mtime in ns) -> count
         self._counts: Dict[tuple, int] = {}
 
+    def _command(self, *args: str) -> List[str]:
+        """The command line ``opt -S <args> -o -``."""
+        return [resolve_opt_path(self.opt_path), "-S", *args, "-o", "-"]
+
     def _run(self, *args: str) -> subprocess.CompletedProcess:
         """Run ``opt -S <args> -o -``; a timeout raises TimeoutExpired."""
-        opt = resolve_opt_path(self.opt_path)
-        cmd = [opt, "-S", *args, "-o", "-"]
+        cmd = self._command(*args)
         try:
             return subprocess.run(
                 cmd, capture_output=True, text=True, timeout=self.timeout
             )
         except FileNotFoundError as exc:
-            raise BackendUnavailable(f"opt executable not found: {opt!r}") from exc
+            raise BackendUnavailable(f"opt executable not found: {cmd[0]!r}") from exc
 
     def _workers(self):
         """The ``opt_pool.WorkerPool``; None without a usable libLLVM."""
@@ -261,15 +240,15 @@ class OptBackend:
             stamp = file_stamp(path)
         except (OSError, ValueError):
             return _failed(f"input file not found: {path}")
-        pipeline = print_pipeline(forest)
+        args = (f"-passes={print_pipeline(forest)}", path)
         pool = self._workers()
         try:
             outcome = None if pool is None else pool.run(
-                path, stamp, pipeline, module_units(forest), self.timeout)
+                path, stamp, [step.text for step in module_steps(forest)], self.timeout)
             if outcome is None:
-                return result_of(self._run(f"-passes={pipeline}", path))
-        except subprocess.TimeoutExpired as exc:
-            return _failed(f"timeout after {self.timeout:g}s: {' '.join(exc.cmd)}")
+                return result_of(self._run(*args))
+        except (TimeoutError, subprocess.TimeoutExpired):
+            return _failed(f"timeout after {self.timeout:g}s: {' '.join(self._command(*args))}")
         if outcome.__class__ is str:
             return _failed(outcome)
         return EvaluationResult(instruction_count=outcome, status="ok")

@@ -306,25 +306,36 @@ def leaf_at(forest: PipelineForest, i: int) -> Tuple[Tuple[int, ...], Leaf]:
         children = child.children
 
 
-def iter_leaves(node: PipelineNode) -> Iterator[Leaf]:
-    if isinstance(node, Leaf):
-        yield node
-    else:
-        for child in node.children:
-            yield from iter_leaves(child)
-
-
 def leaf_sequence(forest: PipelineForest) -> List[Tuple[str, PassLevel]]:
     """Left-to-right depth-first order of (pass name, level) pairs."""
-    return [
-        (leaf.name, leaf.level)
-        for tree in forest.trees
-        for leaf in iter_leaves(tree)
-    ]
+    return [(leaf.name, leaf.level) for _, leaf in leaf_paths(forest)]
 
 
 def leaf_count(forest: PipelineForest) -> int:
     return sum(tree.size for tree in forest.trees)
+
+
+def module_steps(forest: PipelineForest) -> List[PipelineNode]:
+    """The children of the forest's module managers, in the order they run.
+
+    A module manager runs its children one after another, each over the
+    whole module, so ``module(A,B),module(C)`` runs as the steps A, B, C,
+    as ``module(A,B,C)`` does. A nested module manager is cut into its own
+    children. Both backends run a forest as these steps: the mock runs
+    each step's ``names`` over every function before the next step, and
+    ``opt`` workers receive each step's ``text``.
+    """
+    steps: List[PipelineNode] = []
+
+    def cut(nodes) -> None:
+        for node in nodes:
+            if node.__class__ is Manager and node.level is _MODULE:
+                cut(node.children)
+            else:
+                steps.append(node)
+
+    cut(forest.trees)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +521,12 @@ def random_forest(
     if not placeable:
         raise UnknownPass("registry has no concrete passes to place")
 
-    def reachable(level):
-        # a manager at `level` can terminate iff some at-or-deeper level
-        # reachable through the nesting rules has a concrete pass
-        stack, seen = [level], set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if by_level[cur]:
-                return True
-            stack.extend(
-                lvl for lvl in _CHILD_MANAGER_LEVELS[cur] if lvl != cur
-            )
-        return False
+    # A manager at `level` can terminate iff some level at or below it has
+    # a concrete pass: managers nest only at their own or deeper levels.
+    reachable = {
+        level: any(by_level[deeper] for deeper in PassLevel if deeper >= level)
+        for level in PassLevel
+    }
 
     budget = [rng.randint(1, max_leaves)]
 
@@ -541,7 +543,7 @@ def random_forest(
                 options.extend(
                     lvl
                     for lvl in _CHILD_MANAGER_LEVELS[level]
-                    if reachable(lvl)
+                    if reachable[lvl]
                 )
             if not options:
                 break
@@ -560,7 +562,7 @@ def random_forest(
                 target = min(
                     lvl
                     for lvl in _CHILD_MANAGER_LEVELS[level]
-                    if lvl != level and reachable(lvl)
+                    if lvl != level and reachable[lvl]
                 )
                 children.append(build(target, depth + 1))
         return Manager(level, tuple(children))

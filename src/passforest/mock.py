@@ -20,18 +20,18 @@ Execution semantics of a forest over a mock program:
   before the next begins.
 
 ``schedule_of`` is the one definition of that order. ``mock_evaluate``
-computes the same result in closed form over the forest's *phases*: a
-phase is one module-level leaf, or the whole leaf block of one cgscc or
-function manager, and each phase runs over every function, in
-``functions`` order, before the next phase starts. So every function
-receives the same pass sequence, and the flat effects and pair bonuses
-reduce each function by one common amount. Only coupling differs between
-functions, and only by whether a function has callees and whether they
-are all listed before it; see ``mock_evaluate``. The tables this needs
-(bonuses by target pass, and per coupling class the sorted base counts
-with their suffix sums, so the final clamp is one bisection per class)
-are built once per MockProgram, on its first evaluation, and cached on
-the instance.
+computes the same result in closed form over the forest's *phases*, its
+``forest.module_steps``: a phase is one module-level leaf, or the whole
+leaf block of one cgscc or function manager, and each phase runs over
+every function, in ``functions`` order, before the next phase starts. So
+every function receives the same pass sequence, and the flat effects and
+pair bonuses reduce each function by one common amount. Only coupling
+differs between functions, and only by whether a function has callees
+and whether they are all listed before it; see ``mock_evaluate``. The
+tables this needs (bonuses by target pass, and per coupling class the
+sorted base counts with their suffix sums, so the final clamp is one
+bisection per class) are built once per MockProgram, on its first
+evaluation, and cached on the instance.
 
 Refinement evaluates many partitions of one leaf sequence back to back.
 For those, ``MockBackend`` compiles the sequence once into a
@@ -48,12 +48,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from itertools import accumulate, chain
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple, Union
+from itertools import accumulate
+from typing import Dict, List, Mapping, NamedTuple, Set, Tuple, Union
 
 from .errors import SchemaError
 from .evaluation import EvaluationResult, file_stamp
-from .forest import Leaf, Manager, PipelineForest
+from .forest import Leaf, Manager, PipelineForest, module_steps
 from .registry import PassLevel
 
 
@@ -181,16 +181,6 @@ def schedule_of(forest: PipelineForest, program: MockProgram) -> List[Tuple[str,
     return events
 
 
-def _phases(mgr: Manager) -> Iterator[Tuple[str, ...]]:
-    """Leaf blocks under a module manager that each run over all
-    functions, in ``schedule_of`` order."""
-    for child in mgr.children:
-        if isinstance(child, Manager) and child.level == PassLevel.MODULE:
-            yield from _phases(child)
-        else:
-            yield child.names
-
-
 def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationResult:
     """Apply a forest's schedule and report the resulting count.
 
@@ -221,7 +211,8 @@ def mock_evaluate(program: MockProgram, forest: PipelineForest) -> EvaluationRes
     common = earlier = same = 0
     ran: Set[str] = set()  # passes of the phases before the current one
     seen: Set[str] = set()  # passes before the current leaf
-    for phase in chain.from_iterable(map(_phases, forest.trees)):
+    for step in module_steps(forest):
+        phase = step.names
         block = set(phase)
         for q in phase:
             common += effects.get(q, 0)
@@ -325,9 +316,9 @@ class _SequencePlan:
         for tree in forest.trees:
             for child in tree.children:
                 if child.__class__ is Manager and child.level is _MODULE:
-                    # A nested module manager: its own children are phases.
-                    for phase in _phases(child):
-                        end = start + len(phase)
+                    # A nested module manager: its own steps are phases.
+                    for step in module_steps(PipelineForest((child,))):
+                        end = start + step.size
                         entry = table.get((start, end)) or self._phase_entry(start, end)
                         earlier += entry[0]
                         same += entry[1]

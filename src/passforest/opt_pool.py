@@ -4,16 +4,18 @@
 ``linked_libllvm`` finds the shared libLLVM that the ``opt`` binary
 links (``ldd`` names it), a ``WorkerPool`` runs its requests in
 long-lived ``opt_worker`` processes that load it; each request goes to
-an idle worker, or to a new one when none is idle. Every request has
-one form: the pipeline, the state to resume from and the units that
-remain, each with the file to save its state to. A worker replies
-with the digest and the instruction count of the module it printed,
-never the module itself. The pool's ``StateIndex`` is keyed by module
-content: which module each run of units turned a known module into,
-the count of each final module, and the files that workers saved
-modules to. ``WorkerPool.run`` walks it, so a pipeline whose every step
-is known costs no worker call, and any other pipeline resumes in any
-worker from the deepest module on its walk with a saved file.
+an idle worker, or to a new one when none is idle. ``WorkerPool.run``
+computes, counted, what ``opt -S -passes=module(<units>)`` prints, where
+the units are the texts of a forest's ``forest.module_steps``. A request
+carries the input path, the state to resume from and the units that
+remain, each with the file to save its state to. A worker replies with
+the digest and the instruction count of the module it printed, never the
+module itself. The pool's ``StateIndex`` is keyed by module content:
+which module each run of units turned a known module into, the count of
+each final module, and the files that workers saved modules to.
+``WorkerPool.run`` walks it, so a pipeline whose every step is known
+costs no worker call, and any other resumes in any worker from the
+deepest module on its walk with a saved file.
 """
 
 import hashlib
@@ -162,44 +164,46 @@ class WorkerPool:
         self,
         path: str,
         stamp: Tuple[int, int],
-        pipeline: str,
         units: Sequence[str],
         timeout: float,
     ) -> Union[int, str, None]:
-        """What ``opt -S -passes=<pipeline> <path> -o -`` would give, counted.
+        """What ``opt -S -passes=module(<units>) <path> -o -`` would give, counted.
 
         ``stamp`` is the input's (size, modification time in ns) and
-        ``units`` are the pipeline's ``module_units``. Returns the
-        instruction count, or the detail of the failure (``opt exited
-        <code>: <first stderr line>``, or why the output is malformed).
-        When ``StateIndex.plan`` knows every step of the units from the
-        input, the index answers and no worker runs. Otherwise a worker
-        resumes from the deepest known module with a saved state, saves
-        the states the plan asks for and replies with the digest and
-        count of the module it printed, and the index learns the steps.
-        A state the worker cannot read is dropped, and the whole
-        pipeline runs again from the input. None only when the library
-        turned out unusable. A timeout raises TimeoutExpired naming the
-        command.
+        ``units`` are the texts of a forest's ``forest.module_steps``.
+        Returns the instruction count, or the detail of the failure
+        (``opt exited <code>: <first stderr line>``, or why the output is
+        malformed). When ``StateIndex.plan`` knows every step of the
+        units from the input, the index answers and no worker runs.
+        Otherwise a worker resumes from the deepest known module with a
+        saved state, saves the states the plan asks for and replies with
+        the digest and count of the module it printed, and the index
+        learns the steps. A state the worker cannot read is dropped, and
+        the same units run again from the input, saving nothing. None
+        only when the library turned out unusable. A timeout raises
+        TimeoutError.
         """
-        cmd = [self.opt, "-S", f"-passes={pipeline}", path, "-o", "-"]
         states = self.states
         origin = states.origin(path, stamp)
         plan = states.plan(origin, units)
         if plan.answer is not None:
             return plan.answer
-        fields = [path, pipeline, plan.state]
-        for unit, number in zip(units[plan.start:], plan.saves):
-            fields += [unit, "" if number is None else states.file(number)]
+
+        def request(plan: Plan) -> Tuple[bytes, bytes]:
+            fields = [path, plan.state]
+            for unit, number in zip(units[plan.start:], plan.saves):
+                fields += [unit, "" if number is None else states.file(number)]
+            return self._request(fields, timeout)
+
         try:
-            kind, payload = self._request(cmd, fields, timeout)
-        except subprocess.TimeoutExpired:
+            kind, payload = request(plan)
+        except TimeoutError:
             states.learn(plan, units)  # the states saved before it
             raise
         if kind == b"R":
             states.drop(plan.node, plan.state)
             plan = Plan(None, 0, origin, "", [None] * len(units))
-            kind, payload = self._request(cmd, [path, pipeline, ""], timeout)
+            kind, payload = request(plan)
         if kind == b"U":
             return None
         if kind == b"O":
@@ -214,15 +218,11 @@ class WorkerPool:
         states.learn(plan, units, None, detail if code in ("1", "-6") else None)
         return detail
 
-    def _request(self, cmd: List[str], fields: Sequence[str],
-                 timeout: float) -> Tuple[bytes, bytes]:
+    def _request(self, fields: Sequence[str], timeout: float) -> Tuple[bytes, bytes]:
         """The reply to one request from an idle or new worker; ``U`` marks the pool unusable."""
         worker = self._acquire()
         try:
             kind, payload = worker.request("\0".join(fields).encode("utf-8"), timeout)
-        except TimeoutError:
-            self._discard(worker)
-            raise subprocess.TimeoutExpired(cmd, timeout) from None
         except BaseException:
             self._discard(worker)
             raise

@@ -3,13 +3,15 @@
 A worker is a long-lived process that loads the libLLVM an ``opt``
 executable links and applies pipelines through the New Pass Manager C
 API (``LLVMRunPasses``, LLVM >= 13), so a pipeline costs one library
-call instead of one ``opt`` process. It does what ``opt -S
--passes=<pipeline> <file> -o -`` does: parse the file under its path as
-buffer name, verify it, build a TargetMachine from the module's triple
-(none when there is no triple), run the pipeline, verify again and print
-the module. Failures that make ``opt`` exit 1 come back as the exit code
-and the message ``opt`` would print; an LLVM abort kills the worker,
-as it would kill ``opt``. This module imports only the standard library.
+call instead of one ``opt`` process. A pipeline arrives as its
+module-level steps (``forest.module_steps``), and the worker does what
+``opt -S -passes=module(<steps>) <file> -o -`` does: parse the file
+under its path as buffer name, verify it, build a TargetMachine from the
+module's triple (none when there is no triple), run the steps, verify
+again and print the module. Failures that make ``opt`` exit 1 come back
+as the exit code and the message ``opt`` would print; an LLVM abort
+kills the worker, as it would kill ``opt``. This module imports only
+the standard library.
 
 Run as a script::
 
@@ -17,23 +19,21 @@ Run as a script::
 
 Requests arrive on standard input and replies leave on the reply file
 descriptor, both as frames: one kind byte, a 4-byte big-endian length,
-then the payload. A request (kind ``S``) carries
-``<path>\\0<pipeline>\\0<state>`` followed by ``(\\0<unit>\\0<save>)*``.
-``<state>`` names a file holding the module after the pipeline's leading
-units, as the worker printed it, or is empty to start from the input.
-Each remaining unit (a module manager's child, see
-``evaluation.module_units``) comes with a file name to print the module
-to once that unit has run, or an empty one. The worker runs the whole
-pipeline in one ``LLVMRunPasses`` call unless it resumes from a state or
-saves before the last unit. Then it runs the units one call each up to
-the last one it must save after, and the rest in one call. Each file is
-written under a temporary name and renamed, so a file that exists is
-whole. A state is read from a memory buffer named after the input path,
-so the printed module reads as the input's, and is not verified again,
-as ``opt`` does not verify between passes. Whenever the request takes
-more than one call, the whole pipeline is first parsed on an empty
-module, so a pass name ``opt`` rejects fails before any pass runs, as in
-``opt``.
+then the payload. A request (kind ``S``) carries ``<path>\\0<state>``
+followed by ``(\\0<step>\\0<save>)*``. ``<state>`` names a file holding
+the module after the pipeline's leading steps, as the worker printed it,
+or is empty to start from the input. Each remaining step comes with a
+file to print the module to once it has run, or an empty name; no step
+remains when the state holds the module after the last one. The worker
+runs ``module(<steps>)`` in one ``LLVMRunPasses`` call, unless it saves
+before the last step: then it first parses ``module(<steps>)`` on an
+empty module, so that a pass name ``opt`` rejects fails before any pass
+runs, as in ``opt``, and runs the steps up to the last save one call
+each and the rest in one call. Each file is written under a temporary
+name and renamed, so a file that exists is whole. A state is read from a
+memory buffer named after the input path, so the printed module reads as
+the input's, and is not verified again, as ``opt`` does not verify
+between passes.
 
 The replies are ``O`` (the 16-byte BLAKE2b digest of the printed
 module, then what ``instruction_count`` gives for it: the count in
@@ -199,13 +199,12 @@ class _Library:
         # no CPU or features, CodeGenOpt::None, default reloc and code model
         return self.CreateTargetMachine(target, triple, b"", b"", 0, 0, 0) or None
 
-    def run(self, opt: str, path: bytes, pipeline: bytes, state: bytes,
-            steps: list) -> tuple[bytes, bytes]:
+    def run(self, opt: str, path: bytes, state: bytes, steps: list) -> tuple[bytes, bytes]:
         """One request: (``O``, digest and count of the printed module),
         (``E``, exit code and stderr) or (``R``, empty) when ``state``
         cannot be read or parsed.
 
-        ``steps`` are the (unit, file to save to) pairs that remain after
+        ``steps`` are the (step, file to save to) pairs that remain after
         ``state``, or after the input when ``state`` is empty.
         """
         shown = path.decode("utf-8", "replace")
@@ -231,7 +230,7 @@ class _Library:
                     details = self.message(text)
                     if broken:
                         return _exited(1, f"{details}{opt}: {shown}: error: input module is broken!")
-                return self._optimize(opt, context, module, pipeline, bool(state), steps)
+                return self._optimize(opt, context, module, steps)
             finally:
                 self.DisposeModule(module)
         finally:
@@ -246,11 +245,10 @@ class _Library:
             return None
         return self.CreateMemoryBufferWithMemoryRangeCopy(data, len(data), path)
 
-    def _optimize(self, opt: str, context, module, pipeline: bytes, resumed: bool,
-                  steps: list) -> tuple[bytes, bytes]:
+    def _optimize(self, opt: str, context, module, steps: list) -> tuple[bytes, bytes]:
         machine = self.target_machine(self.GetTarget(module))
         try:
-            error = self._run_passes(context, module, pipeline, resumed, steps, machine)
+            error = self._run_passes(context, module, steps, machine)
         finally:
             if machine:
                 self.DisposeTargetMachine(machine)
@@ -267,37 +265,37 @@ class _Library:
         count = instruction_count(printed.decode("utf-8", "replace"))
         return b"O", blake2b(printed, digest_size=16).digest() + str(count).encode("utf-8")
 
-    def _run_passes(self, context, module, pipeline: bytes, resumed: bool, steps: list,
-                    machine):
-        """Run the passes; the error of the first call that fails, or None."""
-        # Units up to the last intermediate save run one call each.
+    def _run_passes(self, context, module, steps: list, machine):
+        """Run the steps; the error of the first call that fails, or None."""
+        # Steps up to the last intermediate save run one call each.
         cut = max((i + 1 for i, (_, save) in enumerate(steps[:-1]) if save), default=0)
-        if not (resumed or cut):
-            return self.RunPasses(module, pipeline, machine, self.options)
         if cut:
             empty = self.ModuleCreateWithNameInContext(b"", context)
             try:
-                error = self.RunPasses(empty, pipeline, machine, self.options)
+                error = self.RunPasses(empty, _pipeline(steps), machine, self.options)
             finally:
                 self.DisposeModule(empty)
             if error:
                 return error
-        for unit, save in steps[:cut]:
-            error = self.RunPasses(module, b"module(" + unit + b")", machine, self.options)
+        for step in steps[:cut]:
+            error = self.RunPasses(module, _pipeline([step]), machine, self.options)
             if error:
                 return error
-            if save:
-                _save(save, self._print(module))
-        rest = [unit for unit, _ in steps[cut:]]
-        if not rest:
-            return None
-        return self.RunPasses(module, b"module(" + b",".join(rest) + b")", machine, self.options)
+            if step[1]:
+                _save(step[1], self._print(module))
+        rest = steps[cut:]  # none when the state is the module after the last step
+        return self.RunPasses(module, _pipeline(rest), machine, self.options) if rest else None
 
     def _print(self, module) -> bytes:
         pointer = ctypes.c_void_p(self.PrintModuleToString(module))
         printed = ctypes.string_at(pointer.value)
         self.DisposeMessage(pointer)
         return printed
+
+
+def _pipeline(steps: list) -> bytes:
+    """``module(<steps>)`` for (step, save) pairs."""
+    return b"module(" + b",".join(step for step, _ in steps) + b")"
 
 
 def _save(name: bytes, printed: bytes) -> None:
@@ -333,9 +331,9 @@ def main(argv) -> int:
         frame = read_frame(0)
         if frame is None:
             return 0
-        path, pipeline, state, *rest = frame[1].split(b"\0")
+        path, state, *rest = frame[1].split(b"\0")
         steps = list(zip(rest[::2], rest[1::2]))
-        write_frame(reply, *llvm.run(opt, path, pipeline, state, steps))
+        write_frame(reply, *llvm.run(opt, path, state, steps))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ from passforest import (
     save_mock_program,
     schedule_of,
 )
-from passforest.evaluation import Evaluator, EvaluationResult, module_units, resolve_opt_path
+from passforest.evaluation import Evaluator, EvaluationResult, resolve_opt_path
+from passforest.forest import module_steps
 from passforest.refine import _all_chromosomes, decision_points, decode
 
 SAMPLE_IR = """\
@@ -366,13 +367,13 @@ def test_mock_backend_plan_scores_nested_module_managers(with_class_2):
 # opt subprocess backend (via fake opt executables)
 # ---------------------------------------------------------------------------
 
-def test_module_units_cut_every_module_manager(registry):
+def test_module_steps_cut_every_module_manager(registry):
     forest = parse_pipeline(
         "module(globalopt,function(gvn),module(cgscc(inline),module(function(adce)))),"
         "module(function(adce,loop(loop-deletion)))",
         registry,
     )
-    assert module_units(forest) == [
+    assert [step.text for step in module_steps(forest)] == [
         "globalopt", "function(gvn)", "cgscc(inline)", "function(adce)",
         "function(adce,loop(loop-deletion))",
     ]

@@ -29,7 +29,8 @@ from passforest import (
     run_search,
 )
 from passforest import evaluation, opt_pool
-from passforest.evaluation import file_stamp, module_units, resolve_opt_path, result_of
+from passforest.evaluation import file_stamp, resolve_opt_path, result_of
+from passforest.forest import module_steps
 from passforest.opt_pool import StateIndex, linked_libllvm
 from passforest.opt_worker import instruction_count
 
@@ -73,11 +74,11 @@ def _apply(backend, forest, path: str) -> subprocess.CompletedProcess:
     pipeline = print_pipeline(forest)
     cmd = [pool.opt, "-S", f"-passes={pipeline}", path, "-o", "-"]
     save = os.path.join(pool.states.directory, "whole")
-    fields = [path, pipeline, ""]
-    for unit in module_units(forest):
-        fields += [unit, ""]
+    fields = [path, ""]
+    for step in module_steps(forest):
+        fields += [step.text, ""]
     fields[-1] = save
-    kind, payload = pool._request(cmd, fields, backend.timeout)
+    kind, payload = pool._request(fields, backend.timeout)
     if kind == b"E":
         code, _, stderr = payload.decode("utf-8").partition("\n")
         return subprocess.CompletedProcess(cmd, int(code), "", stderr)
@@ -109,6 +110,12 @@ def test_worker_prints_what_opt_prints(real_opt, path):
     forests = [random_forest(rng, registry, max_leaves=10) for _ in range(24)]
     # slp-vectorizer keeps @div4 scalar only with an x86-64 TargetMachine
     forests.append(parse_pipeline("module(function(slp-vectorizer))", registry))
+    # the worker runs module(<steps>), opt the printed pipeline
+    forests += [parse_pipeline(pipeline, registry) for pipeline in (
+        "module(globalopt,function(gvn),module(cgscc(inline),module(function(adce)))),"
+        "module(function(adce,loop(loop-deletion)))",
+        "module(globalopt),module(strip)",
+    )]
     for forest in forests:
         pipeline = print_pipeline(forest)
         got = _apply(real_opt, forest, path)
@@ -221,8 +228,8 @@ def test_the_parent_receives_a_digest_and_a_count_not_the_module(
     replies = []
     request = backend._workers()._request
 
-    def spy(cmd, fields, timeout):
-        replies.append(request(cmd, fields, timeout))
+    def spy(fields, timeout):
+        replies.append(request(fields, timeout))
         return replies[-1]
 
     def no_count(text):
@@ -233,6 +240,52 @@ def test_the_parent_receives_a_digest_and_a_count_not_the_module(
     assert backend.evaluate(NO_TRIPLE, forest) == want
     ((kind, payload),) = replies
     assert kind == b"O" and payload[16:] == str(want.instruction_count).encode("utf-8")
+
+
+def _requests(backend, monkeypatch) -> list:
+    """The fields of each later request of ``backend``."""
+    requests = []
+    request = backend._workers()._request
+
+    def spy(fields, timeout):
+        requests.append(fields)
+        return request(fields, timeout)
+
+    monkeypatch.setattr(backend._pool, "_request", spy)
+    return requests
+
+
+def test_a_request_carries_the_path_the_state_and_the_steps(real_opt, registry, monkeypatch):
+    backend = OptBackend()
+    requests = _requests(backend, monkeypatch)
+    forest = parse_pipeline("module(function(gvn)),module(cgscc(inline))", registry)
+    longer = parse_pipeline("module(function(gvn)),module(cgscc(inline),function(adce))",
+                            registry)
+    for each in (forest, longer):
+        assert backend.evaluate(NO_TRIPLE, each) == _whole(real_opt, each, NO_TRIPLE)
+    assert requests[0] == [NO_TRIPLE, "", "function(gvn)", "", "cgscc(inline)", ""]
+    # the longer forest reaches both steps of forest the second time and saves them
+    path, state, *pairs = requests[1]
+    assert (path, state) == (NO_TRIPLE, "")
+    assert pairs[::2] == ["function(gvn)", "cgscc(inline)", "function(adce)"]
+    assert all(pairs[1:4:2]) and pairs[5] == ""
+    assert len(requests) == 2
+
+
+def test_a_forest_resumed_after_its_last_step_runs_no_step(real_opt, registry, monkeypatch):
+    backend = OptBackend()
+    head = "module(function(gvn),function(instcombine)"
+    # the second longer forest reaches both steps of forest the second time and saves them
+    for tail in ("function(reassociate))", "cgscc(inline))"):  # both change the module
+        longer = parse_pipeline(f"{head},{tail}", registry)
+        assert backend.evaluate(NO_TRIPLE, longer) == _whole(real_opt, longer, NO_TRIPLE)
+    forest = parse_pipeline(f"{head})", registry)
+    assert _saved(backend, NO_TRIPLE, forest) == 2
+    requests = _requests(backend, monkeypatch)
+    # the index has the module after the last step in a file, but not its count
+    assert backend.evaluate(NO_TRIPLE, forest) == _whole(real_opt, forest, NO_TRIPLE)
+    ((path, state),) = requests
+    assert path == NO_TRIPLE and state
 
 
 def test_worker_exits_on_end_of_file(real_opt, gvn):
@@ -299,9 +352,9 @@ def _restored_from(backend, monkeypatch) -> list:
     states = []
     request = backend._workers()._request
 
-    def spy(cmd, fields, timeout):
-        states.append(fields[2])  # path, pipeline, state, then the steps
-        return request(cmd, fields, timeout)
+    def spy(fields, timeout):
+        states.append(fields[1])  # path, state, then the steps
+        return request(fields, timeout)
 
     monkeypatch.setattr(backend._pool, "_request", spy)
     return states
@@ -311,7 +364,8 @@ def _saved(backend, path, forest) -> int:
     """How many leading units of ``forest`` end, at most, in a module the index has a file of."""
     states = backend._pool.states
     with states._lock:
-        nodes = states._walk(states.origin(path, file_stamp(path)), module_units(forest))[0]
+        units = [step.text for step in module_steps(forest)]
+        nodes = states._walk(states.origin(path, file_stamp(path)), units)[0]
     return max((i for i, node in nodes.items() if i and node in states._files), default=0)
 
 
@@ -337,7 +391,7 @@ def test_resumed_evaluations_match_whole_pipelines(real_opt, registry, path, mon
     assert len(restored) == requests
     resumable = [head for head, want, first in zip(heads, wanted, wanted[len(heads)::2])
                  if want.ok and first.ok]
-    assert resumable and all(_saved(backend, path, head) == len(module_units(head))
+    assert resumable and all(_saved(backend, path, head) == len(module_steps(head))
                              for head in resumable)
     assert "" in restored and sum(map(bool, restored)) >= len(resumable)
 
@@ -529,14 +583,14 @@ def test_only_failures_that_opt_repeats_are_answered(code, kept, monkeypatch):
     pool = opt_pool.WorkerPool("opt", "libLLVM.so")
     requests = []
 
-    def fake(cmd, fields, timeout):
+    def fake(fields, timeout):
         requests.append(fields)
         return b"E", f"{code}\nLLVM ERROR: boom\n".encode("utf-8")
 
     monkeypatch.setattr(pool, "_request", fake)
     try:
         for _ in range(2):
-            outcome = pool.run("in.ll", (1, 2), "module(globalopt)", ["globalopt"], 60.0)
+            outcome = pool.run("in.ll", (1, 2), ["globalopt"], 60.0)
             assert outcome == f"opt exited {code}: LLVM ERROR: boom"
     finally:
         pool.close()

@@ -16,6 +16,7 @@ from passforest import (
     build_skeleton_variant,
     is_valid,
     leaf_sequence,
+    load_registry,
     minimal_wrap,
     parse_pipeline,
     print_pipeline,
@@ -288,6 +289,20 @@ def test_random_forests_round_trip(registry):
         assert parse_pipeline(printed, registry) == forest
         assert " " not in printed
         assert printed.count("(") == printed.count(")")
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [("module",), ("cgscc",), ("function",), ("loop",), ("cgscc", "loop")],
+    ids=lambda levels: "+".join(levels),
+)
+def test_random_forests_are_valid_when_some_levels_have_no_passes(levels):
+    registry = load_registry("".join(f"{level}-pass={level}\n" for level in levels))
+    rng = random.Random(3)
+    for _ in range(100):
+        forest = random_forest(rng, registry, max_leaves=8)
+        assert not validate(forest, registry), print_pipeline(forest)
+        assert {leaf.level.token for _, leaf in leaf_paths(forest)} <= set(levels)
 
 
 def test_single_rule_mutants_are_caught(registry):
