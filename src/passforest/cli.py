@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     BackendUnavailable,
-    MalformedIR,
     ParseError,
     PassForestError,
     SchemaError,
@@ -181,6 +180,9 @@ def cmd_mine(args) -> int:
     backend = _backend_from_args(args)
     programs = _dataset_programs(args)
     checkpoint = args.checkpoint or (args.out + ".ckpt")
+    for directory in (Path(args.out).parent, Path(checkpoint).parent):
+        if not directory.is_dir():  # checked before mining, not after it
+            raise BackendUnavailable(f"directory not found: {directory}")
     graph = mine_synergies(
         programs,
         registry,
@@ -511,9 +513,6 @@ def main(argv=None) -> int:
     except BackendUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
-    except MalformedIR as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
     except (PassForestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -12,10 +12,11 @@ binary links a usable libLLVM, else one ``opt`` process per call. The
 mock is pure Python and always runs serially, since threads would only
 contend for the GIL.
 
-With workers, ``OptBackend`` hands the texts of the forest's
-module-level steps (``forest.module_steps``) to the
-``opt_pool.WorkerPool``, since ``opt -passes=module(<steps>)`` prints
-what ``opt -passes=<pipeline>`` prints. The reply is already counted: a
+``OptBackend`` runs the texts of the forest's module-level steps
+(``forest.module_steps``) as ``opt -passes=module(<steps>)``, which
+prints what ``opt -passes=<pipeline>`` prints; the input's own count is
+the count after no steps. With workers, the steps go to the
+``opt_pool.WorkerPool``. The reply is already counted: a
 worker runs the line rule (``opt_worker.instruction_count``) on what it
 printed and sends back the count and a digest of the module, not its
 text. The pool's ``StateIndex`` is keyed by module content. Starting
@@ -177,14 +178,14 @@ class OptBackend:
     links a libLLVM with the New Pass Manager C API, pipelines run in
     long-lived ``opt_worker`` processes that load it, started on the
     first evaluation and killed with the backend; otherwise each
-    evaluation runs one ``opt`` process. Both give the same counts and
-    failure details, a timeout's included. With workers, the pool
-    receives the forest's ``module_steps``: it answers a forest whose
-    every step from the input it has seen before, resumes any other from
-    the deepest saved module its steps reach, and saves the state after a
-    run it reaches the second time; the states live in files that are
-    deleted with the backend. ``timeout`` must be a finite number of
-    seconds > 0.
+    evaluation runs one ``opt`` process. Both paths run a list of step
+    texts, a forest's ``module_steps`` or none for ``original_count``,
+    in ``_apply``, and give the same counts and failure details, a
+    timeout's included. The pool answers steps it has seen from the input
+    before, resumes others from the deepest saved module their walk
+    reaches, and saves the state after a run it reaches the second time;
+    the states live in files deleted with the backend. ``timeout`` must
+    be a finite number of seconds > 0.
     """
 
     opt_path: Optional[str] = None
@@ -199,17 +200,15 @@ class OptBackend:
         # original_count's memo: (path, size, mtime in ns) -> count
         self._counts: Dict[tuple, int] = {}
 
-    def _command(self, *args: str) -> List[str]:
-        """The command line ``opt -S <args> -o -``."""
-        return [resolve_opt_path(self.opt_path), "-S", *args, "-o", "-"]
+    def _command(self, path: str, steps: Sequence[str]) -> List[str]:
+        """``opt -S -passes=module(<steps>) <path> -o -``; no ``-passes`` for no steps."""
+        passes = [f"-passes=module({','.join(steps)})"] if steps else []
+        return [resolve_opt_path(self.opt_path), "-S", *passes, path, "-o", "-"]
 
-    def _run(self, *args: str) -> subprocess.CompletedProcess:
-        """Run ``opt -S <args> -o -``; a timeout raises TimeoutExpired."""
-        cmd = self._command(*args)
+    def _run(self, cmd: List[str]) -> subprocess.CompletedProcess:
+        """Run the ``opt`` command line ``cmd``; a timeout raises TimeoutExpired."""
         try:
-            return subprocess.run(
-                cmd, capture_output=True, text=True, timeout=self.timeout
-            )
+            return subprocess.run(cmd, capture_output=True, text=True, timeout=self.timeout)
         except FileNotFoundError as exc:
             raise BackendUnavailable(f"opt executable not found: {cmd[0]!r}") from exc
 
@@ -229,53 +228,51 @@ class OptBackend:
                     weakref.finalize(self, self._pool.close)
         return self._pool if self._pool is not None and self._pool.usable else None
 
-    def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
-        """Apply the pipeline as ``opt -S -passes=<pipeline>`` does; count output.
+    def _apply(self, path: str, steps: Sequence[str]) -> EvaluationResult:
+        """What ``_command(path, steps)`` prints, counted, from one worker or one process.
 
         A missing input, a timeout, a nonzero exit and unbalanced output
         come back as failed results.
         """
-        path = str(Path(program))
         try:
             stamp = file_stamp(path)
         except (OSError, ValueError):
             return _failed(f"input file not found: {path}")
-        args = (f"-passes={print_pipeline(forest)}", path)
+        cmd = self._command(path, steps)
         pool = self._workers()
         try:
-            outcome = None if pool is None else pool.run(
-                path, stamp, [step.text for step in module_steps(forest)], self.timeout)
+            outcome = None if pool is None else pool.run(path, stamp, steps, self.timeout)
             if outcome is None:
-                return result_of(self._run(*args))
+                return result_of(self._run(cmd))
         except (TimeoutError, subprocess.TimeoutExpired):
-            return _failed(f"timeout after {self.timeout:g}s: {' '.join(self._command(*args))}")
+            return _failed(f"timeout after {self.timeout:g}s: {' '.join(cmd)}")
         if outcome.__class__ is str:
             return _failed(outcome)
         return EvaluationResult(instruction_count=outcome, status="ok")
 
+    def evaluate(self, program, forest: PipelineForest) -> EvaluationResult:
+        """Apply the pipeline as ``opt -S -passes=<pipeline>`` does; count output."""
+        return self._apply(str(Path(program)), [step.text for step in module_steps(forest)])
+
     def original_count(self, program) -> int:
-        """Instruction count of the input as ``opt -S`` prints it.
+        """Instruction count of the input as ``opt -S`` prints it, after no steps.
 
         Both ``.ll`` and ``.bc`` inputs are counted on that printing, the
         text every evaluation's output is counted on, so hand-written
         layouts (a trailing comment on a ``define`` line, a brace on its
         own line) count as ``opt`` reads them. The count is memoized per
         path, size and modification time, so the stages of one tune run
-        ``opt`` for it once.
+        it once. A failure raises BackendUnavailable naming the file.
         """
-        path = Path(program)
+        path = str(Path(program))
         try:
-            key = (str(path), *file_stamp(path))
+            key = (path, *file_stamp(path))
         except (OSError, ValueError) as exc:
             raise BackendUnavailable(f"input file not found: {path}") from exc
         count = self._counts.get(key)
         if count is None:
-            what = "disassembling" if path.suffix == ".bc" else "reading"
-            try:
-                proc = self._run(str(path))
-            except subprocess.TimeoutExpired as exc:
-                raise BackendUnavailable(f"timeout {what} {path}") from exc
-            if proc.returncode != 0:
-                raise BackendUnavailable(f"opt exited {proc.returncode} {what} {path}")
-            count = self._counts[key] = count_ir_instructions(proc.stdout)
+            result = self._apply(path, [])
+            if not result.ok:
+                raise BackendUnavailable(f"cannot count {path}: {result.detail}")
+            count = self._counts[key] = result.instruction_count
         return count

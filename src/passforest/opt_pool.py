@@ -171,6 +171,9 @@ class WorkerPool:
 
         ``stamp`` is the input's (size, modification time in ns) and
         ``units`` are the texts of a forest's ``forest.module_steps``.
+        No units give the count of ``opt -S <path> -o -``: a worker
+        verifies and prints the input. The index never answers that, as
+        no segment leads to it; ``OptBackend.original_count`` memoizes it.
         Returns the instruction count, or the detail of the failure
         (``opt exited <code>: <first stderr line>``, or why the output is
         malformed). When ``StateIndex.plan`` knows every step of the

@@ -336,6 +336,7 @@ def write_script(path, body):
 
 
 # Body of a fake ``opt`` that prints its input as ``opt -S <file> -o -``
-# does (how ``OptBackend.original_count`` reads it) and exits 1 on every
-# ``-passes=`` run, so every pipeline fails to evaluate.
+# does, which is the run of no steps ``OptBackend.original_count`` asks
+# for, and exits 1 on every ``-passes=module(<steps>)`` run, so every
+# pipeline fails to evaluate.
 FAIL_EVERY_PIPELINE = 'case "$2" in -passes=*) exit 1 ;; esac\ncat "$2"\n'

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from passforest import save_mock_program
 from passforest.cli import main
 from passforest.skeletons import SKELETON_VARIANT_NAMES
@@ -231,6 +232,24 @@ def test_mine_missing_dir_exit_2(tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
+def test_mine_into_a_missing_directory_evaluates_nothing(capsys, tmp_path, flag):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "p.ll").write_text("define void @f() {\n  ret void\n}\n")
+    calls = tmp_path / "calls"
+    fake = helpers.write_script(tmp_path / "opt", f'echo "$@" >> {calls}\ncat "$2"\n')
+    missing = tmp_path / "missing"
+    paths = {"--out": str(tmp_path / "g.json"), "--checkpoint": str(tmp_path / "g.ckpt")}
+    paths[flag] = str(missing / "g.json")
+    argv = ["mine", "--dataset", str(dataset), "--evaluator", "opt", "--opt-path", fake]
+    for name, path in paths.items():
+        argv += [name, path]
+    assert main(argv) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not calls.exists()
 
 
 def test_mine_bad_program_spec_names_the_file(capsys, tmp_path, m1_file, ab_registry_file):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import shutil
 import threading
 from collections import Counter
@@ -503,7 +504,7 @@ def test_opt_backend_original_count_is_memoized_per_file_state(tmp_path, ir_file
 
 def test_opt_backend_original_count_unreadable_ll(tmp_path, ir_file):
     fake = helpers.write_script(tmp_path / "opt", "echo 'bad input' >&2\nexit 1\n")
-    with pytest.raises(BackendUnavailable, match="opt exited 1 reading"):
+    with pytest.raises(BackendUnavailable, match=re.escape(f"{ir_file}: opt exited 1: bad input")):
         OptBackend(opt_path=fake).original_count(ir_file)
 
 
@@ -515,16 +516,19 @@ def test_opt_backend_original_count_disassembles_bc(tmp_path, ir_file):
 
 
 @pytest.mark.parametrize(
-    "body, timeout",
-    [("echo 'bad bitcode' >&2\nexit 1\n", 60.0), ("sleep 5\n", 0.2)],
+    "body, timeout, detail",
+    [
+        ("echo 'bad bitcode' >&2\nexit 1\n", 60.0, "opt exited 1: bad bitcode"),
+        ("sleep 5\n", 0.2, "timeout after 0.2s"),
+    ],
     ids=["nonzero-exit", "timeout"],
 )
-def test_opt_backend_original_count_bc_failure(tmp_path, body, timeout):
+def test_opt_backend_original_count_bc_failure(tmp_path, body, timeout, detail):
     bitcode = tmp_path / "input.bc"
     bitcode.write_bytes(b"BC\xc0\xde")
     fake = helpers.write_script(tmp_path / "opt", body)
     backend = OptBackend(opt_path=fake, timeout=timeout)
-    with pytest.raises(BackendUnavailable, match="disassembling"):
+    with pytest.raises(BackendUnavailable, match=re.escape(f"{bitcode}: {detail}")):
         backend.original_count(bitcode)
 
 

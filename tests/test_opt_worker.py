@@ -37,6 +37,7 @@ from passforest.opt_worker import instruction_count
 DATA = Path(__file__).resolve().parent / "data"
 NO_TRIPLE = str(DATA / "loops.ll")
 X86_TRIPLE = str(DATA / "vector_x86.ll")
+CHECKSUM = str(DATA.parents[1] / "bench" / "data" / "checksum.ll")
 SRC = str(Path(evaluation.__file__).resolve().parent.parent)
 
 
@@ -92,7 +93,8 @@ def _apply(backend, forest, path: str) -> subprocess.CompletedProcess:
 
 
 def _reference(pipeline: str, path: str) -> subprocess.CompletedProcess:
-    return OptBackend()._run(f"-passes={pipeline}", path)
+    """One ``opt`` process that runs the printed pipeline, not its steps."""
+    return OptBackend()._run([resolve_opt_path(), "-S", f"-passes={pipeline}", path, "-o", "-"])
 
 
 def _first_line(text: str) -> str:
@@ -154,6 +156,50 @@ def test_failures_read_the_same_on_both_paths(real_opt, monkeypatch, registry_te
     subprocess_result = _subprocess_only(monkeypatch).evaluate(NO_TRIPLE, forest)
     assert worker == subprocess_result
     assert not worker.ok and worker.detail.startswith("opt exited ")
+
+
+@pytest.fixture(scope="module")
+def loops_bc(real_opt, tmp_path_factory):
+    """``loops.ll`` as bitcode, written by the real opt."""
+    path = tmp_path_factory.mktemp("bitcode") / "loops.bc"
+    subprocess.run([resolve_opt_path(), NO_TRIPLE, "-o", str(path)], check=True, timeout=60)
+    return str(path)
+
+
+def _no_process(cmd):
+    raise AssertionError(f"an opt process started: {cmd}")
+
+
+def test_a_new_backend_counts_its_input_in_a_worker(real_opt, loops_bc, monkeypatch):
+    paths = [NO_TRIPLE, CHECKSUM, X86_TRIPLE, loops_bc]
+    backend = OptBackend()
+    assert backend._workers() is not None  # resolved before the process path is forced
+    processes = _subprocess_only(monkeypatch)
+    want = [processes.original_count(path) for path in paths]
+    monkeypatch.setattr(OptBackend, "_run", staticmethod(_no_process))
+    assert [backend.original_count(path) for path in paths] == want
+    assert want[3] == want[0]  # the bitcode counts as its text does
+
+
+def test_an_empty_forest_prints_the_input_on_both_paths(real_opt, monkeypatch):
+    # neither path runs a step: a worker gets none, opt gets no -passes
+    empty = PipelineForest(())
+    worker = OptBackend().evaluate(NO_TRIPLE, empty)
+    processes = _subprocess_only(monkeypatch)
+    assert worker.ok and worker == processes.evaluate(NO_TRIPLE, empty)
+    assert worker.instruction_count == processes.original_count(NO_TRIPLE)
+
+
+def test_bitcode_counts_as_its_text_on_both_paths(real_opt, registry, loops_bc, monkeypatch):
+    forest = parse_pipeline("module(function(gvn,adce))", registry)
+    backends = [OptBackend()]
+    assert backends[0]._workers() is not None
+    backends.append(_subprocess_only(monkeypatch))
+    for backend in backends:
+        assert backend.original_count(loops_bc) == backend.original_count(NO_TRIPLE)
+        result = backend.evaluate(loops_bc, forest)
+        assert result.ok and result == backend.evaluate(NO_TRIPLE, forest)
+        assert result.instruction_count < backend.original_count(NO_TRIPLE)
 
 
 # ---------------------------------------------------------------------------
