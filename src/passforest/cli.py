@@ -23,6 +23,8 @@ from .errors import (
     ParseError,
     PassForestError,
     SchemaError,
+    expect,
+    read_json,
 )
 from .evaluation import DEFAULT_OPT_TIMEOUT, OptBackend, check_timeout
 from .experiments import run_structure_study, structure_lines, tune, tune_lines
@@ -175,14 +177,20 @@ def _dataset_programs(args) -> list:
     return programs
 
 
+def _check_output_directories(*paths) -> None:
+    """Exit 2 when the directory of an output path (None: not given) does
+    not exist; commands call this before any evaluation, not after it."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise BackendUnavailable(f"directory not found: {Path(path).parent}")
+
+
 def cmd_mine(args) -> int:
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
     programs = _dataset_programs(args)
     checkpoint = args.checkpoint or (args.out + ".ckpt")
-    for directory in (Path(args.out).parent, Path(checkpoint).parent):
-        if not directory.is_dir():  # checked before mining, not after it
-            raise BackendUnavailable(f"directory not found: {directory}")
+    _check_output_directories(args.out, checkpoint)
     graph = mine_synergies(
         programs,
         registry,
@@ -243,6 +251,7 @@ def _write_log(args, log) -> None:
 
 
 def cmd_search(args) -> int:
+    _check_output_directories(args.log)
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
     graph = _graph_arg(args)
@@ -290,6 +299,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    _check_output_directories(args.log)
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
     graph = _graph_arg(args)
@@ -323,54 +333,36 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path: str):
-    """The JSON value in ``path``; contents that are not JSON are invalid
-    input, named by the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise BackendUnavailable(f"file not found: {path}")
-    except ValueError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _count(row: dict, key: str, positive: bool = False) -> int:
-    # bool is an int subclass; floats, even whole or infinite, are not counts
-    value = row[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} {value!r} is not an integer")
+def _count(row: dict, key: str, program: str, positive: bool = False) -> int:
+    value = expect(row.get(key), "integer", f"{key} of program {program!r}")
     if value < 0:
-        raise ValueError(f"program {row['program']!r}: {key} {value} is negative")
+        raise SchemaError(f"program {program!r}: {key} {value} is negative")
     if positive and value == 0:
-        raise ValueError(f"{key} 0 of program {row['program']!r} cannot anchor a percentage")
+        raise SchemaError(f"{key} 0 of program {program!r} cannot anchor a percentage")
     return value
 
 
 def cmd_report(args) -> int:
-    rows = _read_json(args.results)
-    labels = _read_json(args.manifest) if args.manifest else {}
-    if not isinstance(labels, dict):
-        raise SchemaError(f"{args.manifest}: expected an object of dataset labels")
-    if not isinstance(rows, list):
-        raise SchemaError(f"{args.results}: expected a list of result rows")
+    rows = read_json(args.results)
+    labels = read_json(args.manifest) if args.manifest else {}
     try:
-        results = [
-            ProgramResult(
-                program_id=str(row["program"]),
-                ic_oz=_count(row, "ic_oz", positive=True),
-                ic_tuned=_count(row, "ic_tuned"),
-                dataset=str(
-                    row.get("dataset") or labels.get(str(row["program"]), "default")
-                ),
-            )
-            for row in rows
-        ]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(
-            f"{args.results}: each row needs program, ic_oz and ic_tuned "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
-    except ValueError as exc:  # a count out of range
+        for label in expect(labels, "object", "the manifest").values():
+            expect(label, "string", "each dataset label")
+    except SchemaError as exc:
+        raise SchemaError(f"{args.manifest}: {exc}") from exc
+    try:
+        results = []
+        for row in expect(rows, "list", "the result rows"):
+            expect(row, "object", "each row")
+            program = expect(row.get("program"), "string", "each row's program")
+            dataset = expect(row.get("dataset", ""), "string", f"the dataset of {program!r}")
+            results.append(ProgramResult(
+                program_id=program,
+                ic_oz=_count(row, "ic_oz", program, positive=True),
+                ic_tuned=_count(row, "ic_tuned", program),
+                dataset=dataset or labels.get(program, "default"),
+            ))
+    except SchemaError as exc:
         raise SchemaError(f"{args.results}: {exc}") from exc
     try:
         report = aggregate(results)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how JSON input is read."""
+
+import json
+import sys
+from pathlib import Path
 
 
 class PassForestError(Exception):
@@ -54,7 +58,41 @@ class InvalidPipeline(PassForestError):
 
 
 class SchemaError(PassForestError):
-    """A serialized graph or mock-program file violates its schema."""
+    """A JSON input file (mock program, graph, checkpoint, report results
+    or manifest) violates its schema."""
+
+
+_JSON_KINDS = {
+    "object": (dict, "an object"),
+    "list": (list, "a list"),
+    "string": (str, "a string"),
+    "integer": (int, "an integer"),
+    "number": ((int, float), "a finite number"),
+}
+
+
+def read_json(path):
+    """The JSON value of the UTF-8 file at ``path``; ``SchemaError`` naming
+    the file when its text is not JSON, not UTF-8 or nested too deeply to
+    read."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: also not UTF-8
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def expect(value, kind: str, what: str):
+    """``value`` when it is a JSON ``kind`` ("object", "list", "string",
+    "integer" or "number"), else ``SchemaError`` naming ``what``. A bool is
+    neither an integer nor a number, and a number must be a finite float."""
+    types, name = _JSON_KINDS[kind]
+    if (
+        isinstance(value, types)
+        and not isinstance(value, bool)
+        and (kind != "number" or abs(value) <= sys.float_info.max)
+    ):
+        return value
+    raise SchemaError(f"{what} must be {name}")
 
 
 class InvalidBaseline(PassForestError):

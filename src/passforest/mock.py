@@ -51,7 +51,7 @@ from pathlib import Path
 from itertools import accumulate
 from typing import Dict, List, Mapping, NamedTuple, Set, Tuple, Union
 
-from .errors import SchemaError
+from .errors import SchemaError, expect, read_json
 from .evaluation import EvaluationResult, file_stamp
 from .forest import Leaf, Manager, PipelineForest, module_steps
 from .registry import PassLevel
@@ -342,48 +342,13 @@ class _SequencePlan:
 # JSON spec files.
 # ---------------------------------------------------------------------------
 
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"bad mock program spec: {what} {value!r}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    # bool is an int subclass; strings and floats are not integers either
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"bad mock program spec: {what} {value!r} is not an integer")
-    return value
-
-
 def _bonuses(entries, table: str) -> Dict[Tuple[str, str], int]:
     bonuses = {}
-    for e in entries:
-        key = (_string(e["p"], f"{table} pass"), _string(e["q"], f"{table} pass"))
-        bonuses[key] = _integer(e["bonus"], f"{table} bonus")
+    for e in expect(entries, "list", table):
+        expect(e, "object", f"each {table} entry")
+        p, q = (expect(e.get(k), "string", f"{table} pass") for k in ("p", "q"))
+        bonuses[p, q] = expect(e.get("bonus"), "integer", f"{table} bonus")
     return bonuses
-
-
-def mock_program_from_dict(spec: Mapping) -> MockProgram:
-    try:
-        functions = tuple(
-            MockFunction(
-                _string(f["name"], "function name"), _integer(f["base_ic"], "base_ic")
-            )
-            for f in spec["functions"]
-        )
-        call_edges = tuple(
-            (_string(caller, "function name"), _string(callee, "function name"))
-            for caller, callee in spec.get("calls", ())
-        )
-        effects = {
-            str(k): _integer(v, f"effect of {k!r}")
-            for k, v in spec.get("effects", {}).items()
-        }
-        synergy = _bonuses(spec.get("pair_synergy", ()), "pair_synergy")
-        coupling = _bonuses(spec.get("coupling", ()), "coupling")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad mock program spec: {exc}") from exc
-    return MockProgram(functions, call_edges, effects, synergy, coupling)
 
 
 def mock_program_to_dict(program: MockProgram) -> dict:
@@ -405,13 +370,30 @@ def mock_program_to_dict(program: MockProgram) -> dict:
 
 
 def load_mock_program(path: Union[str, Path]) -> MockProgram:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except ValueError as exc:  # also text that is not UTF-8
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    spec = read_json(path)
     try:
-        return mock_program_from_dict(spec)
+        expect(spec, "object", "the mock program spec")
+        functions = []
+        for f in expect(spec.get("functions"), "list", "functions"):
+            expect(f, "object", "each function")
+            functions.append(
+                MockFunction(
+                    expect(f.get("name"), "string", "function name"),
+                    expect(f.get("base_ic"), "integer", "base_ic"),
+                )
+            )
+        call_edges = []
+        for edge in expect(spec.get("calls", []), "list", "calls"):
+            if len(expect(edge, "list", "each call")) != 2:
+                raise SchemaError(f"call {edge!r} is not two function names")
+            call_edges.append(tuple(expect(n, "string", "function name") for n in edge))
+        effects = {
+            k: expect(v, "integer", f"effect of {k!r}")
+            for k, v in expect(spec.get("effects", {}), "object", "effects").items()
+        }
+        synergy = _bonuses(spec.get("pair_synergy", []), "pair_synergy")
+        coupling = _bonuses(spec.get("coupling", []), "coupling")
+        return MockProgram(tuple(functions), tuple(call_edges), effects, synergy, coupling)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import SchemaError
+from .errors import SchemaError, expect, read_json
 from .evaluation import Evaluator, file_stamp
 from .forest import PipelineForest, minimal_wrap
 from .registry import PassInfo, PassRegistry
@@ -35,7 +35,6 @@ INTRA_LEVEL = "intra"
 INTER_LEVEL = "inter"
 
 _WEIGHT_TOL = 1e-9
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
 def classify_synergy_type(p1: PassInfo, p2: PassInfo) -> str:
@@ -246,44 +245,36 @@ def _save_checkpoint(path, registry_hash, records):
     tmp.replace(path)
 
 
-def _expect(value, kind: type, what: str):
-    """``value`` when it is a ``kind``, else TypeError naming ``what``."""
-    # bool is an int subclass, but JSON true is not a count
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise TypeError(f"{what} must be {_KIND_NAMES[kind]}")
-    return value
-
-
 def _load_checkpoint(path, registry: PassRegistry):
     """The program records of a checkpoint mined with ``registry``."""
+    payload = read_json(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        payload = _expect(json.loads(text), dict, "the checkpoint")
+        expect(payload, "object", "the checkpoint")
         if "counts" in payload or "done" in payload:
             raise SchemaError(
-                f"checkpoint {path} holds merged counts from an older "
-                "passforest; delete it and mine again"
+                "the checkpoint holds merged counts from an older passforest; "
+                "delete it and mine again"
             )
         if payload.get("registry_hash") != registry.content_hash():
-            raise SchemaError(f"checkpoint {path} was mined with a different registry")
+            raise SchemaError("the checkpoint was mined with a different registry")
         records = {}
-        for pid, record in _expect(payload.get("programs"), dict, "programs").items():
-            _expect(record, dict, f"the record of {pid}")
+        for pid, record in expect(payload.get("programs"), "object", "programs").items():
+            expect(record, "object", f"the record of {pid}")
             stamp = record.get("stamp")
             if stamp is not None:
-                for n in _expect(stamp, list, f"the stamp of {pid}"):
-                    _expect(n, int, f"each stamp entry of {pid}")
+                for n in expect(stamp, "list", f"the stamp of {pid}"):
+                    expect(n, "integer", f"each stamp entry of {pid}")
             pairs = set()
-            for pair in _expect(record.get("pairs"), list, f"the pairs of {pid}"):
-                names = _expect(pair, list, f"each pair of {pid}")
+            for pair in expect(record.get("pairs"), "list", f"the pairs of {pid}"):
+                names = expect(pair, "list", f"each pair of {pid}")
                 if len(names) != 2 or not all(
-                    isinstance(n, str) and n in registry for n in names
+                    expect(n, "string", f"each pass of {pid}") in registry for n in names
                 ):
-                    raise ValueError(f"{pair} of {pid} is not two registry passes")
+                    raise SchemaError(f"{pair} of {pid} is not two registry passes")
                 pairs.add(tuple(names))
             records[pid] = (stamp, pairs)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"checkpoint {path}: bad schema: {exc}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return records
 
 
@@ -307,34 +298,27 @@ def save_graph(graph: SynergyGraph, sink: Union[str, Path]) -> None:
 
 
 def load_graph(source: Union[str, Path]) -> SynergyGraph:
+    payload = read_json(source)
     try:
-        payload = json.loads(Path(source).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also text that is not UTF-8
-        raise SchemaError(f"{source}: not valid JSON: {exc}") from exc
-    try:
-        _expect(payload, dict, "the graph")
-        for node in _expect(payload.get("nodes", []), list, "nodes"):
-            _expect(node, str, "each node")
-        edges = [
-            SynergyEdge(
-                src=_expect(e["from"], str, "an edge's 'from'"),
-                dst=_expect(e["to"], str, "an edge's 'to'"),
+        expect(payload, "object", "the graph")
+        for node in expect(payload.get("nodes", []), "list", "nodes"):
+            expect(node, "string", "each node")
+        edges = []
+        for e in expect(payload.get("edges"), "list", "edges"):
+            expect(e, "object", "each edge")
+            if e.get("type") not in (INTRA_LEVEL, INTER_LEVEL):
+                raise SchemaError(f"unknown edge type {e.get('type')!r}")
+            edges.append(SynergyEdge(
+                src=expect(e.get("from"), "string", "an edge's 'from'"),
+                dst=expect(e.get("to"), "string", "an edge's 'to'"),
                 edge_type=e["type"],
-                weight=float(e["weight"]),
-            )
-            for e in _expect(payload["edges"], list, "edges")
-        ]
+                weight=float(expect(e.get("weight"), "number", "an edge's weight")),
+            ))
         start_weights = {
-            k: float(v)
-            for k, v in _expect(payload["start_weights"], dict, "start_weights").items()
+            k: float(expect(v, "number", f"the start weight of {k!r}"))
+            for k, v in expect(payload.get("start_weights"), "object", "start_weights").items()
         }
-        meta = _expect(payload.get("meta", {}), dict, "meta")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{source}: bad graph schema: {exc}") from exc
-    for edge in edges:
-        if edge.edge_type not in (INTRA_LEVEL, INTER_LEVEL):
-            raise SchemaError(f"{source}: unknown edge type {edge.edge_type!r}")
-    try:
+        meta = expect(payload.get("meta", {}), "object", "meta")
         return SynergyGraph(edges, start_weights, meta)
     except SchemaError as exc:
         raise SchemaError(f"{source}: {exc}") from exc

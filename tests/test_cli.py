@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from passforest import save_mock_program
+from passforest import MockBackend, save_mock_program
 from passforest.cli import main
 from passforest.skeletons import SKELETON_VARIANT_NAMES
 
@@ -111,10 +111,14 @@ def test_evaluate_deep_call_cycle_is_invalid_input(capsys, tmp_path):
     assert "call graph has a cycle" in capsys.readouterr().err
 
 
-def _assert_one_line_error(capsys):
+def _assert_one_line_error(capsys, *files):
+    """One line on stderr, no traceback, starting with the name of one of
+    ``files`` when any are given."""
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if files:
+        assert err.startswith(tuple(f"error: {f}: " for f in files)), err
 
 
 @pytest.mark.parametrize(
@@ -156,6 +160,10 @@ def _assert_one_line_error(capsys):
             "calls": [["f", "g"]],
             "coupling": [{"p": "gvn", "q": "adce", "bonus": -50}],
         },
+        {
+            "functions": [{"name": "a", "base_ic": 10}, {"name": "b", "base_ic": 10}],
+            "calls": ["ab"],
+        },
     ],
     ids=[
         "effects-not-object",
@@ -174,6 +182,7 @@ def _assert_one_line_error(capsys):
         "coupling-pass-null",
         "synergy-bonus-negative",
         "coupling-bonus-negative",
+        "call-edge-string",
     ],
 )
 def test_evaluate_malformed_mock_spec_is_invalid_input(capsys, tmp_path, spec):
@@ -183,7 +192,7 @@ def test_evaluate_malformed_mock_spec_is_invalid_input(capsys, tmp_path, spec):
         ["evaluate", "--program", str(program), "--pipeline", "module(globalopt)"]
     )
     assert code == 1
-    _assert_one_line_error(capsys)
+    _assert_one_line_error(capsys, program)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +466,26 @@ def test_search_log_file(tmp_path, m1_file, ab_registry_file, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["search", "tune"])
+def test_a_log_into_a_missing_directory_evaluates_nothing(
+    capsys, monkeypatch, tmp_path, m1_file, command
+):
+    calls = []
+    for method in ("evaluate", "original_count"):
+        real = getattr(MockBackend, method)
+        monkeypatch.setattr(
+            MockBackend, method,
+            lambda self, *args, _real=real: calls.append(args) or _real(self, *args),
+        )
+    missing = tmp_path / "missing"
+    argv = [command, "--program", m1_file, "--log", str(missing / "log.jsonl")]
+    assert main(argv) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert calls == []
+    assert main(argv[:-2] + ["--population", "4", "--generations", "1"]) == 0
+    assert calls  # the spy sees a run that evaluates
+
+
 def _graph(**overrides):
     graph = {
         "nodes": ["a", "b"],
@@ -485,11 +514,15 @@ def _edge(**overrides):
         _graph(edges=[_edge(weight="nan")]),
         _graph(edges=[_edge(weight=float("inf"))]),
         _graph(start_weights={"a": 1.5, "b": -0.5}),
+        _graph(edges=[_edge(weight="1")]),
+        _graph(edges=[_edge(weight=True)]),
+        _graph(start_weights={"a": "1"}),
     ],
     ids=[
         "not-object", "start-weights-list", "edge-from-int", "edge-not-object",
         "nodes-int", "node-not-string", "meta-list", "weight-nan-string",
-        "weight-infinity", "start-weight-negative",
+        "weight-infinity", "start-weight-negative", "weight-string", "weight-bool",
+        "start-weight-string",
     ],
 )
 def test_search_malformed_graph_is_invalid_input(
@@ -506,7 +539,7 @@ def test_search_malformed_graph_is_invalid_input(
         "--generations", "1",
     ]
     assert main(argv) == 1
-    _assert_one_line_error(capsys)
+    _assert_one_line_error(capsys, path)
 
 
 @pytest.mark.parametrize(
@@ -704,22 +737,29 @@ def test_report_missing_file_exit_2(tmp_path):
         ([{"program": "p", "ic_oz": float("inf"), "ic_tuned": 90}], None),
         ([{"program": "p", "ic_oz": 10.7, "ic_tuned": 9}], None),
         ([{"program": "p", "ic_oz": 100, "ic_tuned": True}], None),
+        ([{"program": ["x"], "ic_oz": 100, "ic_tuned": 90}], None),
+        ([{"program": "p", "ic_oz": 100, "ic_tuned": 90, "dataset": 5}], None),
         ([{"program": "p", "ic_oz": 100, "ic_tuned": 90}], [1]),
+        ([{"program": "p", "ic_oz": 100, "ic_tuned": 90}], {"p": 5}),
     ],
     ids=[
         "row-without-keys", "rows-not-list", "row-not-object", "count-null",
-        "count-infinite", "count-float", "count-bool", "manifest-not-object",
+        "count-infinite", "count-float", "count-bool", "program-list", "dataset-int",
+        "manifest-not-object", "manifest-label-int",
     ],
 )
 def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifest):
-    results = tmp_path / "results.json"
+    """A case with a manifest is a fault of the manifest, the others of the
+    results file."""
+    bad = results = tmp_path / "results.json"
     results.write_text(json.dumps(rows))
     argv = ["report", "--results", str(results)]
     if manifest is not None:
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        argv += ["--manifest", str(tmp_path / "manifest.json")]
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        argv += ["--manifest", str(bad)]
     assert main(argv) == 1
-    _assert_one_line_error(capsys)
+    _assert_one_line_error(capsys, bad)
 
 
 @pytest.mark.parametrize(
@@ -753,6 +793,31 @@ def test_report_invalid_json_names_the_file(capsys, tmp_path, bad):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {files[bad]}: not valid JSON: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag", ["--program", "--graph", "--checkpoint", "--results", "--manifest"]
+)
+def test_json_nested_too_deeply_names_the_file(capsys, tmp_path, m1_file, flag):
+    deep = str(tmp_path / "deep.json")
+    Path(deep).write_text("[" * 100_000 + "]" * 100_000)
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    save_mock_program_from(m1_file, dataset / "m1.json")
+    results = tmp_path / "results.json"
+    results.write_text('[{"program": "p", "ic_oz": 100, "ic_tuned": 90}]')
+    argv = {
+        "--program": ["evaluate", "--program", deep, "--pipeline", "module(globalopt)"],
+        "--graph": ["search", "--program", m1_file, "--graph", deep],
+        "--checkpoint": [
+            "mine", "--dataset", str(dataset), "--out", str(tmp_path / "g.json"),
+            "--checkpoint", deep,
+        ],
+        "--results": ["report", "--results", deep],
+        "--manifest": ["report", "--results", str(results), "--manifest", deep],
+    }[flag]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys, deep)
 
 
 # ---------------------------------------------------------------------------

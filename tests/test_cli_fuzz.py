@@ -10,6 +10,7 @@ traceback on stderr.
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -170,16 +171,73 @@ def test_mock_program_fuzz(argv, spec):
     _run(argv + ["--json"], {"prog.json": spec})
 
 
+_NOT_JSON = object()
+
+
+def _parsed(contents):
+    """The JSON value of fuzzed file contents read as UTF-8, or _NOT_JSON."""
+    try:
+        if isinstance(contents, bytes):
+            contents = contents.decode("utf-8")
+        return json.loads(contents)
+    except ValueError:
+        return _NOT_JSON
+
+
+def _weight(value) -> bool:
+    """A JSON number (never a bool) that is finite and >= 0."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+
+
+def _valid_graph(contents) -> bool:
+    """Whether ``contents`` is a graph ``search`` and ``tune`` must accept:
+    string nodes, edges of two strings, a known type and a weight, start
+    weights, an object for meta, and outgoing and start weights that each
+    sum to 1."""
+    doc = _parsed(contents)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("nodes", []), list)
+        and all(isinstance(n, str) for n in doc.get("nodes", []))
+        and isinstance(doc.get("edges"), list)
+        and isinstance(doc.get("start_weights"), dict)
+        and isinstance(doc.get("meta", {}), dict)
+    ):
+        return False
+    edges, starts = doc["edges"], sorted(doc["start_weights"].items())
+    if not all(
+        isinstance(e, dict)
+        and isinstance(e.get("from"), str)
+        and isinstance(e.get("to"), str)
+        and e.get("type") in ("intra", "inter")
+        and _weight(e.get("weight"))
+        for e in edges
+    ) or not all(_weight(w) for _, w in starts):
+        return False
+    # summed in the order SynergyGraph sums them
+    out = {}
+    for e in sorted(edges, key=lambda e: (e["from"], e["to"])):
+        out[e["from"]] = out.get(e["from"], 0.0) + float(e["weight"])
+    totals = list(out.values()) + ([sum(float(w) for _, w in starts)] if starts else [])
+    return all(abs(total - 1.0) <= 1e-9 for total in totals)
+
+
 @given(st.sampled_from(["search", "tune"]), _file_contents(_VALID_GRAPH))
 @example("search", json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), 10**400)))
 @example("tune", json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), 10**400)))
+@example("search", json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), "1")))
+@example("search", json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), True)))
+@example("tune", json.dumps(_replaced(_VALID_GRAPH, ("start_weights", "gvn"), "1")))
+@example("search", json.dumps(_replaced(_VALID_GRAPH, ("edges", 0, "weight"), 1)))
+@example("search", json.dumps(_VALID_GRAPH))
 @settings(max_examples=200, deadline=None)
 def test_graph_fuzz(command, graph):
     argv = [
         command, "--program", "prog.json", "--graph", "graph.json",
         "--population", "3", "--generations", "1", "--max-len", "4", "--json",
     ]
-    _run(argv, {"prog.json": json.dumps(_VALID_SPEC), "graph.json": graph})
+    code = _run(argv, {"prog.json": json.dumps(_VALID_SPEC), "graph.json": graph})
+    assert code == (0 if _valid_graph(graph) else 1), graph
 
 
 _CKPT_REGISTRY = "gvn=function\nadce=function\n"
@@ -196,15 +254,7 @@ _VALID_CHECKPOINT = {
 def _valid_checkpoint(contents) -> bool:
     """Whether ``contents`` is a checkpoint ``mine`` must accept: records
     of a stamp (null or integers) and pairs of two registry passes."""
-    if isinstance(contents, bytes):
-        try:
-            contents = contents.decode("utf-8")
-        except ValueError:
-            return False
-    try:
-        doc = json.loads(contents)
-    except ValueError:
-        return False
+    doc = _parsed(contents)
     if not (isinstance(doc, dict) and "counts" not in doc and "done" not in doc
             and doc.get("registry_hash") == _CKPT_HASH
             and isinstance(doc.get("programs"), dict)):

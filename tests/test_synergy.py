@@ -234,8 +234,11 @@ def test_load_rejects_bad_start_weights(tmp_path):
 
 @pytest.mark.parametrize(
     "weights",
-    [('"nan"', "1.0"), ("NaN", "1.0"), ("1.5", "-0.5"), ("1.0", "Infinity")],
-    ids=["nan-string", "nan-literal", "negative", "infinity"],
+    [
+        ('"nan"', "1.0"), ("NaN", "1.0"), ("1.5", "-0.5"), ("1.0", "Infinity"),
+        ('"1"', "0"), ("true", "0"),
+    ],
+    ids=["nan-string", "nan-literal", "negative", "infinity", "string", "bool"],
 )
 def test_load_rejects_weights_not_finite_or_negative(tmp_path, weights):
     ab, ac = weights
