@@ -5,12 +5,15 @@ Two backends implement it: the mock simulator (``mock`` module) and
 Backends are safe for concurrent independent invocations and results
 never depend on invocation interleaving. One forest is evaluated with
 ``backend.evaluate``; mining, search and refinement fan out through
-``Evaluator.map``, which memoizes by pipeline string. ``map`` fans
-``opt`` calls out to a thread pool, since each one waits on another
-process: a long-lived libLLVM worker (``opt_worker``) when the ``opt``
-binary links a usable libLLVM, else one ``opt`` process per call. The
-mock is pure Python and always runs serially, since threads would only
-contend for the GIL.
+``Evaluator.map``, which memoizes by pipeline string. ``map`` runs
+``opt`` calls concurrently, since each one waits on another process: a
+long-lived libLLVM worker (``opt_worker``) when the ``opt`` binary links
+a usable libLLVM, else one ``opt`` process per call. The calling
+thread evaluates forests itself, with up to ``parallel - 1`` helper
+threads beside it taking the next pending forest in turn; the first
+exception from any call stops every thread from taking another, and
+``map`` raises it. The mock is pure Python and always runs serially on
+the calling thread, since threads would only contend for the GIL.
 
 ``OptBackend`` runs the texts of the forest's module-level steps
 (``forest.module_steps``) as ``opt -passes=module(<steps>)``, which
@@ -31,7 +34,6 @@ import os
 import subprocess
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,12 +64,14 @@ class EvaluationResult:
 
 
 class Evaluator:
-    """Memoized, optionally threaded evaluation of forests on one program.
+    """Memoized, optionally concurrent evaluation of forests on one program.
 
     Results are memoized by canonical pipeline string, so a pipeline
     reaches the backend at most once per evaluator, however often it is
     submitted. ``results`` maps each evaluated string to its result and
-    ``forests`` to the first forest submitted under it.
+    ``forests`` to the first forest submitted under it. At most
+    ``parallel`` backend calls are in flight at once, one of them on the
+    calling thread.
     """
 
     def __init__(self, backend, program, parallel: int = 1):
@@ -83,9 +87,15 @@ class Evaluator:
         """Evaluate every forest not yet seen; results in input order.
 
         With ``parallel > 1``, more than one pending forest and a backend
-        other than the mock, backend calls run on a thread pool; the
-        results do not depend on it. The policy reads ``backend.name``,
-        so wrappers that forward ``name`` get the same policy.
+        other than the mock, the calling thread and
+        ``min(parallel, pending) - 1`` helper threads each take the next
+        pending forest until none is left; every result goes to its
+        forest's slot, so the results do not depend on timing. The policy
+        reads ``backend.name``, so wrappers that forward ``name`` get the
+        same policy. The first exception a backend call raises (a
+        ``KeyboardInterrupt`` on the calling thread included) stops every
+        thread from taking another forest; ``map`` raises it once the
+        helpers have finished, and the memo is left unchanged.
         """
         keys = [print_pipeline(forest) for forest in forests]
         pending: Dict[str, PipelineForest] = {}
@@ -93,9 +103,9 @@ class Evaluator:
             if key not in self.results and key not in pending:
                 pending[key] = forest
         todo = list(pending.values())
-        if self.parallel > 1 and len(todo) > 1 and self.backend.name != "mock":
-            with ThreadPoolExecutor(max_workers=self.parallel) as pool:
-                fresh = list(pool.map(self._evaluate, todo))
+        threads = min(self.parallel, len(todo))
+        if threads > 1 and self.backend.name != "mock":
+            fresh = self._evaluate_on(threads, todo)
         else:
             fresh = [self._evaluate(forest) for forest in todo]
         self.results.update(zip(pending, fresh))
@@ -104,6 +114,37 @@ class Evaluator:
 
     def _evaluate(self, forest: PipelineForest) -> EvaluationResult:
         return self.backend.evaluate(self.program, forest)
+
+    def _evaluate_on(
+        self, threads: int, todo: List[PipelineForest]
+    ) -> List[EvaluationResult]:
+        """Evaluate ``todo`` on the calling thread and ``threads - 1`` helpers."""
+        fresh: list = [None] * len(todo)
+        indices = iter(range(len(todo)))
+        lock = threading.Lock()
+        raised: List[BaseException] = []
+
+        def work():
+            try:
+                while True:
+                    with lock:
+                        index = None if raised else next(indices, None)
+                    if index is None:
+                        return
+                    fresh[index] = self._evaluate(todo[index])
+            except BaseException as exc:  # handed to the caller, which raises it
+                with lock:
+                    raised.append(exc)
+
+        helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+        if raised:
+            raise raised[0]
+        return fresh
 
 
 def count_ir_instructions(ir_text: str) -> int:

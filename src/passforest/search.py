@@ -83,11 +83,12 @@ def _weighted_pick(rng: random.Random, items: Sequence, weights: Sequence[float]
 
 
 def _known_successors(graph: SynergyGraph, registry: PassRegistry, name: str) -> list:
-    """The graph's edges out of ``name`` to passes of ``registry`` with a level, in order."""
+    """The graph's edges of weight > 0 out of ``name`` to passes of
+    ``registry`` with a level, in order."""
     return [
         e
         for e in graph.successors(name)
-        if e.dst in registry and registry.level_of(e.dst) is not None
+        if e.weight > 0 and e.dst in registry and registry.level_of(e.dst) is not None
     ]
 
 
@@ -120,13 +121,15 @@ def weighted_walk_init(
     The start pass follows the mined start distribution and each
     successor is drawn proportionally to its synergy weight, until the
     walk has ``max_sequence_length`` passes or a pass without a
-    successor; ``forest.nested_forest`` then places the walk. An empty
-    graph falls back to a uniformly random valid forest.
+    successor; ``forest.nested_forest`` then places the walk. Names and
+    edges of weight 0 are never drawn, and a graph without a start pass
+    of weight > 0 in ``registry`` falls back to a uniformly random valid
+    forest.
     """
     names = [
         name
-        for name in graph.start_weights
-        if name in registry and registry.level_of(name) is not None
+        for name, weight in graph.start_weights.items()
+        if weight > 0 and name in registry and registry.level_of(name) is not None
     ]
     if not names:
         return Individual(

@@ -16,7 +16,6 @@ identical graph, and a changed file is mined again.
 
 import hashlib
 import json
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +28,14 @@ from .forest import PipelineForest, minimal_wrap
 from .registry import PassInfo, PassRegistry
 from .skeletons import representative_skeleton
 
-logger = logging.getLogger(__name__)
+
+def _logger():
+    """This module's logger; ``logging`` is imported on the first message,
+    so that importing passforest does not load it."""
+    import logging
+
+    return logging.getLogger(__name__)
+
 
 INTRA_LEVEL = "intra"
 INTER_LEVEL = "inter"
@@ -171,14 +177,14 @@ def mine_program_pairs(
         if res.ok:
             perf[info.name] = ic_orig - res.instruction_count
         else:
-            logger.warning("skipping pass %s: %s", info.name, res.detail)
+            _logger().warning("skipping pass %s: %s", info.name, res.detail)
     usable = [p for p in passes if p.name in perf]
     pairs = [(p1, p2) for p1 in usable for p2 in usable]
     results = evaluator.map([representative_skeleton(p1, p2) for p1, p2 in pairs])
     synergistic: Set[Tuple[str, str]] = set()
     for (p1, p2), res in zip(pairs, results):
         if not res.ok:
-            logger.warning(
+            _logger().warning(
                 "skipping pair (%s, %s): %s", p1.name, p2.name, res.detail
             )
         elif ic_orig - res.instruction_count > perf[p1.name] + perf[p2.name]:
@@ -219,7 +225,7 @@ def mine_synergies(
     records: Dict[str, Tuple[Optional[List[int]], Set[Tuple[str, str]]]] = {}
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         records = _load_checkpoint(checkpoint_path, registry)
-        logger.info("checkpoint holds %d program record(s)", len(records))
+        _logger().info("checkpoint holds %d program record(s)", len(records))
     current: Dict[str, Set[Tuple[str, str]]] = {}
     for index, ref in enumerate(dataset):
         pid, stamp = _program_key(ref, index)

@@ -560,6 +560,36 @@ def test_graph_invariant_errors_name_the_file(
 
 
 @pytest.mark.parametrize(
+    "graph",
+    [
+        {"edges": [], "start_weights": {"gvn": 0.0, "zzz": 1.0}},
+        {
+            "edges": [
+                _edge(**{"from": "gvn", "to": "adce", "weight": 0.0}),
+                _edge(**{"from": "gvn", "to": "zzz", "weight": 1.0}),
+            ],
+            "start_weights": {"gvn": 1.0},
+        },
+    ],
+    ids=["start-weight-zero", "edge-weight-zero"],
+)
+def test_search_never_draws_a_weight_of_zero(capsys, tmp_path, graph):
+    # zzz is not a registry pass, so every registry weight a draw sees is 0
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    argv = [
+        "search",
+        "--program", str(BENCH_DATA / "mock_tune.json"),
+        "--graph", str(path),
+        "--population", "4",
+        "--generations", "2",
+        "--json",
+    ]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["best_pipeline"]
+
+
+@pytest.mark.parametrize(
     "flag, content",
     [
         ("--registry", b"\xff\xfe{"),

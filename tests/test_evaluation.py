@@ -1,8 +1,12 @@
 import dataclasses
+import itertools
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -30,6 +34,7 @@ from passforest import (
     save_mock_program,
     schedule_of,
 )
+from passforest import evaluation
 from passforest.evaluation import Evaluator, EvaluationResult, resolve_opt_path
 from passforest.forest import module_steps
 from passforest.refine import _all_chromosomes, decision_points, decode
@@ -588,13 +593,110 @@ def test_evaluator_calls_backend_once_per_pipeline_across_maps(ab_forests):
     assert len(backend.calls) == len(evaluator.results) == 3
 
 
-def test_evaluator_parallel_matches_serial(ab_forests):
-    forests = ab_forests * 3
+@pytest.fixture
+def six_forests(ab_registry):
+    texts = [
+        "module(function(a))",
+        "module(function(b))",
+        "module(function(a,b))",
+        "module(function(b,a))",
+        "module(function(a),function(b))",
+        "module(function(b),function(a))",
+    ]
+    return [parse_pipeline(text, ab_registry) for text in texts]
+
+
+class InFlightBackend(CountingBackend):
+    """Records the threads that call it and the most calls in flight at once;
+    ``wait`` runs inside each call."""
+
+    def __init__(self, wait=lambda: None):
+        super().__init__()
+        self.wait = wait
+        self.threads = []
+        self.in_flight = self.most_in_flight = 0
+
+    def evaluate(self, program, forest):
+        with self._lock:
+            self.threads.append(threading.get_ident())
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        try:
+            self.wait()
+            return super().evaluate(program, forest)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_evaluator_parallel_matches_serial(ab_registry):
+    # More threads than cores, switching as often as they can and at each
+    # call: a forest taken by two threads, or by none, or a result put in
+    # the wrong slot, shows in the calls or the results.
+    distinct = [
+        parse_pipeline(f"module(function({','.join(names)}))", ab_registry)
+        for length in range(1, 8)
+        for names in itertools.product("ab", repeat=length)
+    ]
+    forests = distinct * 3
     serial = Evaluator(CountingBackend(), "prog", parallel=1).map(forests)
-    backend = CountingBackend()
-    threaded = Evaluator(backend, "prog", parallel=4).map(forests)
+    backend = InFlightBackend(lambda: time.sleep(0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = Evaluator(backend, "prog", parallel=8).map(forests)
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == serial
     assert set(backend.calls.values()) == {1}
+    assert len(backend.calls) == len(distinct)
+    assert backend.most_in_flight <= 8
+
+
+@pytest.mark.parametrize("parallel", [2, 3])
+def test_evaluator_overlaps_calls_on_the_calling_thread(six_forests, parallel):
+    # Every call waits until ``parallel`` calls are in flight, so the map
+    # completes only if that many run at once, each round on every thread.
+    barrier = threading.Barrier(parallel, timeout=10)
+    backend = InFlightBackend(barrier.wait)
+    results = Evaluator(backend, "prog", parallel=parallel).map(six_forests)
+    assert results == Evaluator(CountingBackend(), "prog").map(six_forests)
+    assert backend.most_in_flight == parallel
+    assert threading.get_ident() in backend.threads
+    assert len(set(backend.threads)) == parallel
+
+
+@pytest.mark.parametrize("failing", ["every-call", "first-call"])
+def test_evaluator_stops_at_the_first_exception(six_forests, failing):
+    calls = itertools.count()
+
+    def fail():
+        if failing == "every-call" or next(calls) == 0:
+            raise BackendUnavailable("opt executable not found: 'nope'")
+        time.sleep(0.2)  # the other calls end after the first one raised
+
+    backend = InFlightBackend(fail)
+    evaluator = Evaluator(backend, "prog", parallel=3)
+    with pytest.raises(BackendUnavailable, match="nope"):
+        evaluator.map(six_forests)
+    assert 1 <= len(backend.threads) <= 3
+    assert evaluator.results == {} and evaluator.forests == {}
+
+
+def test_importing_passforest_loads_no_thread_pool_logging_or_opt_code():
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import passforest\n"
+        "names = ('concurrent.futures', 'logging', 'passforest.opt_pool',"
+        " 'passforest.opt_worker')\n"
+        "print([name for name in names if name in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("parallel", [0, -3])
@@ -603,7 +705,7 @@ def test_evaluator_rejects_parallel_below_one(parallel):
         Evaluator(CountingBackend(), "p", parallel=parallel)
 
 
-def test_evaluator_runs_the_mock_serially(m1, ab_registry):
+def test_evaluator_runs_the_mock_serially(m1, six_forests):
     class ThreadRecordingBackend(MockBackend):
         def __init__(self):
             super().__init__()
@@ -613,18 +715,10 @@ def test_evaluator_runs_the_mock_serially(m1, ab_registry):
             self.threads.append(threading.get_ident())
             return super().evaluate(program, forest)
 
-    texts = [
-        "module(function(a))",
-        "module(function(b))",
-        "module(function(a,b))",
-        "module(function(b,a))",
-        "module(function(a),function(b))",
-    ]
-    forests = [parse_pipeline(text, ab_registry) for text in texts]
     backend = ThreadRecordingBackend()
-    results = Evaluator(backend, m1, parallel=4).map(forests)
-    assert backend.threads == [threading.get_ident()] * len(forests)
-    assert results == Evaluator(MockBackend(), m1).map(forests)
+    results = Evaluator(backend, m1, parallel=4).map(six_forests)
+    assert backend.threads == [threading.get_ident()] * len(six_forests)
+    assert results == Evaluator(MockBackend(), m1).map(six_forests)
 
 
 def test_refine_exhaustive_evaluates_each_partition_once():
