@@ -12,8 +12,12 @@ a usable libLLVM, else one ``opt`` process per call. The calling
 thread evaluates forests itself, with up to ``parallel - 1`` helper
 threads beside it taking the next pending forest in turn; the first
 exception from any call stops every thread from taking another, and
-``map`` raises it. The mock is pure Python and always runs serially on
-the calling thread, since threads would only contend for the GIL.
+``map`` raises it. Threads only help while calls wait: after a map in
+which this process computed for at least half the wall time (an
+``opt_pool`` index answer is pure Python), the evaluator's next map runs
+on the calling thread alone, and a map that waited more turns the
+helpers back on. The mock is pure Python and always runs serially on the calling
+thread, since threads would only contend for the GIL.
 
 ``OptBackend`` runs the texts of the forest's module-level steps
 (``forest.module_steps``) as ``opt -passes=module(<steps>)``, which
@@ -33,6 +37,7 @@ import math
 import os
 import subprocess
 import threading
+import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,7 +76,8 @@ class Evaluator:
     submitted. ``results`` maps each evaluated string to its result and
     ``forests`` to the first forest submitted under it. At most
     ``parallel`` backend calls are in flight at once, one of them on the
-    calling thread.
+    calling thread. Helper threads run only while maps wait more than
+    they compute (see ``map``).
     """
 
     def __init__(self, backend, program, parallel: int = 1):
@@ -82,6 +88,9 @@ class Evaluator:
         self.parallel = parallel
         self.results: Dict[str, EvaluationResult] = {}
         self.forests: Dict[str, PipelineForest] = {}
+        # Whether the last map that could use helpers waited for more
+        # than half its wall time; True before the first.
+        self._waited = True
 
     def map(self, forests: Sequence[PipelineForest]) -> List[EvaluationResult]:
         """Evaluate every forest not yet seen; results in input order.
@@ -92,10 +101,15 @@ class Evaluator:
         pending forest until none is left; every result goes to its
         forest's slot, so the results do not depend on timing. The policy
         reads ``backend.name``, so wrappers that forward ``name`` get the
-        same policy. The first exception a backend call raises (a
-        ``KeyboardInterrupt`` on the calling thread included) stops every
-        thread from taking another forest; ``map`` raises it once the
-        helpers have finished, and the memo is left unchanged.
+        same policy. The helpers start only if the last such map of this
+        evaluator, if any, computed in this process (``time.process_time``
+        over all threads) for less than half its wall time; otherwise its
+        calls did not wait, helpers would only contend for the GIL, and
+        the calling thread takes every forest. The first exception a
+        backend call raises (a ``KeyboardInterrupt`` on the calling thread
+        included) stops every thread from taking another forest; ``map``
+        raises it once the helpers have finished, and the memo is left
+        unchanged.
         """
         keys = [print_pipeline(forest) for forest in forests]
         pending: Dict[str, PipelineForest] = {}
@@ -105,7 +119,10 @@ class Evaluator:
         todo = list(pending.values())
         threads = min(self.parallel, len(todo))
         if threads > 1 and self.backend.name != "mock":
-            fresh = self._evaluate_on(threads, todo)
+            cpu, wall = time.process_time(), time.perf_counter()
+            fresh = self._evaluate_on(threads if self._waited else 1, todo)
+            wall = time.perf_counter() - wall
+            self._waited = time.process_time() - cpu < wall / 2
         else:
             fresh = [self._evaluate(forest) for forest in todo]
         self.results.update(zip(pending, fresh))

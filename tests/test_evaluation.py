@@ -666,6 +666,43 @@ def test_evaluator_overlaps_calls_on_the_calling_thread(six_forests, parallel):
     assert len(set(backend.threads)) == parallel
 
 
+def test_evaluator_drops_helpers_after_a_map_that_did_not_wait(ab_registry):
+    # Calls that only compute cannot overlap under the GIL, so the map
+    # after such a map runs on the calling thread; a map whose calls wait
+    # turns the helpers back on for the next one.
+    forests = [
+        parse_pipeline(f"module(function({','.join(names)}))", ab_registry)
+        for length in (1, 2, 3)
+        for names in itertools.product("ab", repeat=length)
+    ]
+    phase = {"call": None}
+
+    def compute():
+        end = time.thread_time() + 0.005
+        while time.thread_time() < end:
+            pass
+
+    backend = InFlightBackend(lambda: phase["call"]())
+    evaluator = Evaluator(backend, "prog", parallel=2)
+    caller = threading.get_ident()
+
+    phase["call"] = compute
+    evaluator.map(forests[0:4])
+    backend.threads.clear()
+    evaluator.map(forests[4:8])
+    assert backend.threads == [caller] * 4
+
+    phase["call"] = lambda: time.sleep(0.01)
+    evaluator.map(forests[8:10])
+    assert backend.threads == [caller] * 6
+
+    phase["call"] = threading.Barrier(2, timeout=10).wait
+    backend.threads.clear()
+    evaluator.map(forests[10:14])
+    assert caller in backend.threads and len(set(backend.threads)) == 2
+    assert backend.most_in_flight == 2
+
+
 @pytest.mark.parametrize("failing", ["every-call", "first-call"])
 def test_evaluator_stops_at_the_first_exception(six_forests, failing):
     calls = itertools.count()
