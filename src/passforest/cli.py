@@ -14,6 +14,7 @@ bit-reproducible on the mock evaluator.
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -366,8 +367,8 @@ def cmd_report(args) -> int:
         raise SchemaError(f"{args.results}: {exc}") from exc
     try:
         report = aggregate(results)
-    except OverflowError as exc:
-        raise SchemaError(f"{args.results}: counts out of range: {exc}") from exc
+    except (OverflowError, ValueError) as exc:  # counts out of float range, or no rows
+        raise SchemaError(f"{args.results}: {exc}") from exc
     lines = [f"{'dataset':<16} {'mean OverOz %':>14} {'programs':>9}"]
     for label, stats in report["groups"].items():
         lines.append(
@@ -500,6 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The package logs to a NullHandler; print its warnings as Python would without one.
+    logging.getLogger(__package__).addHandler(logging.lastResort)
     try:
         return args.func(args)
     except BackendUnavailable as exc:
@@ -511,6 +514,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
+    finally:
+        logging.getLogger(__package__).removeHandler(logging.lastResort)
 
 
 if __name__ == "__main__":

@@ -264,9 +264,11 @@ class OptBackend:
         return [resolve_opt_path(self.opt_path), "-S", *passes, path, "-o", "-"]
 
     def _run(self, cmd: List[str]) -> subprocess.CompletedProcess:
-        """Run the ``opt`` command line ``cmd``; a timeout raises TimeoutExpired."""
+        """Run the ``opt`` command line ``cmd``; a timeout raises TimeoutExpired.
+        Output is decoded as workers decode it: ``; ModuleID`` holds the raw input name."""
         try:
-            return subprocess.run(cmd, capture_output=True, text=True, timeout=self.timeout)
+            return subprocess.run(cmd, capture_output=True, encoding="utf-8",
+                                  errors="replace", timeout=self.timeout)
         except FileNotFoundError as exc:
             raise BackendUnavailable(f"opt executable not found: {cmd[0]!r}") from exc
 

@@ -321,20 +321,20 @@ def module_steps(forest: PipelineForest) -> List[PipelineNode]:
     A module manager runs its children one after another, each over the
     whole module, so ``module(A,B),module(C)`` runs as the steps A, B, C,
     as ``module(A,B,C)`` does. A nested module manager is cut into its own
-    children. Both backends run a forest as these steps: the mock runs
-    each step's ``names`` over every function before the next step, and
-    ``opt`` workers receive each step's ``text``.
+    children; a top-level tree that is not a module manager is one step.
+    ``mock_evaluate``, the mock's sequence plan and ``OptBackend.evaluate``
+    run a forest as these steps: the mock runs each step's ``names`` over
+    every function before the next step, and ``opt`` each step's ``text``.
     """
     steps: List[PipelineNode] = []
-
-    def cut(nodes) -> None:
-        for node in nodes:
-            if node.__class__ is Manager and node.level is _MODULE:
-                cut(node.children)
+    # Only nested module managers recurse: the mock's plan cuts every partition here.
+    for tree in forest.trees:
+        module = tree.__class__ is Manager and tree.level is _MODULE
+        for child in tree.children if module else (tree,):
+            if child.__class__ is Manager and child.level is _MODULE:
+                steps += module_steps(PipelineForest((child,)))
             else:
-                steps.append(node)
-
-    cut(forest.trees)
+                steps.append(child)
     return steps
 
 

@@ -35,11 +35,12 @@ evaluation, and cached on the instance.
 
 Refinement evaluates many partitions of one leaf sequence back to back.
 For those, ``MockBackend`` compiles the sequence once into a
-``_SequencePlan``, which scores a forest with one table lookup per
-phase, whatever the number of bonuses or functions. Search candidates
-rarely repeat a sequence, and building a plan and scoring one forest
-with it costs more than one ``mock_evaluate``, so the backend builds a
-plan only when two calls in a row share program and sequence.
+``_SequencePlan``, which scores a forest with one table lookup per phase
+of its ``module_steps``, whatever the number of bonuses or functions.
+Search candidates rarely repeat a sequence, and building a plan and
+scoring one forest with it costs more than one ``mock_evaluate``, so the
+backend builds a plan only when two calls in a row share program and
+sequence.
 """
 
 import json
@@ -55,10 +56,6 @@ from .errors import SchemaError, expect, read_json
 from .evaluation import EvaluationResult, file_stamp
 from .forest import Leaf, Manager, PipelineForest, module_steps
 from .registry import PassLevel
-
-
-# Read in the hot loops: an enum member lookup costs ten times a global.
-_MODULE = PassLevel.MODULE
 
 
 @dataclass(frozen=True)
@@ -260,14 +257,15 @@ class _SequencePlan:
     * otherwise ``earlier`` if f < j, and nothing if f > j;
     * never, if p is not in the sequence.
 
-    Phases are contiguous runs of leaves, so lo and hi share a phase
-    [start, end) exactly when lo lies in it and hi < end. ``terms[lo]``
-    lists the bonuses starting at lo as (hi, earlier if split, same if
-    joined), and ``table`` maps a phase's (start, end) to the
-    ``(earlier, same)`` of the terms starting in it, filled on the
-    phase's first use. A forest is scored with one table lookup per
-    phase, and ``results`` keeps one result per ``(earlier, same)``.
-    Filling an entry twice from concurrent calls stores equal values.
+    Phases are the forest's ``module_steps``, contiguous runs of leaves,
+    so lo and hi share a phase [start, end) exactly when lo lies in it
+    and hi < end. ``terms[lo]`` lists the bonuses starting at lo as (hi,
+    earlier if split, same if joined), and ``table`` maps a phase's
+    (start, end) to the ``(earlier, same)`` of the terms starting in it,
+    filled on the phase's first use. A forest is scored with one table
+    lookup per phase, and ``results`` keeps one result per ``(earlier,
+    same)``. Filling an entry twice from concurrent calls stores equal
+    values.
     """
 
     __slots__ = ("program", "common", "terms", "table", "results")
@@ -313,22 +311,12 @@ class _SequencePlan:
     def evaluate(self, forest: PipelineForest) -> EvaluationResult:
         table = self.table
         earlier = same = start = 0
-        for tree in forest.trees:
-            for child in tree.children:
-                if child.__class__ is Manager and child.level is _MODULE:
-                    # A nested module manager: its own steps are phases.
-                    for step in module_steps(PipelineForest((child,))):
-                        end = start + step.size
-                        entry = table.get((start, end)) or self._phase_entry(start, end)
-                        earlier += entry[0]
-                        same += entry[1]
-                        start = end
-                else:
-                    end = start + child.size
-                    entry = table.get((start, end)) or self._phase_entry(start, end)
-                    earlier += entry[0]
-                    same += entry[1]
-                    start = end
+        for step in module_steps(forest):
+            end = start + step.size
+            entry = table.get((start, end)) or self._phase_entry(start, end)
+            earlier += entry[0]
+            same += entry[1]
+            start = end
         key = (earlier, same)
         result = self.results.get(key)
         if result is None:

@@ -225,7 +225,7 @@ class WorkerPool:
         """The reply to one request from an idle or new worker; ``U`` marks the pool unusable."""
         worker = self._acquire()
         try:
-            kind, payload = worker.request("\0".join(fields).encode("utf-8"), timeout)
+            kind, payload = worker.request(os.fsencode("\0".join(fields)), timeout)
         except BaseException:
             self._discard(worker)
             raise
@@ -318,7 +318,7 @@ class StateIndex:
     @staticmethod
     def origin(path: str, stamp: Tuple[int, int]) -> bytes:
         """Where the walk of every pipeline on this input starts."""
-        text = f"{path}\0{stamp[0]}\0{stamp[1]}".encode("utf-8")
+        text = os.fsencode(f"{path}\0{stamp[0]}\0{stamp[1]}")
         return hashlib.blake2b(text, digest_size=16).digest()
 
     @staticmethod

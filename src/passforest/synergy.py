@@ -31,9 +31,13 @@ from .skeletons import representative_skeleton
 
 def _logger():
     """This module's logger; ``logging`` is imported on the first message,
-    so that importing passforest does not load it."""
+    so that importing passforest does not load it. As a library's should,
+    the package logger has a ``NullHandler``; ``cli.main`` prints warnings."""
     import logging
 
+    package = logging.getLogger(__package__)
+    if not package.handlers:
+        package.addHandler(logging.NullHandler())
     return logging.getLogger(__name__)
 
 

@@ -220,7 +220,7 @@ def test_mine_writes_graph(capsys, tmp_path, m1_file, ab_registry_file):
 
 
 def save_mock_program_from(src, dst):
-    dst.write_text(open(src).read())
+    dst.write_text(Path(src).read_text())
 
 
 def test_mine_empty_dir_exit_2(tmp_path, capsys):
@@ -259,6 +259,23 @@ def test_mine_into_a_missing_directory_evaluates_nothing(capsys, tmp_path, flag)
     assert main(argv) == 2
     assert str(missing) in capsys.readouterr().err
     assert not calls.exists()
+
+
+def test_mine_prints_a_skipped_pass_on_stderr(capsys, tmp_path, ab_registry_file):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "p.ll").write_text("define void @f() {\n  ret void\n}\n")
+    # fails every pipeline that runs pass b; no -passes prints the input
+    fake = helpers.write_script(
+        tmp_path / "opt",
+        'case "$2" in -passes=*b*) echo boom >&2; exit 1;; -passes=*) shift;; esac\ncat "$2"\n',
+    )
+    argv = [
+        "mine", "--dataset", str(dataset), "--out", str(tmp_path / "g.json"),
+        "--registry", ab_registry_file, "--evaluator", "opt", "--opt-path", fake,
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "skipping pass b: opt exited 1: boom\n"
 
 
 def test_mine_bad_program_spec_names_the_file(capsys, tmp_path, m1_file, ab_registry_file):
@@ -771,11 +788,12 @@ def test_report_missing_file_exit_2(tmp_path):
         ([{"program": "p", "ic_oz": 100, "ic_tuned": 90, "dataset": 5}], None),
         ([{"program": "p", "ic_oz": 100, "ic_tuned": 90}], [1]),
         ([{"program": "p", "ic_oz": 100, "ic_tuned": 90}], {"p": 5}),
+        ([], None),
     ],
     ids=[
         "row-without-keys", "rows-not-list", "row-not-object", "count-null",
         "count-infinite", "count-float", "count-bool", "program-list", "dataset-int",
-        "manifest-not-object", "manifest-label-int",
+        "manifest-not-object", "manifest-label-int", "rows-empty",
     ],
 )
 def test_report_malformed_input_is_invalid_input(capsys, tmp_path, rows, manifest):

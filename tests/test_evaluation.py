@@ -369,6 +369,25 @@ def test_mock_backend_plan_scores_nested_module_managers(with_class_2):
     assert len(counts) > 2  # the shapes do not all score alike
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        Leaf("a", PassLevel.FUNCTION),
+        Manager(PassLevel.FUNCTION, (Leaf("a", PassLevel.FUNCTION), Leaf("b", PassLevel.FUNCTION))),
+    ],
+    ids=["bare-leaf", "function-manager"],
+)
+def test_mock_backend_plan_keeps_a_tree_outside_a_module_manager_whole(tree):
+    # A top-level tree that is not a module manager is one step: the plan,
+    # which scores the second call, must cut it as the first call did.
+    program = _three_class_program(True)
+    forest = PipelineForest((tree,))
+    backend = MockBackend()
+    first = backend.evaluate(program, forest)
+    assert backend.evaluate(program, forest) == first == mock_evaluate(program, forest)
+    assert backend._last[2] is not None  # the second call used the plan
+
+
 # ---------------------------------------------------------------------------
 # opt subprocess backend (via fake opt executables)
 # ---------------------------------------------------------------------------

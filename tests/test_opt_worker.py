@@ -158,6 +158,23 @@ def test_failures_read_the_same_on_both_paths(real_opt, monkeypatch, registry_te
     assert not worker.ok and worker.detail.startswith("opt exited ")
 
 
+def test_an_input_name_that_is_not_utf8_evaluates_on_both_paths(real_opt, monkeypatch, tmp_path):
+    # opt takes any file name and prints it raw on its "; ModuleID" line.
+    data = Path(NO_TRIPLE).read_bytes()
+    plain = tmp_path / "loops.ll"
+    plain.write_bytes(data)
+    odd = os.path.join(os.fsencode(tmp_path), b"\xff-loops.ll")
+    with open(odd, "wb") as fh:
+        fh.write(data)
+    odd = os.fsdecode(odd)
+    forest = parse_pipeline("module(function(instcombine,loop(loop-deletion)))", default_registry())
+    for backend in (real_opt, _subprocess_only(monkeypatch)):
+        want = backend.evaluate(str(plain), forest)
+        assert want.ok
+        assert backend.evaluate(odd, forest) == want
+        assert backend.original_count(odd) == backend.original_count(str(plain))
+
+
 @pytest.fixture(scope="module")
 def loops_bc(real_opt, tmp_path_factory):
     """``loops.ll`` as bitcode, written by the real opt."""

@@ -1,5 +1,9 @@
 import logging
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -19,6 +23,7 @@ from passforest import (
     representative_skeleton,
     save_graph,
 )
+from passforest import synergy
 from passforest.synergy import (
     INTER_LEVEL,
     INTRA_LEVEL,
@@ -104,6 +109,33 @@ def test_failed_single_pass_is_logged(m1, ab_registry, caplog):
     with caplog.at_level(logging.WARNING, logger="passforest.synergy"):
         mine_program_pairs(m1, ab_registry, FailsOnB())
     assert [r.getMessage() for r in caplog.records] == ["skipping pass b: crash"]
+
+
+def test_mining_writes_nothing_to_stderr_without_logging_configured():
+    # The package logs to a NullHandler: Python's last-resort handler
+    # must not print the failed pass to a library caller's stderr.
+    code = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from passforest import (EvaluationResult, MockBackend, MockFunction,
+                                MockProgram, leaf_sequence, load_registry)
+        from passforest.synergy import mine_program_pairs
+
+        class FailsOnB(MockBackend):
+            def evaluate(self, program, forest):
+                if any(name == "b" for name, _ in leaf_sequence(forest)):
+                    return EvaluationResult(None, "failed", "crash")
+                return super().evaluate(program, forest)
+
+        m1 = MockProgram(functions=(MockFunction("f1", 100),),
+                         pass_effects={"a": 10, "b": 5}, pair_synergy={("a", "b"): 3})
+        print(mine_program_pairs(m1, load_registry("a=function\\nb=function\\n"), FailsOnB()))
+        """)
+    src = os.path.dirname(os.path.dirname(synergy.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "set()\n", "")
 
 
 def test_pair_count_budget(m1, ab_registry):
