@@ -10,7 +10,8 @@ hierarchical execution model does.
 
 Execution semantics of a forest over a mock program:
 
-* trees run in order; within a module manager, children run in order;
+* trees run in order; within a module manager, children run in order,
+  and a tree that is not a module manager runs as such a child does;
 * a module-level leaf touches the whole module: one event per function,
   all functions before the next sibling starts;
 * cgscc and function managers are function-at-a-time units: the entire
@@ -35,8 +36,11 @@ evaluation, and cached on the instance.
 
 Refinement evaluates many partitions of one leaf sequence back to back.
 For those, ``MockBackend`` compiles the sequence once into a
-``_SequencePlan``, which scores a forest with one table lookup per phase
-of its ``module_steps``, whatever the number of bonuses or functions.
+``_SequencePlan``. It sums the flat effects and pair bonuses once, fills
+each phase's coupling by ``mock_evaluate``'s own per-phase rule on the
+phase's first use, and so scores a forest with one table lookup per
+phase of its ``module_steps``, whatever the number of bonuses or
+functions.
 Search candidates rarely repeat a sequence, and building a plan and
 scoring one forest with it costs more than one ``mock_evaluate``, so the
 backend builds a plan only when two calls in a row share program and
@@ -54,7 +58,7 @@ from typing import Dict, List, Mapping, NamedTuple, Set, Tuple, Union
 
 from .errors import SchemaError, expect, read_json
 from .evaluation import EvaluationResult, file_stamp
-from .forest import Leaf, Manager, PipelineForest, module_steps
+from .forest import Manager, PipelineForest, module_steps
 from .registry import PassLevel
 
 
@@ -162,19 +166,18 @@ def schedule_of(forest: PipelineForest, program: MockProgram) -> List[Tuple[str,
     fnames = [f.name for f in program.functions]
     events: List[Tuple[str, str]] = []
 
-    def run_module_manager(mgr: Manager):
-        for child in mgr.children:
-            if isinstance(child, Leaf):
-                events.extend((child.name, fname) for fname in fnames)
-            elif child.level == PassLevel.MODULE:
-                run_module_manager(child)
-            else:
-                # cgscc/function manager: whole leaf block per function
-                for fname in fnames:
-                    events.extend((p, fname) for p in child.names)
+    def run(node):
+        if isinstance(node, Manager) and node.level == PassLevel.MODULE:
+            for child in node.children:
+                run(child)
+        else:
+            # one step: a leaf module-wide, or a cgscc/function manager's
+            # (or a top-level tree's) whole leaf block per function
+            for fname in fnames:
+                events.extend((p, fname) for p in node.names)
 
     for tree in forest.trees:
-        run_module_manager(tree)
+        run(tree)
     return events
 
 
@@ -249,62 +252,47 @@ class _SequencePlan:
     """``mock_evaluate`` compiled for every forest with one leaf sequence.
 
     Flat effects and pair bonuses depend only on the sequence, so they
-    sum to ``common`` once. A coupling bonus (p, q) at an occurrence j of
-    q, where p first occurs at f, spans the positions lo = min(f, j) to
-    hi = max(f, j), and is:
-
-    * ``same`` if lo and hi fall in one phase (always, when f == j);
-    * otherwise ``earlier`` if f < j, and nothing if f > j;
-    * never, if p is not in the sequence.
-
-    Phases are the forest's ``module_steps``, contiguous runs of leaves,
-    so lo and hi share a phase [start, end) exactly when lo lies in it
-    and hi < end. ``terms[lo]`` lists the bonuses starting at lo as (hi,
-    earlier if split, same if joined), and ``table`` maps a phase's
-    (start, end) to the ``(earlier, same)`` of the terms starting in it,
-    filled on the phase's first use. A forest is scored with one table
-    lookup per phase, and ``results`` keeps one result per ``(earlier,
+    sum to ``common`` once. Coupling depends on where the phases cut the
+    sequence: ``_phase_entry(start, end)`` applies ``mock_evaluate``'s
+    rule to the phase ``names[start:end]``, with the passes of
+    ``names[:start]`` as those that ran in earlier phases, and ``table``
+    keeps its ``(earlier, same)``, filled on the phase's first use. A
+    forest is scored with one table lookup per phase of its
+    ``module_steps``, and ``results`` keeps one result per ``(earlier,
     same)``. Filling an entry twice from concurrent calls stores equal
     values.
     """
 
-    __slots__ = ("program", "common", "terms", "table", "results")
+    __slots__ = ("program", "names", "common", "table", "results")
 
     def __init__(self, program: MockProgram, names: Tuple[str, ...]):
-        index = program._index
+        synergy_by_target = program._index.synergy_by_target
         effects = program.pass_effects
-        first: Dict[str, int] = {}
         common = 0
-        for j, q in enumerate(names):
+        seen: Set[str] = set()
+        for q in names:
             common += effects.get(q, 0)
-            for p, bonus in index.synergy_by_target.get(q, ()):
-                if p in first:
+            for p, bonus in synergy_by_target.get(q, ()):
+                if p in seen:
                     common += bonus
-            first.setdefault(q, j)
-        terms: List[List[Tuple[int, int, int]]] = [[] for _ in names]
-        for j, q in enumerate(names):
-            for p, bonus in index.coupling_by_target.get(q, ()):
-                f = first.get(p)
-                if f is None:
-                    continue
-                if f < j:
-                    terms[f].append((j, bonus, bonus))
-                else:
-                    terms[j].append((f, 0, bonus))
+            seen.add(q)
         self.program = program
+        self.names = names
         self.common = common
-        self.terms = terms
         self.table: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self.results: Dict[Tuple[int, int], EvaluationResult] = {}
 
     def _phase_entry(self, start: int, end: int) -> Tuple[int, int]:
+        coupling_by_target = self.program._index.coupling_by_target
+        phase = self.names[start:end]
+        ran, block = set(self.names[:start]), set(phase)
         earlier = same = 0
-        for lo in range(start, end):
-            for hi, if_split, if_joined in self.terms[lo]:
-                if hi < end:
-                    same += if_joined
-                else:
-                    earlier += if_split
+        for q in phase:
+            for p, bonus in coupling_by_target.get(q, ()):
+                if p in ran:
+                    earlier += bonus
+                elif p in block:
+                    same += bonus
         entry = self.table[start, end] = (earlier, same)
         return entry
 
@@ -409,11 +397,13 @@ class MockBackend:
     program (by identity) and leaf names equal the last call's is scored
     by that sequence's ``_SequencePlan``, built on this second sighting;
     refinement's partitions of one sequence all take this path, at one
-    table lookup per phase once the plan has seen the phase. Every other
-    forest goes through ``mock_evaluate``, which is cheaper than building
-    and using a plan for a sequence seen once, as most search candidates
-    are: replaying mock-tune's calls with a plan built on every first
-    sighting costs more per call than ``mock_evaluate`` alone.
+    table lookup per phase once the plan has seen the phase. The plan
+    fills a phase by ``mock_evaluate``'s rule, so both scorers give one
+    result. Every other forest goes through ``mock_evaluate``, which is
+    cheaper than building and using a plan for a sequence seen once, as
+    most search candidates are: replaying mock-tune's calls with a plan
+    built on every first sighting costs more per call than
+    ``mock_evaluate`` alone.
     """
 
     name = "mock"

@@ -17,7 +17,7 @@ otherwise. The refined pipeline is never worse than the seed.
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ChromosomeLengthMismatch
@@ -38,10 +38,6 @@ from .registry import PassLevel
 TypedSequence = Sequence[Tuple[str, PassLevel]]
 # Read in decode's loop: an enum member lookup costs ten times a global.
 _MODULE = PassLevel.MODULE
-# Wrapped non-module blocks by the (start, end) positions of their
-# passes in the sequence, shared between the forests decoded from one
-# problem.
-BlockCache = Dict[Tuple[int, int], PipelineNode]
 
 
 @dataclass(frozen=True)
@@ -49,11 +45,17 @@ class PartitionProblem:
     """A typed pass sequence plus its joinable boundary indices.
 
     Boundary i sits between sequence[i] and sequence[i+1]; it is a
-    decision point iff the two passes share a level.
+    decision point iff the two passes share a level. ``blocks`` caches
+    the wrapped non-module blocks ``decode`` builds, by the (start, end)
+    positions of their passes, so the forests decoded from one problem
+    share them; equality, hashing and repr ignore it.
     """
 
     sequence: Tuple[Tuple[str, PassLevel], ...]
     decision_points: Tuple[int, ...]
+    blocks: Dict[Tuple[int, int], PipelineNode] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def space_size(self) -> int:
         return 2 ** len(self.decision_points)
@@ -77,11 +79,7 @@ def decision_points(sequence: TypedSequence) -> PartitionProblem:
     return PartitionProblem(sequence=seq, decision_points=points)
 
 
-def decode(
-    problem: PartitionProblem,
-    chromosome: PartitionChromosome,
-    blocks: Optional[BlockCache] = None,
-) -> PipelineForest:
+def decode(problem: PartitionProblem, chromosome: PartitionChromosome) -> PipelineForest:
     """Materialize a partition as a forest.
 
     Every boundary cuts unless a 0 bit joins it, and each segment between
@@ -90,21 +88,16 @@ def decode(
     module tree. A module-level block places its passes directly under
     the module root, and starts a new tree when the pass before it is
     also module-level (nested module managers are never produced). The
-    leaf sequence of the result equals the input sequence.
-
-    ``blocks`` maps a segment's (start, end) positions to its wrapped
-    block already built for this problem; pass the same dict to every
-    call on one problem and the forests share those subtrees instead of
-    building their own.
+    leaf sequence of the result equals the input sequence. A block is
+    built once per problem and kept in ``problem.blocks``, so every
+    forest decoded from one problem holds the same node for it.
     """
     if len(chromosome.bits) != len(problem.decision_points):
         raise ChromosomeLengthMismatch(
             f"chromosome length {len(chromosome.bits)} != "
             f"{len(problem.decision_points)} decision points"
         )
-    if blocks is None:
-        blocks = {}
-    sequence = problem.sequence
+    sequence, blocks = problem.sequence, problem.blocks
     # cuts[i]: a block ends after pass i; the last pass always ends one.
     cuts = [True] * len(sequence)
     for i, bit in zip(problem.decision_points, chromosome.bits):
@@ -221,18 +214,12 @@ def refine(
     k = len(problem.decision_points)
 
     if k > 0:
-        blocks: BlockCache = {}
         if problem.space_size() <= config.exhaustive_budget:
             evaluator.map(
-                [
-                    decode(problem, chromosome, blocks)
-                    for chromosome in _all_chromosomes(k)
-                ]
+                [decode(problem, chromosome) for chromosome in _all_chromosomes(k)]
             )
         else:
-            _genetic_partition_search(
-                problem, seed_chromosome, evaluator, config.seed, blocks
-            )
+            _genetic_partition_search(problem, seed_chromosome, evaluator, config.seed)
     # Every candidate and the seed are in the memo; including the seed
     # cannot change the outcome, since it wins every tie below.
     counts = {key: _count(res) for key, res in evaluator.results.items()}
@@ -256,7 +243,6 @@ def _genetic_partition_search(
     seed_chromosome: PartitionChromosome,
     evaluator: Evaluator,
     seed: int,
-    blocks: BlockCache,
 ) -> None:
     """Bit-vector GA over decision points; every candidate lands in the memo."""
     rng = random.Random(seed)
@@ -270,7 +256,7 @@ def _genetic_partition_search(
         )
 
     for _ in range(GA_GENERATIONS + 1):
-        forests = [decode(problem, ch, blocks) for ch in population]
+        forests = [decode(problem, ch) for ch in population]
         results = evaluator.map(forests)
         # (count, pipeline string) per member: lower is better.
         scores = [

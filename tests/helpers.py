@@ -240,11 +240,10 @@ def reference_nested_forest(passes: List[Tuple[str, PassLevel]]) -> PipelineFore
     return forest
 
 
-def reference_decode(problem, chromosome, blocks=None) -> PipelineForest:
+def reference_decode(problem, chromosome) -> PipelineForest:
     """Decode by cutting the sequence into (level, names, split_before)
     blocks first; split_before is True when the cut before the block
-    came from a decision-point bit rather than a forced level change.
-    ``blocks`` caches wrapped blocks by (level, names)."""
+    came from a decision-point bit rather than a forced level change."""
     bit_at = dict(zip(problem.decision_points, chromosome.bits))
     cut_blocks = []
     current = [problem.sequence[0][0]]
@@ -260,8 +259,6 @@ def reference_decode(problem, chromosome, blocks=None) -> PipelineForest:
             current.append(name)
     cut_blocks.append((level, current, split_before))
 
-    if blocks is None:
-        blocks = {}
     trees = [[]]
     for level, names, split_before in cut_blocks:
         if level == PassLevel.MODULE:
@@ -269,14 +266,22 @@ def reference_decode(problem, chromosome, blocks=None) -> PipelineForest:
                 trees.append([])
             trees[-1].extend(Leaf(name, level) for name in names)
             continue
-        key = (level, tuple(names))
-        if key not in blocks:
-            leaves = tuple(Leaf(name, level) for name in names)
-            blocks[key] = wrap_in_chain(adaptor_chain(PassLevel.MODULE, level), leaves)
-        trees[-1].append(blocks[key])
+        leaves = tuple(Leaf(name, level) for name in names)
+        trees[-1].append(wrap_in_chain(adaptor_chain(PassLevel.MODULE, level), leaves))
     return PipelineForest(
         tuple(Manager(PassLevel.MODULE, tuple(children)) for children in trees)
     )
+
+
+def block_ids(forest: PipelineForest) -> List[int]:
+    """Object ids of a decoded forest's non-module blocks, the nodes that
+    ``decode`` shares between the forests of one problem."""
+    return [
+        id(child)
+        for tree in forest.trees
+        for child in tree.children
+        if child.level is not PassLevel.MODULE
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -369,23 +369,41 @@ def test_mock_backend_plan_scores_nested_module_managers(with_class_2):
     assert len(counts) > 2  # the shapes do not all score alike
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [
-        Leaf("a", PassLevel.FUNCTION),
-        Manager(PassLevel.FUNCTION, (Leaf("a", PassLevel.FUNCTION), Leaf("b", PassLevel.FUNCTION))),
-    ],
-    ids=["bare-leaf", "function-manager"],
+_FUNCTION_AB = Manager(
+    PassLevel.FUNCTION, (Leaf("a", PassLevel.FUNCTION), Leaf("b", PassLevel.FUNCTION))
 )
-def test_mock_backend_plan_keeps_a_tree_outside_a_module_manager_whole(tree):
+
+
+@pytest.mark.parametrize(
+    "program_name, tree, count",
+    [
+        ("three-classes", Leaf("a", PassLevel.FUNCTION), 601),
+        ("three-classes", _FUNCTION_AB, 549),
+        # as module(function(a,b)): f1 runs b after f2 has run a and b
+        ("m2", _FUNCTION_AB, 80),
+    ],
+    ids=["bare-leaf", "function-manager", "m2-function-manager"],
+)
+def test_mock_backend_plan_keeps_a_tree_outside_a_module_manager_whole(
+    request, program_name, tree, count
+):
     # A top-level tree that is not a module manager is one step: the plan,
-    # which scores the second call, must cut it as the first call did.
-    program = _three_class_program(True)
+    # which scores the second call, must cut it as the first call did, and
+    # the schedule the reference folds must run it so too.
+    if program_name == "m2":
+        program = request.getfixturevalue("m2")
+    else:
+        program = _three_class_program(True)
     forest = PipelineForest((tree,))
     backend = MockBackend()
     first = backend.evaluate(program, forest)
-    assert backend.evaluate(program, forest) == first == mock_evaluate(program, forest)
+    second = backend.evaluate(program, forest)
     assert backend._last[2] is not None  # the second call used the plan
+    expected = helpers.reference_mock_evaluate(program, forest)
+    assert second == first == mock_evaluate(program, forest) == expected
+    assert expected.instruction_count == count
+    wrapped = PipelineForest((Manager(PassLevel.MODULE, (tree,)),))
+    assert schedule_of(forest, program) == schedule_of(wrapped, program)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from passforest.forest import (
 from passforest.synergy import graph_from_counts
 
 from helpers import (
+    block_ids,
     manager_paths,
     random_mock_program,
     random_typed_sequence,
@@ -341,17 +342,17 @@ def test_mock_backend_plan_matches_reference(case, count, rng):
 @given(forests(), st.integers(min_value=1, max_value=8), st.randoms())
 @settings(max_examples=200, deadline=None)
 def test_decode_matches_block_listing_decode(forest, count, rng):
+    # Each chromosome decodes twice on the problem, which keeps its
+    # blocks between decodes, and once on a fresh problem.
     problem, chromosomes = _random_partitions(forest, rng, count)
-    shared, reference_shared = {}, {}
-    for chromosome in chromosomes:
+    first = [decode(problem, chromosome) for chromosome in chromosomes]
+    for chromosome, earlier in zip(chromosomes, first):
         expected = reference_decode(problem, chromosome)
-        for got in (
-            decode(problem, chromosome),
-            decode(problem, chromosome, shared),
-            reference_decode(problem, chromosome, reference_shared),
-        ):
+        shared = decode(problem, chromosome)
+        for got in (earlier, shared, decode(decision_points(problem.sequence), chromosome)):
             assert got == expected
             assert print_pipeline(got) == print_pipeline(expected)
+        assert block_ids(shared) == block_ids(earlier)
 
 
 @given(forests(), st.integers(min_value=1, max_value=4))

@@ -118,20 +118,33 @@ def test_decode_with_shared_blocks_matches_fresh_decode(registry):
     seq = helpers.random_typed_sequence(registry, rng, 9)
     problem = decision_points(seq)
     k = len(problem.decision_points)
-    blocks = {}
-    for _ in range(50):
-        chromosome = PartitionChromosome(tuple(rng.randint(0, 1) for _ in range(k)))
-        shared = decode(problem, chromosome, blocks)
-        assert shared == decode(problem, chromosome)
-        assert print_pipeline(shared) == print_pipeline(decode(problem, chromosome))
-    # Later forests hold the very nodes stored for their blocks.
-    stored = {id(node) for node in blocks.values()}
-    assert stored and all(
-        id(child) in stored
-        for tree in shared.trees
-        for child in tree.children
-        if child.level != M
-    )
+    chromosomes = [
+        PartitionChromosome(tuple(rng.randint(0, 1) for _ in range(k)))
+        for _ in range(50)
+    ]
+    first = [decode(problem, chromosome) for chromosome in chromosomes]
+    for chromosome, earlier in zip(chromosomes, first):
+        shared = decode(problem, chromosome)
+        fresh = decode(decision_points(problem.sequence), chromosome)
+        assert shared == earlier == fresh == helpers.reference_decode(problem, chromosome)
+        assert print_pipeline(shared) == print_pipeline(fresh)
+        # A second decode on one problem holds the very nodes of the first.
+        assert helpers.block_ids(shared) == helpers.block_ids(earlier)
+    # ... which are the nodes the problem stores for its blocks.
+    stored = {id(node) for node in problem.blocks.values()}
+    assert stored and set(helpers.block_ids(shared)) <= stored
+
+
+def test_a_problem_that_has_decoded_equals_a_fresh_one(registry):
+    rng = random.Random(43)
+    seq = helpers.random_typed_sequence(registry, rng, 9)
+    problem, fresh = decision_points(seq), decision_points(seq)
+    for bits in itertools.product((0, 1), repeat=len(problem.decision_points)):
+        decode(problem, PartitionChromosome(bits))
+    assert problem.blocks and not fresh.blocks
+    assert problem == fresh
+    assert hash(problem) == hash(fresh)
+    assert repr(problem) == repr(fresh)
 
 
 # ---------------------------------------------------------------------------
