@@ -178,11 +178,13 @@ def _dataset_programs(args) -> list:
     return programs
 
 
-def _check_output_directories(*paths) -> None:
-    """Exit 2 when the directory of an output path (None: not given) does
-    not exist; commands call this before any evaluation, not after it."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+def _check_output_paths(*paths) -> None:
+    """Exit 2 when an output path (None: not given) is a directory or lies
+    in a missing one; commands call this before any evaluation, not after."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise BackendUnavailable(f"output path is a directory: {path}")
+        if not Path(path).parent.is_dir():
             raise BackendUnavailable(f"directory not found: {Path(path).parent}")
 
 
@@ -191,7 +193,7 @@ def cmd_mine(args) -> int:
     backend = _backend_from_args(args)
     programs = _dataset_programs(args)
     checkpoint = args.checkpoint or (args.out + ".ckpt")
-    _check_output_directories(args.out, checkpoint)
+    _check_output_paths(args.out, checkpoint)
     graph = mine_synergies(
         programs,
         registry,
@@ -252,7 +254,7 @@ def _write_log(args, log) -> None:
 
 
 def cmd_search(args) -> int:
-    _check_output_directories(args.log)
+    _check_output_paths(args.log)
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
     graph = _graph_arg(args)
@@ -300,7 +302,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    _check_output_directories(args.log)
+    _check_output_paths(args.log)
     registry = _load_registry_arg(args)
     backend = _backend_from_args(args)
     graph = _graph_arg(args)

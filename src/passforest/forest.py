@@ -386,6 +386,11 @@ def minimal_wrap(pass_name: str, level: PassLevel) -> PipelineNode:
     return wrap_in_chain(chain, (Leaf(pass_name, level),))
 
 
+# adaptor_chain of every admitted (outer, inner) pair.
+_CHAINS = {(outer, inner): tuple(adaptor_chain(outer, inner))
+           for outer in PassLevel for inner in PassLevel if inner >= outer}
+
+
 def nested_forest(passes: Sequence[Tuple[str, PassLevel]]) -> PipelineForest:
     """The forest that places each (name, level) pass by the one before it.
 
@@ -395,7 +400,8 @@ def nested_forest(passes: Sequence[Tuple[str, PassLevel]]) -> PipelineForest:
     level)`` inside that manager; a shallower pass starts a new module
     tree. The result is valid for any sequence of concrete passes, and
     pass order is leaf order. Mutation applies the same rule to insert one
-    pass into an existing forest (``search._place_after_anchor``).
+    pass into an existing forest (``search._place_after_anchor``). Chains
+    come from a table of every (outer, inner) pair, read on a level change.
     """
     trees: List[PipelineNode] = []
     # The open tree, outermost manager first; each entry's manager holds
@@ -403,14 +409,16 @@ def nested_forest(passes: Sequence[Tuple[str, PassLevel]]) -> PipelineForest:
     open_managers: List[Tuple[PassLevel, List[PipelineNode]]] = []
     previous: Optional[PassLevel] = None
     for name, level in passes:
-        if previous is None or level < previous:
-            if open_managers:
-                trees.append(_close(open_managers))
-            open_managers = [(PassLevel.MODULE, [])]
-            previous = PassLevel.MODULE
-        open_managers += [(lvl, []) for lvl in adaptor_chain(previous, level)]
-        open_managers[-1][1].append(Leaf(name, level))
-        previous = level
+        if level != previous:
+            if previous is None or level < previous:
+                if open_managers:
+                    trees.append(_close(open_managers))
+                open_managers = [(_MODULE, [])]
+                previous = _MODULE
+            open_managers += [(lvl, []) for lvl in _CHAINS[previous, level]]
+            leaves = open_managers[-1][1]
+            previous = level
+        leaves.append(Leaf(name, level))
     if open_managers:
         trees.append(_close(open_managers))
     return PipelineForest(tuple(trees))

@@ -10,12 +10,16 @@ evaluation is wasted on an invalid pipeline.
 
 All randomness flows through one seeded stream consumed in a fixed
 order, so a run is a pure function of (program, graph, config); fitness
-evaluations may be parallel without changing the result.
+evaluations may be parallel without changing the result. The draws read
+the graph and the registry through ``_DrawTables``, built once per search;
+a draw by cumulative weights takes the same number from the stream and
+picks the same item as ``random.choices`` by plain weights.
 """
 
 import random
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
 from .evaluation import Evaluator
 from .forest import (
@@ -29,7 +33,6 @@ from .forest import (
     insert_tree,
     leaf_at,
     leaf_count,
-    leaf_paths,
     manager_at,
     manager_count,
     minimal_wrap,
@@ -78,18 +81,41 @@ class SearchConfig:
             raise ValueError("generations must be >= 0")
 
 
-def _weighted_pick(rng: random.Random, items: Sequence, weights: Sequence[float]):
-    return rng.choices(list(items), weights=list(weights), k=1)[0]
+class _DrawTables:
+    """What the GA's draws read of (graph, registry), built once per search.
+
+    A table is a list of (name, level) items and their cumulative weights,
+    or None when nothing can be drawn: ``starts`` for a walk's first pass,
+    ``successors(name)`` for a synergy partner of ``name`` (built on first
+    use). ``concrete`` lists every pass with a level."""
+
+    def __init__(self, graph: SynergyGraph, registry: PassRegistry):
+        self._graph, self._registry = graph, registry
+        self._successors: Dict[str, Optional[tuple]] = {}
+        self.starts = self._table(graph.start_weights.items())
+        self.concrete = [(p.name, p.level) for p in registry.concrete_passes()]
+
+    def _table(self, weighted) -> Optional[tuple]:
+        """The draw over the (name, weight) pairs of weight > 0 placed at a level."""
+        items, weights, registry = [], [], self._registry
+        for name, weight in weighted:
+            level = registry.level_of(name) if weight > 0 and name in registry else None
+            if level is not None:
+                items.append((name, level))
+                weights.append(weight)
+        return (items, list(accumulate(weights))) if items else None
+
+    def successors(self, name: str) -> Optional[tuple]:
+        if name not in self._successors:
+            self._successors[name] = self._table(
+                (e.dst, e.weight) for e in self._graph.successors(name)
+            )
+        return self._successors[name]
 
 
-def _known_successors(graph: SynergyGraph, registry: PassRegistry, name: str) -> list:
-    """The graph's edges of weight > 0 out of ``name`` to passes of
-    ``registry`` with a level, in order."""
-    return [
-        e
-        for e in graph.successors(name)
-        if e.weight > 0 and e.dst in registry and registry.level_of(e.dst) is not None
-    ]
+def _draw(rng: random.Random, table: tuple) -> Tuple[str, PassLevel]:
+    items, cum_weights = table
+    return rng.choices(items, cum_weights=cum_weights)[0]
 
 
 def _place_after_anchor(
@@ -115,6 +141,7 @@ def weighted_walk_init(
     registry: PassRegistry,
     config: SearchConfig,
     rng: random.Random,
+    tables: Optional[_DrawTables] = None,
 ) -> Individual:
     """Seed one individual by a weighted random walk on the graph.
 
@@ -124,25 +151,21 @@ def weighted_walk_init(
     successor; ``forest.nested_forest`` then places the walk. Names and
     edges of weight 0 are never drawn, and a graph without a start pass
     of weight > 0 in ``registry`` falls back to a uniformly random valid
-    forest.
+    forest. ``tables`` are the search's draw tables for (graph,
+    registry), built here when omitted; the draws are the same either way.
     """
-    names = [
-        name
-        for name, weight in graph.start_weights.items()
-        if weight > 0 and name in registry and registry.level_of(name) is not None
-    ]
-    if not names:
+    tables = tables or _DrawTables(graph, registry)
+    if tables.starts is None:
         return Individual(
             random_forest(rng, registry, max_leaves=config.max_sequence_length)
         )
-    walk = [_weighted_pick(rng, names, [graph.start_weights[n] for n in names])]
+    walk = [_draw(rng, tables.starts)]
     while len(walk) < config.max_sequence_length:
-        successors = _known_successors(graph, registry, walk[-1])
-        if not successors:
+        successors = tables.successors(walk[-1][0])
+        if successors is None:
             break
-        edge = _weighted_pick(rng, successors, [e.weight for e in successors])
-        walk.append(edge.dst)
-    return Individual(nested_forest([(n, registry.level_of(n)) for n in walk]))
+        walk.append(_draw(rng, successors))
+    return Individual(nested_forest(walk))
 
 
 def crossover(
@@ -186,6 +209,7 @@ def mutate(
     graph: SynergyGraph,
     registry: PassRegistry,
     rng: random.Random,
+    tables: Optional[_DrawTables] = None,
 ) -> Individual:
     """Grow or rewrite the forest around a random anchor pass.
 
@@ -193,23 +217,21 @@ def mutate(
     concrete pass keeps the population diverse. Half the time the chosen
     pass replaces another leaf of its own level, otherwise it is
     inserted next to the anchor the same way the walk would place it.
+    ``tables`` are as for ``weighted_walk_init``. Only the leaves at the
+    partner's level are listed, in preorder.
     """
+    tables = tables or _DrawTables(graph, registry)
     forest = individual.forest
     anchor_path, anchor = leaf_at(forest, rng.randrange(leaf_count(forest)))
-    successors = _known_successors(graph, registry, anchor.name)
-    if successors:
-        edge = _weighted_pick(rng, successors, [e.weight for e in successors])
-        partner = edge.dst
-        partner_level = registry.level_of(partner)
+    successors = tables.successors(anchor.name)
+    if successors is not None:
+        partner, partner_level = _draw(rng, successors)
     else:
-        info = rng.choice(list(registry.concrete_passes()))
-        partner, partner_level = info.name, info.level
+        partner, partner_level = rng.choice(tables.concrete)
     if rng.random() < 0.5:
-        candidates = [
-            path
-            for path, leaf in leaf_paths(forest)
-            if path != anchor_path and leaf.level == partner_level
-        ]
+        candidates = _leaf_paths_at(forest.trees, partner_level, (), [])
+        if anchor.level == partner_level:
+            candidates.remove(anchor_path)
         if candidates:
             target = rng.choice(candidates)
             return Individual(
@@ -218,11 +240,28 @@ def mutate(
     return Individual(_place_after_anchor(forest, anchor_path, partner, partner_level))
 
 
+def _leaf_paths_at(nodes, level: PassLevel, prefix: Tuple[int, ...], out: list) -> list:
+    """Append to ``out`` the paths of the leaves at ``level`` under
+    ``nodes``, in preorder. Managers nest only at their own or deeper
+    levels, so a manager deeper than ``level`` is skipped whole."""
+    for i, node in enumerate(nodes):
+        if node.__class__ is Leaf:
+            if node.level == level:
+                out.append(prefix + (i,))
+        elif node.level <= level:
+            _leaf_paths_at(node.children, level, prefix + (i,), out)
+    return out
+
+
 def _tournament(rng: random.Random, population: List[Individual]) -> Individual:
-    contenders = [
-        population[rng.randrange(len(population))] for _ in range(TOURNAMENT_SIZE)
-    ]
-    return max(contenders, key=lambda ind: ind.fitness)
+    """The fittest of ``TOURNAMENT_SIZE`` uniform draws; the first on ties."""
+    n = len(population)
+    best = population[rng.randrange(n)]
+    for _ in range(TOURNAMENT_SIZE - 1):
+        contender = population[rng.randrange(n)]
+        if contender.fitness > best.fitness:
+            best = contender
+    return best
 
 
 def failed_fitness(ic_orig: int) -> int:
@@ -248,6 +287,7 @@ def run_search(
     is nondecreasing) and the population mean.
     """
     rng = random.Random(config.seed)
+    tables = _DrawTables(graph, registry)
     ic_orig = backend.original_count(program)
     evaluator = Evaluator(backend, program, parallel)
 
@@ -255,12 +295,12 @@ def run_search(
         results = evaluator.map([ind.forest for ind in population])
         failed = failed_fitness(ic_orig)
         return [
-            replace(ind, fitness=ic_orig - res.instruction_count if res.ok else failed)
+            Individual(ind.forest, ic_orig - res.instruction_count if res.ok else failed)
             for ind, res in zip(population, results)
         ]
 
     population = [
-        weighted_walk_init(graph, registry, config, rng)
+        weighted_walk_init(graph, registry, config, rng, tables)
         for _ in range(config.population_size)
     ]
     population = score(population)
@@ -284,7 +324,7 @@ def run_search(
                 if len(next_population) >= config.population_size:
                     break
                 if rng.random() < MUTATION_RATE:
-                    child = mutate(child, graph, registry, rng)
+                    child = mutate(child, graph, registry, rng, tables)
                     child = Individual(
                         trim_to_length(child.forest, config.max_sequence_length)
                     )

@@ -14,6 +14,7 @@ from passforest import (
     PassLevel,
     PassRegistry,
     PipelineForest,
+    SearchConfig,
     is_valid,
     load_registry,
     schedule_of,
@@ -27,10 +28,13 @@ from passforest.forest import (
     iter_nodes,
     leaf_paths,
     minimal_wrap,
+    nested_forest,
+    random_forest,
     replace_node,
     wrap_in_chain,
 )
-from passforest.search import _place_after_anchor, _weighted_pick
+from passforest.search import _place_after_anchor
+from passforest.synergy import SynergyEdge, SynergyGraph
 
 LEVELS = (PassLevel.MODULE, PassLevel.CGSCC, PassLevel.FUNCTION, PassLevel.LOOP)
 
@@ -198,6 +202,42 @@ def reference_crossover(parent_a, parent_b, rng, max_sequence_length=None):
     return Individual(child_a), Individual(child_b)
 
 
+def _weighted_pick(rng: random.Random, items, weights):
+    """The search's weighted draw by plain weights."""
+    return rng.choices(list(items), weights=list(weights), k=1)[0]
+
+
+def _known_successors(graph, registry, name: str) -> list:
+    """The graph's edges of weight > 0 out of ``name`` to passes of
+    ``registry`` with a level, in order."""
+    return [
+        e
+        for e in graph.successors(name)
+        if e.weight > 0 and e.dst in registry and registry.level_of(e.dst) is not None
+    ]
+
+
+def reference_weighted_walk_init(graph, registry, config: SearchConfig, rng) -> Individual:
+    """The walk that filters the graph and weighs every draw afresh."""
+    names = [
+        name
+        for name, weight in graph.start_weights.items()
+        if weight > 0 and name in registry and registry.level_of(name) is not None
+    ]
+    if not names:
+        return Individual(
+            random_forest(rng, registry, max_leaves=config.max_sequence_length)
+        )
+    walk = [_weighted_pick(rng, names, [graph.start_weights[n] for n in names])]
+    while len(walk) < config.max_sequence_length:
+        successors = _known_successors(graph, registry, walk[-1])
+        if not successors:
+            break
+        edge = _weighted_pick(rng, successors, [e.weight for e in successors])
+        walk.append(edge.dst)
+    return Individual(nested_forest([(n, registry.level_of(n)) for n in walk]))
+
+
 def reference_mutate(individual, graph, registry, rng):
     """Mutation that lists every leaf to draw the anchor and the target."""
     forest = individual.forest
@@ -227,6 +267,41 @@ def reference_mutate(individual, graph, registry, rng):
                 replace_node(forest, target, Leaf(partner, partner_level))
             )
     return Individual(_place_after_anchor(forest, anchor_path, partner, partner_level))
+
+
+def reference_tournament(rng, population, size: int):
+    """The fittest of ``size`` uniform draws by ``max``: the first on ties."""
+    contenders = [population[rng.randrange(len(population))] for _ in range(size)]
+    return max(contenders, key=lambda ind: ind.fitness)
+
+
+def random_walk_graph(registry: PassRegistry, rng: random.Random) -> SynergyGraph:
+    """A normalized graph over ``registry``'s names and two more: one
+    outside it, and one polymorphic pass when the registry has none.
+    Weights of 0 are common; sometimes no start name can be drawn, and
+    sometimes the graph is empty."""
+    if rng.random() < 0.1:
+        return SynergyGraph.empty()
+    names = list(registry.names()) + ["ghost"]
+    if "invalidate<all>" not in registry:
+        names.append("invalidate<all>")
+
+    def weights(targets):
+        drawn = {t: rng.choice([0, 0, 1, 2, 5]) for t in targets}
+        drawn[rng.choice(targets)] = rng.choice([1, 3])
+        total = sum(drawn.values())
+        return {t: w / total for t, w in drawn.items()}
+
+    edges = [
+        SynergyEdge(src, dst, "intra", weight)
+        for src in names
+        if rng.random() < 0.7
+        for dst, weight in weights(rng.sample(names, rng.randint(1, len(names)))).items()
+    ]
+    starts = rng.sample(names, rng.randint(1, 4))
+    if rng.random() < 0.2:
+        starts = rng.sample(["ghost", "invalidate<all>"], rng.randint(1, 2))
+    return SynergyGraph(edges, weights(starts))
 
 
 def reference_nested_forest(passes: List[Tuple[str, PassLevel]]) -> PipelineForest:

@@ -416,6 +416,43 @@ def test_mine_replaced_program_file_is_mined_again(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The pins CI checks through the console script
+# ---------------------------------------------------------------------------
+
+WIDE_PIPELINE = (
+    "module(function(gvn,instcombine,adce,jump-threading,correlated-propagation,"
+    "reassociate,slp-vectorizer,vector-combine,tsan,gvn-hoist,bounds-checking,"
+    "instsimplify,memcpyopt))"
+)
+
+
+def test_ci_tune_pin(capsys):
+    argv = [
+        "tune", "--program", str(BENCH_DATA / "mock_tune.json"), "--seed", "1",
+        "--population", "16", "--generations", "8", "--max-len", "12", "--json",
+    ]
+    assert main(argv) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["search_ic"], d["refined_ic"], d["decision_point_count"]) == (25380, 25317, 6)
+
+
+@pytest.mark.parametrize(
+    "flags, pin",
+    [([], (1936, 2140, 4096, 12)), (["--exhaustive-budget", "64", "--seed", "3"], (1936, 2140, 109, 12))],
+    ids=["exhaustive", "genetic"],
+)
+def test_ci_refine_pins(capsys, flags, pin):
+    argv = [
+        "refine", "--program", str(BENCH_DATA / "mock_refine_wide.json"),
+        "--pipeline", WIDE_PIPELINE, "--json", *flags,
+    ]
+    assert main(argv) == 0
+    d = json.loads(capsys.readouterr().out)
+    fields = ("refined_ic", "seed_ic", "evaluations_used", "decision_point_count")
+    assert tuple(d[field] for field in fields) == pin
+
+
+# ---------------------------------------------------------------------------
 # search / refine
 # ---------------------------------------------------------------------------
 
@@ -483,10 +520,8 @@ def test_search_log_file(tmp_path, m1_file, ab_registry_file, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["search", "tune"])
-def test_a_log_into_a_missing_directory_evaluates_nothing(
-    capsys, monkeypatch, tmp_path, m1_file, command
-):
+def _backend_calls(monkeypatch) -> list:
+    """The arguments of every mock evaluation and input count, as made."""
     calls = []
     for method in ("evaluate", "original_count"):
         real = getattr(MockBackend, method)
@@ -494,6 +529,14 @@ def test_a_log_into_a_missing_directory_evaluates_nothing(
             MockBackend, method,
             lambda self, *args, _real=real: calls.append(args) or _real(self, *args),
         )
+    return calls
+
+
+@pytest.mark.parametrize("command", ["search", "tune"])
+def test_a_log_into_a_missing_directory_evaluates_nothing(
+    capsys, monkeypatch, tmp_path, m1_file, command
+):
+    calls = _backend_calls(monkeypatch)
     missing = tmp_path / "missing"
     argv = [command, "--program", m1_file, "--log", str(missing / "log.jsonl")]
     assert main(argv) == 2
@@ -501,6 +544,30 @@ def test_a_log_into_a_missing_directory_evaluates_nothing(
     assert calls == []
     assert main(argv[:-2] + ["--population", "4", "--generations", "1"]) == 0
     assert calls  # the spy sees a run that evaluates
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("search", "--log"), ("tune", "--log"), ("mine", "--out"), ("mine", "--checkpoint")],
+)
+def test_an_output_path_that_is_a_directory_evaluates_nothing(
+    capsys, monkeypatch, tmp_path, m1_file, command, flag
+):
+    calls = _backend_calls(monkeypatch)
+    directory = tmp_path / "taken"
+    directory.mkdir()
+    if command == "mine":
+        dataset = tmp_path / "ds"
+        dataset.mkdir()
+        save_mock_program_from(m1_file, dataset / "m1.json")
+        argv = ["mine", "--dataset", str(dataset), "--out", str(tmp_path / "g.json")]
+    else:
+        argv = [command, "--program", m1_file, "--population", "4", "--generations", "1"]
+    argv += [flag, str(directory)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: output path is a directory: {directory}\n"
+    assert calls == []
+    assert not list(tmp_path.glob("*.ckpt"))
 
 
 def _graph(**overrides):

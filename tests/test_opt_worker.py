@@ -6,6 +6,7 @@ everywhere and pin when the subprocess path is chosen.
 """
 
 import hashlib
+import json
 import os
 import random
 import shutil
@@ -21,6 +22,7 @@ from passforest import (
     PipelineForest,
     SearchConfig,
     SynergyGraph,
+    count_ir_instructions,
     default_registry,
     load_registry,
     parse_pipeline,
@@ -29,6 +31,7 @@ from passforest import (
     run_search,
 )
 from passforest import evaluation, opt_pool
+from passforest.cli import main
 from passforest.evaluation import file_stamp, resolve_opt_path, result_of
 from passforest.forest import module_steps
 from passforest.opt_pool import StateIndex, linked_libllvm
@@ -467,6 +470,25 @@ def test_search_results_do_not_depend_on_parallelism(real_opt, registry):
                                config, parallel=parallel)
         outcomes.append((print_pipeline(best.forest), best.fitness, log))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_tuned_pipeline_counts_the_same_in_plain_opt(real_opt, capsys):
+    # CI's tune on opt: the same payload at every --parallel, and the
+    # refined count is what one plain opt process prints for the pipeline.
+    payloads = []
+    for parallel in ("1", "2"):
+        argv = ["tune", "--program", NO_TRIPLE, "--evaluator", "opt", "--seed", "1",
+                "--population", "16", "--generations", "6", "--max-len", "8", "--json",
+                "--parallel", parallel]
+        assert main(argv) == 0
+        payloads.append(capsys.readouterr().out)
+    assert payloads[0] == payloads[1]
+    tuned = json.loads(payloads[0])
+    printed = subprocess.run(
+        [resolve_opt_path(), "-S", f"-passes={tuned['refined_pipeline']}", NO_TRIPLE, "-o", "-"],
+        capture_output=True, text=True, check=True,
+    )
+    assert count_ir_instructions(printed.stdout) == tuned["refined_ic"]
 
 
 def test_an_abort_mid_pipeline_keeps_the_states_saved_before_it(real_opt, registry, monkeypatch):

@@ -17,6 +17,7 @@ from passforest import (
     PartitionChromosome,
     PassLevel,
     PipelineForest,
+    SearchConfig,
     crossover,
     decision_points,
     decode,
@@ -29,6 +30,7 @@ from passforest import (
     random_forest,
     schedule_of,
     validate,
+    weighted_walk_init,
 )
 from passforest.forest import (
     insert_child,
@@ -41,6 +43,7 @@ from passforest.forest import (
     replace_node,
     trim_to_length,
 )
+from passforest.search import TOURNAMENT_SIZE, _DrawTables, _tournament
 from passforest.synergy import graph_from_counts
 
 from helpers import (
@@ -48,13 +51,16 @@ from helpers import (
     manager_paths,
     random_mock_program,
     random_typed_sequence,
+    random_walk_graph,
     reference_crossover,
     reference_decode,
     reference_mock_evaluate,
     reference_mutate,
     reference_nested_forest,
     reference_print_node,
+    reference_tournament,
     reference_trim_to_length,
+    reference_weighted_walk_init,
     remove_node,
     synthetic_registry,
 )
@@ -219,6 +225,41 @@ def test_mutate_matches_leaf_listing_operator(seed):
         assert got == reference_mutate(individual, graph, registry, theirs)
         assert ours.getstate() == theirs.getstate()
         individual = got
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_plain_weight_draws(seed):
+    # Drawing from the search's tables by cumulative weights must seed the
+    # same individuals as filtering the graph and weighing every draw
+    # afresh, and consume the same draws from the stream; called without
+    # tables or with ones shared across walks.
+    rng = random.Random(seed)
+    registry = synthetic_registry(6, rng) if seed % 2 else REGISTRY
+    graph = random_walk_graph(registry, rng)
+    config = SearchConfig(max_sequence_length=rng.randint(1, 12))
+    tables = _DrawTables(graph, registry)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for i in range(6):
+        got = weighted_walk_init(graph, registry, config, ours, tables if i % 2 else None)
+        assert got == reference_weighted_walk_init(graph, registry, config, theirs)
+        assert validate(got.forest, registry) == []
+        assert ours.getstate() == theirs.getstate()
+
+
+@given(
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_tournament_picks_what_max_picks(fitnesses, seed):
+    # Fitnesses repeat often, so ties must go to the first contender drawn.
+    population = [Individual(PipelineForest(()), fitness) for fitness in fitnesses]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        got = _tournament(ours, population)
+        assert got is reference_tournament(theirs, population, TOURNAMENT_SIZE)
+        assert ours.getstate() == theirs.getstate()
 
 
 @given(
