@@ -33,7 +33,6 @@ from .forest import (
     Leaf,
     Manager,
     PipelineForest,
-    is_valid,
     leaf_sequence,
     minimal_wrap,
     random_forest,
@@ -47,7 +46,6 @@ from .mock import (
     MockProgram,
     load_mock_program,
     mock_evaluate,
-    save_mock_program,
     schedule_of,
 )
 from .refine import (
@@ -67,6 +65,7 @@ from .registry import (
     load_registry,
 )
 from .search import (
+    DrawTables,
     Individual,
     SearchConfig,
     crossover,

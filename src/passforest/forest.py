@@ -109,11 +109,6 @@ class PipelineForest:
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
 
-    def __str__(self) -> str:
-        from .grammar import print_pipeline
-
-        return print_pipeline(self)
-
 
 # Read in per-candidate code: an enum member lookup costs ten times a global.
 _MODULE, _CGSCC, _FUNCTION, _LOOP = (
@@ -236,10 +231,6 @@ def _validate_leaf(leaf, path, registry, out):
         )
 
 
-def is_valid(forest: PipelineForest, registry: Optional[PassRegistry] = None) -> bool:
-    return not validate(forest, registry)
-
-
 # ---------------------------------------------------------------------------
 # Traversal.
 # ---------------------------------------------------------------------------
@@ -268,9 +259,10 @@ def manager_count(forest: PipelineForest) -> int:
 def manager_at(forest: PipelineForest, k: int) -> Tuple[Tuple[int, ...], Manager]:
     """(path, manager) of the ``k``-th manager in preorder, counting from 0.
 
-    Descends one path, skipping whole subtrees by their manager counts.
+    Descends one path, skipping whole subtrees by their manager counts;
+    raises IndexError unless ``0 <= k < manager_count(forest)``.
     """
-    if not 0 <= k < manager_count(forest):
+    if k < 0:
         raise IndexError(f"no manager {k} in forest")
     path: Tuple[int, ...] = ()
     children = forest.trees
@@ -279,6 +271,8 @@ def manager_at(forest: PipelineForest, k: int) -> Tuple[Tuple[int, ...], Manager
             if k < child.managers:
                 break
             k -= child.managers
+        else:  # only at top level: a manager's children hold its other managers
+            raise IndexError("manager index past the end of the forest")
         path += (i,)
         if k == 0:
             return path, child
@@ -289,9 +283,10 @@ def manager_at(forest: PipelineForest, k: int) -> Tuple[Tuple[int, ...], Manager
 def leaf_at(forest: PipelineForest, i: int) -> Tuple[Tuple[int, ...], Leaf]:
     """(path, leaf) of the ``i``-th leaf from the left, counting from 0.
 
-    Descends one path, skipping whole subtrees by their leaf counts.
+    Descends one path, skipping whole subtrees by their leaf counts;
+    raises IndexError unless ``0 <= i < leaf_count(forest)``.
     """
-    if not 0 <= i < leaf_count(forest):
+    if i < 0:
         raise IndexError(f"no leaf {i} in forest")
     path: Tuple[int, ...] = ()
     children = forest.trees
@@ -300,6 +295,8 @@ def leaf_at(forest: PipelineForest, i: int) -> Tuple[Tuple[int, ...], Leaf]:
             if i < child.size:
                 break
             i -= child.size
+        else:  # only at top level: a manager's children hold all its leaves
+            raise IndexError("leaf index past the end of the forest")
         path += (j,)
         if isinstance(child, Leaf):
             return path, child
@@ -562,17 +559,14 @@ def random_forest(
             else:
                 children.append(build(choice, depth + 1))
         if not children:
-            # guaranteed nonempty: a leaf here, or descend strictly deeper
-            if by_level[level]:
-                children.append(Leaf(rng.choice(by_level[level]), level))
-                budget[0] -= 1
-            else:
-                target = min(
-                    lvl
-                    for lvl in _CHILD_MANAGER_LEVELS[level]
-                    if lvl != level and reachable[lvl]
-                )
-                children.append(build(target, depth + 1))
+            # no pass at this level (else the first draw placed a child):
+            # descend strictly deeper
+            target = min(
+                lvl
+                for lvl in _CHILD_MANAGER_LEVELS[level]
+                if lvl != level and reachable[lvl]
+            )
+            children.append(build(target, depth + 1))
         return Manager(level, tuple(children))
 
     trees = [build(PassLevel.MODULE, 1)]

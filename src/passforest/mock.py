@@ -47,7 +47,6 @@ backend builds a plan only when two calls in a row share program and
 sequence.
 """
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -327,24 +326,6 @@ def _bonuses(entries, table: str) -> Dict[Tuple[str, str], int]:
     return bonuses
 
 
-def mock_program_to_dict(program: MockProgram) -> dict:
-    return {
-        "functions": [
-            {"name": f.name, "base_ic": f.base_ic} for f in program.functions
-        ],
-        "calls": [list(edge) for edge in program.call_edges],
-        "effects": dict(program.pass_effects),
-        "pair_synergy": [
-            {"p": p, "q": q, "bonus": bonus}
-            for (p, q), bonus in program.pair_synergy.items()
-        ],
-        "coupling": [
-            {"p": p, "q": q, "bonus": bonus}
-            for (p, q), bonus in program.coupling.items()
-        ],
-    }
-
-
 def load_mock_program(path: Union[str, Path]) -> MockProgram:
     spec = read_json(path)
     try:
@@ -372,12 +353,6 @@ def load_mock_program(path: Union[str, Path]) -> MockProgram:
         return MockProgram(tuple(functions), tuple(call_edges), effects, synergy, coupling)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-
-
-def save_mock_program(program: MockProgram, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mock_program_to_dict(program), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 class MockBackend:

@@ -6,12 +6,14 @@ rule of ``forest.nested_forest``, crossover swaps manager-rooted
 subtrees and discards any swap that breaks a nesting rule, and mutation
 grows or rewrites the forest around a randomly chosen anchor pass by the
 same rule. The net effect is that no candidate ever needs repair and no
-evaluation is wasted on an invalid pipeline.
+evaluation is wasted on an invalid pipeline. The operators take and
+return plain forests; only ``run_search`` pairs a forest with its
+fitness, as an ``Individual``, and trims each child to the length bound.
 
 All randomness flows through one seeded stream consumed in a fixed
 order, so a run is a pure function of (program, graph, config); fitness
 evaluations may be parallel without changing the result. The draws read
-the graph and the registry through ``_DrawTables``, built once per search;
+the graph and the registry through ``DrawTables``, built once per search;
 a draw by cumulative weights takes the same number from the stream and
 picks the same item as ``random.choices`` by plain weights.
 """
@@ -81,36 +83,33 @@ class SearchConfig:
             raise ValueError("generations must be >= 0")
 
 
-class _DrawTables:
+class DrawTables:
     """What the GA's draws read of (graph, registry), built once per search.
 
     A table is a list of (name, level) items and their cumulative weights,
     or None when nothing can be drawn: ``starts`` for a walk's first pass,
-    ``successors(name)`` for a synergy partner of ``name`` (built on first
-    use). ``concrete`` lists every pass with a level."""
+    ``successors.get(name)`` for a synergy partner of ``name``.
+    ``concrete`` lists every pass with a level, and ``registry`` serves
+    the walk's ``random_forest`` fallback."""
 
     def __init__(self, graph: SynergyGraph, registry: PassRegistry):
-        self._graph, self._registry = graph, registry
-        self._successors: Dict[str, Optional[tuple]] = {}
+        self.registry = registry
         self.starts = self._table(graph.start_weights.items())
+        self.successors: Dict[str, Optional[tuple]] = {
+            name: self._table((e.dst, e.weight) for e in graph.successors(name))
+            for name in graph.nodes
+        }
         self.concrete = [(p.name, p.level) for p in registry.concrete_passes()]
 
     def _table(self, weighted) -> Optional[tuple]:
         """The draw over the (name, weight) pairs of weight > 0 placed at a level."""
-        items, weights, registry = [], [], self._registry
+        items, weights, registry = [], [], self.registry
         for name, weight in weighted:
             level = registry.level_of(name) if weight > 0 and name in registry else None
             if level is not None:
                 items.append((name, level))
                 weights.append(weight)
         return (items, list(accumulate(weights))) if items else None
-
-    def successors(self, name: str) -> Optional[tuple]:
-        if name not in self._successors:
-            self._successors[name] = self._table(
-                (e.dst, e.weight) for e in self._graph.successors(name)
-            )
-        return self._successors[name]
 
 
 def _draw(rng: random.Random, table: tuple) -> Tuple[str, PassLevel]:
@@ -137,63 +136,47 @@ def _place_after_anchor(
 
 
 def weighted_walk_init(
-    graph: SynergyGraph,
-    registry: PassRegistry,
-    config: SearchConfig,
-    rng: random.Random,
-    tables: Optional[_DrawTables] = None,
-) -> Individual:
-    """Seed one individual by a weighted random walk on the graph.
+    tables: DrawTables, max_length: int, rng: random.Random
+) -> PipelineForest:
+    """Seed one forest by a weighted random walk on the graph.
 
     The start pass follows the mined start distribution and each
     successor is drawn proportionally to its synergy weight, until the
-    walk has ``max_sequence_length`` passes or a pass without a
-    successor; ``forest.nested_forest`` then places the walk. Names and
-    edges of weight 0 are never drawn, and a graph without a start pass
-    of weight > 0 in ``registry`` falls back to a uniformly random valid
-    forest. ``tables`` are the search's draw tables for (graph,
-    registry), built here when omitted; the draws are the same either way.
+    walk has ``max_length`` passes or a pass without a successor;
+    ``forest.nested_forest`` then places the walk. Names and edges of
+    weight 0 are never drawn, and a graph without a start pass of
+    weight > 0 in the registry falls back to a uniformly random valid
+    forest.
     """
-    tables = tables or _DrawTables(graph, registry)
     if tables.starts is None:
-        return Individual(
-            random_forest(rng, registry, max_leaves=config.max_sequence_length)
-        )
+        return random_forest(rng, tables.registry, max_leaves=max_length)
     walk = [_draw(rng, tables.starts)]
-    while len(walk) < config.max_sequence_length:
-        successors = tables.successors(walk[-1][0])
+    while len(walk) < max_length:
+        successors = tables.successors.get(walk[-1][0])
         if successors is None:
             break
         walk.append(_draw(rng, successors))
-    return Individual(nested_forest(walk))
+    return nested_forest(walk)
 
 
 def crossover(
-    parent_a: Individual,
-    parent_b: Individual,
-    rng: random.Random,
-    max_sequence_length: Optional[int] = None,
-) -> Optional[Tuple[Individual, Individual]]:
-    """Swap one random manager-rooted subtree between the parents.
+    forest_a: PipelineForest, forest_b: PipelineForest, rng: random.Random
+) -> Optional[Tuple[PipelineForest, PipelineForest]]:
+    """Swap one random manager-rooted subtree between two forests.
 
     Returns None (parents unchanged) when either offspring would break a
-    nesting rule. Oversized offspring are trimmed from the tail.
+    nesting rule. Offspring may be longer than either parent; the search
+    trims them.
 
     Each swap point is the k-th manager in preorder for a uniform k. The
     parents are valid, so an offspring is valid iff the subtree it
     receives is admitted where it lands; only that is checked.
     """
-    forest_a, forest_b = parent_a.forest, parent_b.forest
     path_a, node_a = manager_at(forest_a, rng.choice(range(manager_count(forest_a))))
     path_b, node_b = manager_at(forest_b, rng.choice(range(manager_count(forest_b))))
     if not (_admits(forest_a, path_a, node_b) and _admits(forest_b, path_b, node_a)):
         return None
-    child_a = replace_node(forest_a, path_a, node_b)
-    child_b = replace_node(forest_b, path_b, node_a)
-    if max_sequence_length is not None:
-        child_a = trim_to_length(child_a, max_sequence_length)
-        child_b = trim_to_length(child_b, max_sequence_length)
-    return Individual(child_a), Individual(child_b)
+    return replace_node(forest_a, path_a, node_b), replace_node(forest_b, path_b, node_a)
 
 
 def _admits(forest: PipelineForest, path: Tuple[int, ...], node: Manager) -> bool:
@@ -204,26 +187,17 @@ def _admits(forest: PipelineForest, path: Tuple[int, ...], node: Manager) -> boo
     return allowed_child(get_node(forest, path[:-1]).level, node)
 
 
-def mutate(
-    individual: Individual,
-    graph: SynergyGraph,
-    registry: PassRegistry,
-    rng: random.Random,
-    tables: Optional[_DrawTables] = None,
-) -> Individual:
+def mutate(forest: PipelineForest, tables: DrawTables, rng: random.Random) -> PipelineForest:
     """Grow or rewrite the forest around a random anchor pass.
 
     A synergy partner of the anchor is preferred; without one, a random
     concrete pass keeps the population diverse. Half the time the chosen
     pass replaces another leaf of its own level, otherwise it is
     inserted next to the anchor the same way the walk would place it.
-    ``tables`` are as for ``weighted_walk_init``. Only the leaves at the
-    partner's level are listed, in preorder.
+    Only the leaves at the partner's level are listed, in preorder.
     """
-    tables = tables or _DrawTables(graph, registry)
-    forest = individual.forest
     anchor_path, anchor = leaf_at(forest, rng.randrange(leaf_count(forest)))
-    successors = tables.successors(anchor.name)
+    successors = tables.successors.get(anchor.name)
     if successors is not None:
         partner, partner_level = _draw(rng, successors)
     else:
@@ -233,11 +207,8 @@ def mutate(
         if anchor.level == partner_level:
             candidates.remove(anchor_path)
         if candidates:
-            target = rng.choice(candidates)
-            return Individual(
-                replace_node(forest, target, Leaf(partner, partner_level))
-            )
-    return Individual(_place_after_anchor(forest, anchor_path, partner, partner_level))
+            return replace_node(forest, rng.choice(candidates), Leaf(partner, partner_level))
+    return _place_after_anchor(forest, anchor_path, partner, partner_level)
 
 
 def _leaf_paths_at(nodes, level: PassLevel, prefix: Tuple[int, ...], out: list) -> list:
@@ -287,49 +258,40 @@ def run_search(
     is nondecreasing) and the population mean.
     """
     rng = random.Random(config.seed)
-    tables = _DrawTables(graph, registry)
+    tables = DrawTables(graph, registry)
+    max_length = config.max_sequence_length
     ic_orig = backend.original_count(program)
     evaluator = Evaluator(backend, program, parallel)
 
-    def score(population: List[Individual]) -> List[Individual]:
-        results = evaluator.map([ind.forest for ind in population])
+    def score(forests: List[PipelineForest]) -> List[Individual]:
+        results = evaluator.map(forests)
         failed = failed_fitness(ic_orig)
         return [
-            Individual(ind.forest, ic_orig - res.instruction_count if res.ok else failed)
-            for ind, res in zip(population, results)
+            Individual(forest, ic_orig - res.instruction_count if res.ok else failed)
+            for forest, res in zip(forests, results)
         ]
 
-    population = [
-        weighted_walk_init(graph, registry, config, rng, tables)
-        for _ in range(config.population_size)
-    ]
-    population = score(population)
+    population = score(
+        [weighted_walk_init(tables, max_length, rng) for _ in range(config.population_size)]
+    )
     best = max(population, key=lambda ind: ind.fitness)
     log: List[dict] = [_log_record(0, best, population)]
 
     for generation in range(1, config.generations + 1):
         ranked = sorted(population, key=lambda ind: ind.fitness, reverse=True)
-        next_population: List[Individual] = list(ranked[:ELITISM])
-        while len(next_population) < config.population_size:
-            parent_a = _tournament(rng, population)
-            parent_b = _tournament(rng, population)
-            children: Tuple[Individual, Individual] = (parent_a, parent_b)
+        offspring = [ind.forest for ind in ranked[:ELITISM]]
+        while len(offspring) < config.population_size:
+            pair = (_tournament(rng, population).forest, _tournament(rng, population).forest)
             if rng.random() < CROSSOVER_RATE:
-                swapped = crossover(
-                    parent_a, parent_b, rng, config.max_sequence_length
-                )
-                if swapped is not None:
-                    children = swapped
-            for child in children:
-                if len(next_population) >= config.population_size:
+                pair = crossover(*pair, rng) or pair
+            for child in pair:
+                if len(offspring) >= config.population_size:
                     break
+                child = trim_to_length(child, max_length)
                 if rng.random() < MUTATION_RATE:
-                    child = mutate(child, graph, registry, rng, tables)
-                    child = Individual(
-                        trim_to_length(child.forest, config.max_sequence_length)
-                    )
-                next_population.append(child)
-        population = score(next_population)
+                    child = trim_to_length(mutate(child, tables, rng), max_length)
+                offspring.append(child)
+        population = score(offspring)
         generation_best = max(population, key=lambda ind: ind.fitness)
         if generation_best.fitness > best.fitness:
             best = generation_best

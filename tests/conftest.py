@@ -6,8 +6,9 @@ from passforest import (
     MockProgram,
     default_registry,
     load_registry,
-    save_mock_program,
 )
+
+from helpers import save_mock_program
 
 
 @pytest.fixture

@@ -1,12 +1,13 @@
 """Shared random generators for property and acceptance tests."""
 
+import json
 import random
 import stat
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple, Union
 
 from passforest import (
     EvaluationResult,
-    Individual,
     Leaf,
     Manager,
     MockFunction,
@@ -14,10 +15,9 @@ from passforest import (
     PassLevel,
     PassRegistry,
     PipelineForest,
-    SearchConfig,
-    is_valid,
     load_registry,
     schedule_of,
+    validate,
 )
 from passforest.forest import (
     ELEMENT_RULE,
@@ -37,6 +37,35 @@ from passforest.search import _place_after_anchor
 from passforest.synergy import SynergyEdge, SynergyGraph
 
 LEVELS = (PassLevel.MODULE, PassLevel.CGSCC, PassLevel.FUNCTION, PassLevel.LOOP)
+
+
+def is_valid(forest: PipelineForest, registry: Optional[PassRegistry] = None) -> bool:
+    return not validate(forest, registry)
+
+
+def mock_program_to_dict(program: MockProgram) -> dict:
+    """The JSON spec that ``load_mock_program`` reads back as ``program``."""
+    return {
+        "functions": [
+            {"name": f.name, "base_ic": f.base_ic} for f in program.functions
+        ],
+        "calls": [list(edge) for edge in program.call_edges],
+        "effects": dict(program.pass_effects),
+        "pair_synergy": [
+            {"p": p, "q": q, "bonus": bonus}
+            for (p, q), bonus in program.pair_synergy.items()
+        ],
+        "coupling": [
+            {"p": p, "q": q, "bonus": bonus}
+            for (p, q), bonus in program.coupling.items()
+        ],
+    }
+
+
+def save_mock_program(program: MockProgram, path: Union[str, Path]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(mock_program_to_dict(program), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def synthetic_registry(n_passes: int, rng: random.Random) -> PassRegistry:
@@ -188,18 +217,15 @@ def reference_trim_to_length(forest: PipelineForest, max_leaves: int) -> Pipelin
     return forest
 
 
-def reference_crossover(parent_a, parent_b, rng, max_sequence_length=None):
+def reference_crossover(forest_a, forest_b, rng):
     """Crossover that builds both offspring and validates them whole."""
-    path_a, node_a = rng.choice(manager_paths(parent_a.forest))
-    path_b, node_b = rng.choice(manager_paths(parent_b.forest))
-    child_a = replace_node(parent_a.forest, path_a, node_b)
-    child_b = replace_node(parent_b.forest, path_b, node_a)
+    path_a, node_a = rng.choice(manager_paths(forest_a))
+    path_b, node_b = rng.choice(manager_paths(forest_b))
+    child_a = replace_node(forest_a, path_a, node_b)
+    child_b = replace_node(forest_b, path_b, node_a)
     if not (is_valid(child_a) and is_valid(child_b)):
         return None
-    if max_sequence_length is not None:
-        child_a = reference_trim_to_length(child_a, max_sequence_length)
-        child_b = reference_trim_to_length(child_b, max_sequence_length)
-    return Individual(child_a), Individual(child_b)
+    return child_a, child_b
 
 
 def _weighted_pick(rng: random.Random, items, weights):
@@ -217,7 +243,7 @@ def _known_successors(graph, registry, name: str) -> list:
     ]
 
 
-def reference_weighted_walk_init(graph, registry, config: SearchConfig, rng) -> Individual:
+def reference_weighted_walk_init(graph, registry, max_length: int, rng) -> PipelineForest:
     """The walk that filters the graph and weighs every draw afresh."""
     names = [
         name
@@ -225,22 +251,19 @@ def reference_weighted_walk_init(graph, registry, config: SearchConfig, rng) -> 
         if weight > 0 and name in registry and registry.level_of(name) is not None
     ]
     if not names:
-        return Individual(
-            random_forest(rng, registry, max_leaves=config.max_sequence_length)
-        )
+        return random_forest(rng, registry, max_leaves=max_length)
     walk = [_weighted_pick(rng, names, [graph.start_weights[n] for n in names])]
-    while len(walk) < config.max_sequence_length:
+    while len(walk) < max_length:
         successors = _known_successors(graph, registry, walk[-1])
         if not successors:
             break
         edge = _weighted_pick(rng, successors, [e.weight for e in successors])
         walk.append(edge.dst)
-    return Individual(nested_forest([(n, registry.level_of(n)) for n in walk]))
+    return nested_forest([(n, registry.level_of(n)) for n in walk])
 
 
-def reference_mutate(individual, graph, registry, rng):
+def reference_mutate(forest, graph, registry, rng):
     """Mutation that lists every leaf to draw the anchor and the target."""
-    forest = individual.forest
     leaves = leaf_paths(forest)
     anchor_path, anchor = rng.choice(leaves)
     successors = [
@@ -263,10 +286,8 @@ def reference_mutate(individual, graph, registry, rng):
         ]
         if candidates:
             target = rng.choice(candidates)
-            return Individual(
-                replace_node(forest, target, Leaf(partner, partner_level))
-            )
-    return Individual(_place_after_anchor(forest, anchor_path, partner, partner_level))
+            return replace_node(forest, target, Leaf(partner, partner_level))
+    return _place_after_anchor(forest, anchor_path, partner, partner_level)
 
 
 def reference_tournament(rng, population, size: int):

@@ -15,6 +15,7 @@ import time
 import pytest
 
 import helpers
+from helpers import is_valid, save_mock_program
 from passforest import (
     MockBackend,
     MockFunction,
@@ -27,7 +28,6 @@ from passforest import (
     decision_points,
     decode,
     default_registry,
-    is_valid,
     leaf_sequence,
     load_registry,
     mine_synergies,
@@ -44,7 +44,7 @@ from passforest import (
 from passforest.cli import main as cli_main
 from passforest.forest import Manager, PipelineForest
 from passforest.refine import _all_chromosomes
-from passforest.search import SearchConfig
+from passforest.search import DrawTables
 from passforest.skeletons import SKELETON_VARIANT_NAMES
 from passforest.synergy import SynergyGraph, mine_program_pairs
 from test_synergy import brute_force_edges
@@ -76,30 +76,23 @@ def test_criterion_1_grammar_soundness():
 def test_criterion_2_validity_by_construction():
     registry = default_registry()
     rng = random.Random(99)
-    config = SearchConfig(max_sequence_length=12, seed=0)
-    graph = SynergyGraph.empty()
+    tables = DrawTables(SynergyGraph.empty(), registry)
     started = time.monotonic()
     produced = 0
-    pool = [
-        weighted_walk_init(graph, registry, config, rng).forest
-        for _ in range(200)
-    ]
+    pool = [weighted_walk_init(tables, 12, rng) for _ in range(200)]
     for forest in pool:
         assert is_valid(forest, registry)
         produced += 1
-    from passforest import Individual
-
-    individuals = [Individual(f) for f in pool]
     while produced < 10_000:
-        a = rng.choice(individuals)
-        b = rng.choice(individuals)
-        swapped = crossover(a, b, rng, max_sequence_length=12)
+        a = rng.choice(pool)
+        b = rng.choice(pool)
+        swapped = crossover(a, b, rng)
         if swapped is not None:
             for child in swapped:
-                assert is_valid(child.forest, registry)
+                assert is_valid(child, registry)
                 produced += 1
-        mutated = mutate(rng.choice(individuals), graph, registry, rng)
-        assert is_valid(mutated.forest, registry)
+        mutated = mutate(rng.choice(pool), tables, rng)
+        assert is_valid(mutated, registry)
         produced += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -247,8 +240,6 @@ def test_criterion_7_metric_arithmetic():
 
 
 def test_criterion_8_command_determinism(tmp_path, capsys, m1):
-    from passforest import save_mock_program
-
     registry_file = tmp_path / "reg.txt"
     registry_file.write_text("a=function\nb=function\n")
     program_file = tmp_path / "m1.json"

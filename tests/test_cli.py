@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import helpers
-from passforest import MockBackend, save_mock_program
+from helpers import save_mock_program
+from passforest import MockBackend
 from passforest.cli import main
 from passforest.skeletons import SKELETON_VARIANT_NAMES
 
@@ -452,6 +453,16 @@ def test_ci_refine_pins(capsys, flags, pin):
     assert tuple(d[field] for field in fields) == pin
 
 
+def test_ci_structure_study_on_the_mock_tune_program(capsys):
+    argv = [
+        "experiment", "structure", "--program", str(BENCH_DATA / "mock_tune.json"),
+        "--passes", "globalopt,inline,gvn,loop-deletion;gvn,adce", "--json",
+    ]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [len(case["variants"]) for case in payload["cases"]] == [5, 3]
+
+
 # ---------------------------------------------------------------------------
 # search / refine
 # ---------------------------------------------------------------------------
@@ -711,8 +722,11 @@ def test_timeout_must_be_finite_and_positive(capsys, tmp_path, command, timeout)
 
 @pytest.mark.parametrize(
     "extra",
-    [["--parallel", "0"], ["--parallel", "-3"], ["--generations", "-1"]],
-    ids=["parallel-0", "parallel-negative", "generations-negative"],
+    [
+        ["--parallel", "0"], ["--parallel", "-3"], ["--generations", "-1"],
+        ["--population", "0"], ["--max-len", "0"],
+    ],
+    ids=["parallel-0", "parallel-negative", "generations-negative", "population-0", "max-len-0"],
 )
 def test_search_rejects_negative_sizes(capsys, m1_file, ab_registry_file, extra):
     argv = ["search", "--program", m1_file, "--registry", ab_registry_file, *extra]

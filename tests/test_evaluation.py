@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 import helpers
+from helpers import save_mock_program
 from passforest import (
     BackendUnavailable,
     Leaf,
@@ -31,7 +32,6 @@ from passforest import (
     parse_pipeline,
     print_pipeline,
     refine,
-    save_mock_program,
     schedule_of,
 )
 from passforest import evaluation
@@ -456,6 +456,17 @@ def test_opt_backend_nonzero_exit(tmp_path, ir_file, globalopt):
         result = OptBackend(opt_path=fake).evaluate(ir_file, globalopt)
         assert not result.ok
         assert result.detail == detail
+
+
+def test_opt_backend_output_with_unbalanced_body_fails(tmp_path, ir_file, globalopt):
+    cases = [
+        ("define void @f() {\\n  ret void\\n", "unterminated function body"),
+        ("  ret void\\n}\\n", "'}' outside any function body"),
+    ]
+    for output, detail in cases:
+        fake = helpers.write_script(tmp_path / "opt", f"printf '{output}'\nexit 0\n")
+        result = OptBackend(opt_path=fake).evaluate(ir_file, globalopt)
+        assert (result.ok, result.detail) == (False, detail)
 
 
 def test_opt_backend_empty_pipeline_fails(tmp_path, ir_file):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import save_mock_program
 from passforest import (
     MockFunction,
     MockProgram,
@@ -15,7 +16,6 @@ from passforest import (
     mine_synergies,
     parse_pipeline,
     save_graph,
-    save_mock_program,
     tune,
 )
 from passforest.cli import main as cli_main
@@ -72,6 +72,13 @@ def test_microstructure_inter_level_pair(backend):
     result = run_structure_study([("m", "f")], program, registry, backend)
     counts = _counts(result["cases"][0])
     assert counts["nested"] == counts["phased"]
+
+
+def test_microstructure_shallower_second_pass_is_phased_only(backend):
+    registry = load_registry("m=module\nf=function\n")
+    program = MockProgram(functions=(MockFunction("f1", 40),), pass_effects={"m": 2, "f": 3})
+    result = run_structure_study([("f", "m")], program, registry, backend)
+    assert _counts(result["cases"][0]) == {"phased": 35}
 
 
 def test_structure_study_defaults_to_graph_edges(tmp_path, m1, ab_registry, backend, capsys):

@@ -119,6 +119,8 @@ def test_worker_prints_what_opt_prints(real_opt, path):
     forests += [parse_pipeline(pipeline, registry) for pipeline in (
         "module(globalopt,function(gvn),module(cgscc(inline),module(function(adce)))),"
         "module(function(adce,loop(loop-deletion)))",
+        "module(globalopt,module(function(gvn)),cgscc(inline)),"
+        "module(function(adce,loop(loop-deletion)))",
         "module(globalopt),module(strip)",
     )]
     for forest in forests:
@@ -489,6 +491,23 @@ def test_a_tuned_pipeline_counts_the_same_in_plain_opt(real_opt, capsys):
         capture_output=True, text=True, check=True,
     )
     assert count_ir_instructions(printed.stdout) == tuned["refined_ic"]
+
+
+def test_a_mined_graph_is_the_same_at_every_parallelism(real_opt, tmp_path):
+    # Mining is a tune's largest map: on opt its graph file must not
+    # depend on --parallel. Each run has its own --out, so its own checkpoint.
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    shutil.copy(NO_TRIPLE, dataset)
+    graphs = []
+    for parallel in ("1", "2"):
+        out = tmp_path / f"graph-{parallel}.json"
+        argv = ["mine", "--dataset", str(dataset), "--evaluator", "opt",
+                "--parallel", parallel, "--out", str(out), "--json"]
+        assert main(argv) == 0
+        graphs.append(out.read_bytes())
+    assert graphs[0] == graphs[1]
+    assert json.loads(graphs[0])["edges"]
 
 
 def test_an_abort_mid_pipeline_keeps_the_states_saved_before_it(real_opt, registry, monkeypatch):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+from helpers import is_valid
 from passforest import (
     EmptyManager,
     Leaf,
@@ -14,7 +15,6 @@ from passforest import (
     TopLevelNotModule,
     UnknownPass,
     build_skeleton_variant,
-    is_valid,
     leaf_sequence,
     load_registry,
     minimal_wrap,
@@ -169,6 +169,11 @@ def test_validate_non_module_root():
     fn = Manager(PassLevel.FUNCTION, (Leaf("gvn", PassLevel.FUNCTION),))
     violations = validate(PipelineForest((fn,)))
     assert [v.rule for v in violations] == ["R1"]
+
+
+def test_validate_empty_forest():
+    violations = validate(PipelineForest(()))
+    assert [(v.rule, v.message) for v in violations] == [("R1", "pipeline has no trees")]
 
 
 def test_validate_unknown_pass_with_registry(registry):

@@ -4,9 +4,11 @@ import dataclasses
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from passforest import (
+    DrawTables,
     Individual,
     Leaf,
     Manager,
@@ -17,7 +19,6 @@ from passforest import (
     PartitionChromosome,
     PassLevel,
     PipelineForest,
-    SearchConfig,
     crossover,
     decision_points,
     decode,
@@ -43,7 +44,7 @@ from passforest.forest import (
     replace_node,
     trim_to_length,
 )
-from passforest.search import TOURNAMENT_SIZE, _DrawTables, _tournament
+from passforest.search import TOURNAMENT_SIZE, _tournament
 from passforest.synergy import graph_from_counts
 
 from helpers import (
@@ -172,6 +173,9 @@ def test_node_summaries_match_whole_tree_walks(forest):
 def test_manager_walk_matches_preorder_listing(forest):
     paths = manager_paths(forest)
     assert [manager_at(forest, k) for k in range(len(paths))] == paths
+    for k in (-1, len(paths)):
+        with pytest.raises(IndexError):
+            manager_at(forest, k)
     for _, node in paths:
         sub = PipelineForest((node,))
         assert [manager_at(sub, k) for k in range(node.managers)] == manager_paths(sub)
@@ -181,6 +185,9 @@ def test_manager_walk_matches_preorder_listing(forest):
 @settings(max_examples=300, deadline=None)
 def test_leaf_walk_matches_leaf_listing(forest):
     assert [leaf_at(forest, i) for i in range(leaf_count(forest))] == leaf_paths(forest)
+    for i in (-1, leaf_count(forest)):
+        with pytest.raises(IndexError):
+            leaf_at(forest, i)
 
 
 @given(_edited_forests())
@@ -195,15 +202,18 @@ def test_trim_matches_last_leaf_removal_loop(forest):
 def test_crossover_matches_whole_forest_validation(seed, max_length):
     # The local check must accept exactly the swaps after which both
     # offspring validate, and draw the same swap points from the stream.
+    # Offspring go back in as parents, trimmed as the search trims them.
     rng = random.Random(seed)
     registry = synthetic_registry(6, rng) if seed % 2 else REGISTRY
-    parents = [Individual(random_forest(rng, registry, 12)) for _ in range(2)]
+    parents = [random_forest(rng, registry, 12) for _ in range(2)]
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(5):
-        got = crossover(*parents, ours, max_length)
-        assert got == reference_crossover(*parents, theirs, max_length)
+        got = crossover(*parents, ours)
+        assert got == reference_crossover(*parents, theirs)
         assert ours.getstate() == theirs.getstate()
-        parents = list(got) if got is not None else parents
+        if got is not None:
+            parents = [child if max_length is None else trim_to_length(child, max_length)
+                       for child in got]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -218,13 +228,14 @@ def test_mutate_matches_leaf_listing_operator(seed):
         (p, q): rng.randint(1, 3) for p in names for q in names if rng.random() < 0.2
     }
     graph = graph_from_counts(counts, registry)
-    individual = Individual(random_forest(rng, registry, 12))
+    tables = DrawTables(graph, registry)
+    forest = random_forest(rng, registry, 12)
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(5):
-        got = mutate(individual, graph, registry, ours)
-        assert got == reference_mutate(individual, graph, registry, theirs)
+        got = mutate(forest, tables, ours)
+        assert got == reference_mutate(forest, graph, registry, theirs)
         assert ours.getstate() == theirs.getstate()
-        individual = got
+        forest = got
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -232,18 +243,18 @@ def test_mutate_matches_leaf_listing_operator(seed):
 def test_walk_matches_plain_weight_draws(seed):
     # Drawing from the search's tables by cumulative weights must seed the
     # same individuals as filtering the graph and weighing every draw
-    # afresh, and consume the same draws from the stream; called without
-    # tables or with ones shared across walks.
+    # afresh, and consume the same draws from the stream, with one set of
+    # tables shared across walks.
     rng = random.Random(seed)
     registry = synthetic_registry(6, rng) if seed % 2 else REGISTRY
     graph = random_walk_graph(registry, rng)
-    config = SearchConfig(max_sequence_length=rng.randint(1, 12))
-    tables = _DrawTables(graph, registry)
+    max_length = rng.randint(1, 12)
+    tables = DrawTables(graph, registry)
     ours, theirs = random.Random(seed), random.Random(seed)
-    for i in range(6):
-        got = weighted_walk_init(graph, registry, config, ours, tables if i % 2 else None)
-        assert got == reference_weighted_walk_init(graph, registry, config, theirs)
-        assert validate(got.forest, registry) == []
+    for _ in range(6):
+        got = weighted_walk_init(tables, max_length, ours)
+        assert got == reference_weighted_walk_init(graph, registry, max_length, theirs)
+        assert validate(got, registry) == []
         assert ours.getstate() == theirs.getstate()
 
 

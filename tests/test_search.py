@@ -3,14 +3,14 @@ import random
 import pytest
 
 import helpers
+from helpers import is_valid
 from passforest import (
+    DrawTables,
     EvaluationResult,
-    Individual,
     MockBackend,
     RefineConfig,
     SearchConfig,
     crossover,
-    is_valid,
     leaf_sequence,
     load_registry,
     mine_synergies,
@@ -21,6 +21,7 @@ from passforest import (
     run_search,
     weighted_walk_init,
 )
+import passforest.search as search_module
 from passforest.forest import leaf_count
 from passforest.synergy import SynergyEdge, SynergyGraph
 
@@ -35,69 +36,62 @@ def ab_graph(m1, ab_registry, backend):
 # ---------------------------------------------------------------------------
 
 def test_walk_intra_degenerate(ab_graph, ab_registry):
-    config = SearchConfig(max_sequence_length=2, seed=1)
-    ind = weighted_walk_init(ab_graph, ab_registry, config, random.Random(1))
-    assert print_pipeline(ind.forest) == "module(function(a,b))"
+    forest = weighted_walk_init(DrawTables(ab_graph, ab_registry), 2, random.Random(1))
+    assert print_pipeline(forest) == "module(function(a,b))"
 
 
 def test_walk_inter_degenerate():
     registry = load_registry("m=module\nf=function\n")
     graph = SynergyGraph([SynergyEdge("m", "f", "inter", 1.0)], {"m": 1.0})
-    config = SearchConfig(max_sequence_length=2, seed=1)
-    ind = weighted_walk_init(graph, registry, config, random.Random(1))
-    assert print_pipeline(ind.forest) == "module(m,function(f))"
+    forest = weighted_walk_init(DrawTables(graph, registry), 2, random.Random(1))
+    assert print_pipeline(forest) == "module(m,function(f))"
 
 
 def test_walk_upward_edge_starts_new_tree():
     registry = load_registry("m=module\nf=function\n")
     graph = SynergyGraph([SynergyEdge("f", "m", "inter", 1.0)], {"f": 1.0})
-    config = SearchConfig(max_sequence_length=2, seed=1)
-    ind = weighted_walk_init(graph, registry, config, random.Random(1))
-    assert print_pipeline(ind.forest) == "module(function(f)),module(m)"
+    forest = weighted_walk_init(DrawTables(graph, registry), 2, random.Random(1))
+    assert print_pipeline(forest) == "module(function(f)),module(m)"
 
 
 def test_walk_deeper_chain_from_module_to_loop():
     registry = load_registry("m=module\nl=loop\n")
     graph = SynergyGraph([SynergyEdge("m", "l", "inter", 1.0)], {"m": 1.0})
-    config = SearchConfig(max_sequence_length=2, seed=1)
-    ind = weighted_walk_init(graph, registry, config, random.Random(1))
-    assert print_pipeline(ind.forest) == "module(m,function(loop(l)))"
+    forest = weighted_walk_init(DrawTables(graph, registry), 2, random.Random(1))
+    assert print_pipeline(forest) == "module(m,function(loop(l)))"
 
 
 def test_walk_halts_without_successors(ab_graph, ab_registry):
-    config = SearchConfig(max_sequence_length=10, seed=1)
-    ind = weighted_walk_init(ab_graph, ab_registry, config, random.Random(1))
+    forest = weighted_walk_init(DrawTables(ab_graph, ab_registry), 10, random.Random(1))
     # a -> b, then b has no outgoing edges
-    assert [name for name, _ in leaf_sequence(ind.forest)] == ["a", "b"]
+    assert [name for name, _ in leaf_sequence(forest)] == ["a", "b"]
 
 
 def test_walk_respects_max_length(ab_registry):
     graph = SynergyGraph(
         [SynergyEdge("a", "a", "intra", 1.0)], {"a": 1.0}
     )
-    config = SearchConfig(max_sequence_length=5, seed=1)
-    ind = weighted_walk_init(graph, ab_registry, config, random.Random(1))
-    assert leaf_count(ind.forest) == 5
+    forest = weighted_walk_init(DrawTables(graph, ab_registry), 5, random.Random(1))
+    assert leaf_count(forest) == 5
 
 
 def test_walk_empty_graph_fallback(registry):
-    config = SearchConfig(max_sequence_length=6, seed=3)
+    tables = DrawTables(SynergyGraph.empty(), registry)
     rng = random.Random(3)
     for _ in range(50):
-        ind = weighted_walk_init(SynergyGraph.empty(), registry, config, rng)
-        assert is_valid(ind.forest, registry)
-        assert 1 <= leaf_count(ind.forest) <= 6
+        forest = weighted_walk_init(tables, 6, rng)
+        assert is_valid(forest, registry)
+        assert 1 <= leaf_count(forest) <= 6
 
 
 def test_walk_start_distribution():
     registry = load_registry("a=function\nb=function\n")
-    graph = SynergyGraph([], {"a": 0.7, "b": 0.3})
-    config = SearchConfig(max_sequence_length=1, seed=0)
+    tables = DrawTables(SynergyGraph([], {"a": 0.7, "b": 0.3}), registry)
     rng = random.Random(0)
     draws = {"a": 0, "b": 0}
     for _ in range(10_000):
-        ind = weighted_walk_init(graph, registry, config, rng)
-        draws[leaf_sequence(ind.forest)[0][0]] += 1
+        forest = weighted_walk_init(tables, 1, rng)
+        draws[leaf_sequence(forest)[0][0]] += 1
     assert abs(draws["a"] / 10_000 - 0.7) <= 0.02
     assert abs(draws["b"] / 10_000 - 0.3) <= 0.02
 
@@ -117,45 +111,57 @@ class ScriptedRng:
 
 
 def test_crossover_identical_subtrees_identity(registry):
-    a = Individual(parse_pipeline("module(globalopt)", registry))
-    b = Individual(parse_pipeline("module(globalopt)", registry))
+    a = parse_pipeline("module(globalopt)", registry)
+    b = parse_pipeline("module(globalopt)", registry)
     result = crossover(a, b, ScriptedRng([0, 0]))
-    assert result is not None
-    child_a, child_b = result
-    assert child_a.forest == a.forest
-    assert child_b.forest == b.forest
+    assert result == (a, b)
 
 
 def test_crossover_swaps_function_managers(ab_registry):
-    a = Individual(parse_pipeline("module(function(a))", ab_registry))
-    b = Individual(parse_pipeline("module(function(b))", ab_registry))
+    a = parse_pipeline("module(function(a))", ab_registry)
+    b = parse_pipeline("module(function(b))", ab_registry)
     # manager paths per parent: [(0,) module, (0,0) function]; pick index 1
     result = crossover(a, b, ScriptedRng([1, 1]))
     assert result is not None
     child_a, child_b = result
-    assert print_pipeline(child_a.forest) == "module(function(b))"
-    assert print_pipeline(child_b.forest) == "module(function(a))"
+    assert print_pipeline(child_a) == "module(function(b))"
+    assert print_pipeline(child_b) == "module(function(a))"
 
 
 def test_crossover_invalid_swap_discarded(registry):
-    a = Individual(
-        parse_pipeline("module(function(loop(loop(licm))))", registry)
-    )
-    b = Individual(parse_pipeline("module(function(gvn))", registry))
+    a = parse_pipeline("module(function(loop(loop(licm))))", registry)
+    b = parse_pipeline("module(function(gvn))", registry)
     # a: managers [(0,), (0,0), (0,0,0), (0,0,0,0)] -> pick inner loop (index 3)
     # b: managers [(0,), (0,0)] -> pick the function manager (index 1)
     result = crossover(a, b, ScriptedRng([3, 1]))
     assert result is None
 
 
-def test_crossover_trims_to_max_length(ab_registry):
-    a = Individual(parse_pipeline("module(function(a,a,a))", ab_registry))
-    b = Individual(parse_pipeline("module(function(b,b,b))", ab_registry))
-    result = crossover(a, b, ScriptedRng([0, 0]), max_sequence_length=2)
-    assert result is not None
-    for child in result:
-        assert leaf_count(child.forest) <= 2
-        assert is_valid(child.forest)
+def test_search_trims_offspring_to_max_length(registry, monkeypatch):
+    # Crossover may return offspring longer than the bound; run_search
+    # trims each child before scoring it.
+    longest = []
+
+    def recording_crossover(forest_a, forest_b, rng):
+        swapped = crossover(forest_a, forest_b, rng)
+        if swapped is not None:
+            longest.append(max(map(leaf_count, swapped)))
+        return swapped
+
+    evaluated = []
+
+    class Recording(MockBackend):
+        def evaluate(self, program, forest):
+            evaluated.append(leaf_count(forest))
+            return super().evaluate(program, forest)
+
+    rng = random.Random(5)
+    program = helpers.random_mock_program(registry, rng)
+    config = SearchConfig(population_size=12, generations=6, max_sequence_length=4, seed=5)
+    monkeypatch.setattr(search_module, "crossover", recording_crossover)
+    run_search(program, SynergyGraph.empty(), registry, Recording(), config)
+    assert max(longest) > 4
+    assert 1 <= min(evaluated) and max(evaluated) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +170,11 @@ def test_crossover_trims_to_max_length(ab_registry):
 
 def test_mutate_intra_partner_inserted_after_anchor(ab_registry):
     graph = SynergyGraph([SynergyEdge("a", "b", "intra", 1.0)], {"a": 1.0})
-    ind = Individual(parse_pipeline("module(function(a))", ab_registry))
+    tables = DrawTables(graph, ab_registry)
+    forest = parse_pipeline("module(function(a))", ab_registry)
     for seed in range(10):
-        mutated = mutate(ind, graph, ab_registry, random.Random(seed))
-        assert print_pipeline(mutated.forest) == "module(function(a,b))"
+        mutated = mutate(forest, tables, random.Random(seed))
+        assert print_pipeline(mutated) == "module(function(a,b))"
 
 
 def test_mutate_inter_partner_opens_manager():
@@ -175,29 +182,31 @@ def test_mutate_inter_partner_opens_manager():
     graph = SynergyGraph(
         [SynergyEdge("globalopt", "gvn", "inter", 1.0)], {"globalopt": 1.0}
     )
-    ind = Individual(parse_pipeline("module(globalopt)", registry))
+    tables = DrawTables(graph, registry)
+    forest = parse_pipeline("module(globalopt)", registry)
     for seed in range(10):
-        mutated = mutate(ind, graph, registry, random.Random(seed))
-        assert print_pipeline(mutated.forest) == "module(globalopt,function(gvn))"
+        mutated = mutate(forest, tables, random.Random(seed))
+        assert print_pipeline(mutated) == "module(globalopt,function(gvn))"
 
 
 def test_mutate_empty_graph_fallback(registry):
-    ind = Individual(parse_pipeline("module(globalopt,function(gvn))", registry))
+    tables = DrawTables(SynergyGraph.empty(), registry)
+    forest = parse_pipeline("module(globalopt,function(gvn))", registry)
     rng = random.Random(9)
     for _ in range(100):
-        mutated = mutate(ind, SynergyGraph.empty(), registry, rng)
-        assert is_valid(mutated.forest, registry)
+        assert is_valid(mutate(forest, tables, rng), registry)
 
 
 def test_mutate_replacement_keeps_level(ab_registry):
     graph = SynergyGraph([SynergyEdge("a", "b", "intra", 1.0)], {"a": 1.0})
-    ind = Individual(parse_pipeline("module(function(a,a))", ab_registry))
+    tables = DrawTables(graph, ab_registry)
+    forest = parse_pipeline("module(function(a,a))", ab_registry)
     rng = random.Random(2)
     seen = set()
     for _ in range(50):
-        mutated = mutate(ind, graph, ab_registry, rng)
-        assert is_valid(mutated.forest, ab_registry)
-        seen.add(print_pipeline(mutated.forest))
+        mutated = mutate(forest, tables, rng)
+        assert is_valid(mutated, ab_registry)
+        seen.add(print_pipeline(mutated))
     # both insertion and replacement outcomes appear
     assert "module(function(a,b))" in seen      # replaced the sibling
     assert "module(function(a,b,a))" in seen    # inserted after anchor
@@ -277,24 +286,21 @@ def test_search_best_fitness_is_monotone(ab_registry, backend):
 
 def test_operations_valid_by_construction(registry, backend):
     rng = random.Random(1234)
-    graph = SynergyGraph.empty()
-    config = SearchConfig(max_sequence_length=10, seed=0)
-    population = [
-        weighted_walk_init(graph, registry, config, rng) for _ in range(60)
-    ]
+    tables = DrawTables(SynergyGraph.empty(), registry)
+    population = [weighted_walk_init(tables, 10, rng) for _ in range(60)]
     checked = 0
-    for ind in population:
-        assert is_valid(ind.forest, registry)
+    for forest in population:
+        assert is_valid(forest, registry)
         checked += 1
     for _ in range(300):
         a, b = rng.choice(population), rng.choice(population)
-        swapped = crossover(a, b, rng, max_sequence_length=10)
+        swapped = crossover(a, b, rng)
         if swapped is not None:
             for child in swapped:
-                assert is_valid(child.forest, registry)
+                assert is_valid(child, registry)
                 checked += 1
-        mutated = mutate(rng.choice(population), graph, registry, rng)
-        assert is_valid(mutated.forest, registry)
+        mutated = mutate(rng.choice(population), tables, rng)
+        assert is_valid(mutated, registry)
         checked += 1
     assert checked >= 300
 

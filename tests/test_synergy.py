@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 import helpers
+from helpers import save_mock_program
 from passforest import (
     EvaluationResult,
     MockBackend,
@@ -109,6 +110,22 @@ def test_failed_single_pass_is_logged(m1, ab_registry, caplog):
     with caplog.at_level(logging.WARNING, logger="passforest.synergy"):
         mine_program_pairs(m1, ab_registry, FailsOnB())
     assert [r.getMessage() for r in caplog.records] == ["skipping pass b: crash"]
+
+
+class FailsOnPairAB(MockBackend):
+    """Mock backend on which only the pipeline running ``a`` then ``b`` fails."""
+
+    def evaluate(self, program, forest):
+        if [name for name, _ in leaf_sequence(forest)] == ["a", "b"]:
+            return EvaluationResult(None, "failed", "crash")
+        return super().evaluate(program, forest)
+
+
+def test_failed_pair_is_logged(m1, ab_registry, caplog):
+    with caplog.at_level(logging.WARNING, logger="passforest.synergy"):
+        pairs = mine_program_pairs(m1, ab_registry, FailsOnPairAB())
+    assert [r.getMessage() for r in caplog.records] == ["skipping pair (a, b): crash"]
+    assert ("a", "b") not in pairs
 
 
 def test_mining_writes_nothing_to_stderr_without_logging_configured():
@@ -321,8 +338,6 @@ def test_graph_from_counts_weights():
 def test_checkpoint_resume_matches_uninterrupted(ab_registry, backend, tmp_path, m1, m2):
     dataset_a = tmp_path / "a.json"
     dataset_b = tmp_path / "b.json"
-    from passforest import save_mock_program
-
     save_mock_program(m1, dataset_a)
     save_mock_program(m2, dataset_b)
     programs = [str(dataset_a), str(dataset_b)]
@@ -338,8 +353,6 @@ def test_checkpoint_resume_matches_uninterrupted(ab_registry, backend, tmp_path,
 
 
 def test_program_listed_twice_counts_once(backend, tmp_path):
-    from passforest import save_mock_program
-
     rng = random.Random(0)
     registry = helpers.synthetic_registry(3, rng)
     paths = [str(tmp_path / "p1.json"), str(tmp_path / "p2.json")]
